@@ -9,14 +9,17 @@ stage, consistent along tree edges — are exactly the query answers.
 Key objects:
 
 - :class:`Stage` — one join-tree node: its reduced relation, the join-key
-  positions linking it to its parent, and its DFS subtree extent.
+  positions linking it to its parent, and its DFS subtree extent (defined
+  next to the reducer, :mod:`repro.joins.semijoin`).
 - :class:`Bucket` — the tuples of a stage sharing one parent join-key
   value, with their *subtree weights* (the tuple's lifted weight ⊗ the best
   achievable completion of its whole subtree) and the bucket minimum.
   Buckets are the unit on which the ANYK-PART successor strategies operate.
-- :class:`TDP` — builds stages and buckets bottom-up in O(n) after
-  reduction, and provides the weight/row algebra shared by ANYK-PART and
-  ANYK-REC: canonical solution weights fold in DFS pre-order, so partial
+- :class:`TDP` — builds stages and buckets in O(n), inside the reducer's
+  two passes (:func:`repro.joins.semijoin.reduce_stages` folds the subtree
+  weights bottom-up while it drops dangling tuples), and provides the
+  weight/row algebra shared by ANYK-PART and ANYK-REC: canonical
+  solution weights fold in DFS pre-order, so partial
   (prefix) priorities and full solution weights are always comparable —
   this is what makes non-float rankings such as LEX safe on trees.
 
@@ -28,13 +31,17 @@ and, for each frontier subtree, the corresponding bucket minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.data.database import Database
-from repro.data.relation import Relation
 from repro.anyk.ranking import RankingFunction, SUM
-from repro.joins.semijoin import full_reducer
+from repro.joins.semijoin import (
+    Stage,
+    output_writers,
+    reduce_stages,
+    stage_layout,
+)
 from repro.obs.memory import tdp_bucket_bytes, tdp_tuple_bytes, tracker_of
 from repro.query.cq import ConjunctiveQuery
 from repro.query.hypergraph import JoinTree, join_tree_or_raise
@@ -58,6 +65,13 @@ class Bucket:
     structure: Any = None
     stream: Any = None
 
+    @classmethod
+    def of(cls, tuple_ids: list[int], subtree: list[Any]) -> "Bucket":
+        """The bucket of ``tuple_ids``, weights read off the stage's
+        ``subtree`` list; ``best_position`` is the first minimum."""
+        weights = [subtree[i] for i in tuple_ids]
+        return cls(tuple_ids, weights, weights.index(min(weights)))
+
     @property
     def best_weight(self) -> Any:
         """Minimum subtree weight in the bucket."""
@@ -72,28 +86,14 @@ class Bucket:
         return len(self.tuple_ids)
 
 
-@dataclass
-class Stage:
-    """One DP stage: a join-tree node in DFS pre-order."""
-
-    position: int
-    atom_index: int
-    relation: Relation
-    parent: Optional[int]  # stage position of the parent
-    #: positions (in this relation's schema) of the join vars with parent
-    own_key_positions: tuple[int, ...]
-    #: positions (in the parent relation's schema) of the same join vars
-    parent_key_positions: tuple[int, ...]
-    children: list[int] = field(default_factory=list)
-    subtree_size: int = 1
-
-
 class TDP:
     """The compiled dynamic program for one acyclic full CQ.
 
     Construction performs the full-reducer pass and the bottom-up subtree-
-    weight computation — O~(n) total — after which every any-k algorithm
-    enumerates without touching the base database again.
+    weight computation — one fused pass, O~(n) total — after which every
+    any-k algorithm enumerates without touching the base database again.
+    Weights are lifted before the reduction, so a ranking's domain check
+    (PRODUCT: strictly positive weights) covers dangling tuples too.
     """
 
     def __init__(
@@ -109,36 +109,47 @@ class TDP:
         self.ranking = ranking
         self.counters = counters
         self.tree = tree if tree is not None else join_tree_or_raise(query)
-        reduced = full_reducer(db, query, tree=self.tree, counters=counters)
-
-        self.stages: list[Stage] = []
-        self._build_stages(reduced)
+        self.stages: list[Stage] = stage_layout(
+            db, query, self.tree, counters=counters
+        )
         self.num_stages = len(self.stages)
 
-        # Lifted tuple weights per stage (parallel to relation rows).
+        # One reducer run leaves, per stage, the surviving tuples with
+        # their subtree weights; what remains is to bucket them.  A lift
+        # that is ``float`` is the identity on stored weights, so those
+        # rankings share the relations' weight lists.
         lift = ranking.lift
-        self.lifted: list[list[Any]] = [
-            [lift(w) for w in stage.relation.weights] for stage in self.stages
+        lifted = [
+            stage.relation.weights
+            if lift is float
+            else list(map(lift, stage.relation.weights))
+            for stage in self.stages
         ]
-
+        survivors = reduce_stages(
+            self.stages, counters, lifted, ranking.combine
+        )
+        #: Lifted tuple weights per stage (parallel to relation rows).
+        self.lifted: list[list[Any]] = []
         #: per stage: parent-key -> Bucket
-        self.buckets: list[dict[tuple, Bucket]] = [
-            {} for _ in range(self.num_stages)
-        ]
-        self._compute_bottom_up()
+        self.buckets: list[dict[tuple, Bucket]] = []
+        for stage, alive, weights in zip(self.stages, survivors, lifted):
+            if len(alive.ids) != len(weights):
+                weights = [weights[i] for i in alive.ids]
+            self.lifted.append(weights)
+            stage.relation = alive.relation(stage.relation)
+            self.buckets.append(
+                {
+                    key: Bucket.of(tuple_ids, alive.subtree)
+                    for key, tuple_ids in alive.buckets(stage, counters).items()
+                }
+            )
+        if counters is not None:
+            # One comparison per non-first tuple of a bucket for its minimum.
+            counters.comparisons += self.total_tuples() - sum(
+                len(stage_buckets) for stage_buckets in self.buckets
+            )
 
-        # Output assembly: for each stage, (schema position, output position)
-        # pairs for variables first bound at this stage.
-        seen: set[str] = set()
-        self._writers: list[list[tuple[int, int]]] = []
-        out_position = {v: i for i, v in enumerate(query.variables)}
-        for stage in self.stages:
-            writers = []
-            for schema_position, variable in enumerate(stage.relation.schema):
-                if variable not in seen:
-                    seen.add(variable)
-                    writers.append((schema_position, out_position[variable]))
-            self._writers.append(writers)
+        self._writers = output_writers(self.stages, query.variables)
 
         # Static footprint: the compiled program holds every surviving
         # tuple's bucket/weight state for its whole lifetime, so account
@@ -151,84 +162,6 @@ class TDP:
             space.gauge("tdp.buckets", tdp_bucket_bytes()).add(
                 sum(len(stage_buckets) for stage_buckets in self.buckets)
             )
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _build_stages(self, reduced: dict[int, Relation]) -> None:
-        """DFS pre-order serialization of the join tree."""
-        position_of_atom: dict[int, int] = {}
-
-        def visit(atom_index: int, parent_position: Optional[int]) -> None:
-            relation = reduced[atom_index]
-            if parent_position is None:
-                own_key: tuple[int, ...] = ()
-                parent_key: tuple[int, ...] = ()
-            else:
-                parent_stage = self.stages[parent_position]
-                join_vars = sorted(
-                    set(relation.schema) & set(parent_stage.relation.schema)
-                )
-                own_key = relation.positions(join_vars)
-                parent_key = parent_stage.relation.positions(join_vars)
-            position = len(self.stages)
-            position_of_atom[atom_index] = position
-            stage = Stage(
-                position=position,
-                atom_index=atom_index,
-                relation=relation,
-                parent=parent_position,
-                own_key_positions=own_key,
-                parent_key_positions=parent_key,
-            )
-            self.stages.append(stage)
-            if parent_position is not None:
-                self.stages[parent_position].children.append(position)
-            for child_atom in self.tree.children[atom_index]:
-                visit(child_atom, position)
-            stage.subtree_size = len(self.stages) - position
-
-        visit(self.tree.root, None)
-
-    def _compute_bottom_up(self) -> None:
-        """Subtree weights and buckets, children before parents."""
-        combine = self.ranking.combine
-        for position in range(self.num_stages - 1, -1, -1):
-            stage = self.stages[position]
-            relation = stage.relation
-            lifted = self.lifted[position]
-            subtree: list[Any] = []
-            for tuple_id, row in enumerate(relation.rows):
-                if self.counters is not None:
-                    self.counters.tuples_read += 1
-                weight = lifted[tuple_id]
-                for child_position in stage.children:
-                    child_stage = self.stages[child_position]
-                    key = tuple(
-                        row[p] for p in child_stage.parent_key_positions
-                    )
-                    child_bucket = self.buckets[child_position][key]
-                    weight = combine(weight, child_bucket.best_weight)
-                subtree.append(weight)
-            # Bucket the tuples by parent join key.
-            stage_buckets = self.buckets[position]
-            for tuple_id, row in enumerate(relation.rows):
-                key = tuple(row[p] for p in stage.own_key_positions)
-                bucket = stage_buckets.get(key)
-                if bucket is None:
-                    bucket = Bucket(tuple_ids=[], subtree_weights=[])
-                    stage_buckets[key] = bucket
-                bucket.tuple_ids.append(tuple_id)
-                bucket.subtree_weights.append(subtree[tuple_id])
-            for bucket in stage_buckets.values():
-                best = 0
-                weights = bucket.subtree_weights
-                for i in range(1, len(weights)):
-                    if self.counters is not None:
-                        self.counters.comparisons += 1
-                    if weights[i] < weights[best]:
-                        best = i
-                bucket.best_position = best
 
     # ------------------------------------------------------------------
     # Accessors used by the enumeration algorithms

@@ -50,15 +50,16 @@ def random_relation(
     the benchmarks create the heavy join keys that hurt binary plans.
     """
     rng = random.Random(seed)
-    rel = Relation(name, schema)
     lo, hi = weight_range
+    rows: list[tuple] = []
+    weights: list[float] = []
     for _ in range(size):
         if zipf_skew > 0.0:
-            row = tuple(_zipf_draw(rng, domain, zipf_skew) for _ in schema)
+            rows.append(tuple(_zipf_draw(rng, domain, zipf_skew) for _ in schema))
         else:
-            row = tuple(rng.randrange(domain) for _ in schema)
-        rel.add(row, rng.uniform(lo, hi))
-    return rel
+            rows.append(tuple(rng.randrange(domain) for _ in schema))
+        weights.append(rng.uniform(lo, hi))
+    return Relation(name, schema, rows, weights)
 
 
 def _zipf_draw(rng: random.Random, domain: int, skew: float) -> int:
@@ -174,8 +175,9 @@ def random_graph_database(
     intuition; self-loops are excluded.
     """
     rng = random.Random(seed)
-    rel = Relation(relation_name, ("src", "dst"))
     seen: set[tuple[int, int]] = set()
+    rows: list[tuple[int, int]] = []
+    weights: list[float] = []
     lo, hi = weight_range
     attempts = 0
     max_attempts = num_edges * 50 + 1000
@@ -186,8 +188,9 @@ def random_graph_database(
         if u == v or (u, v) in seen:
             continue
         seen.add((u, v))
-        rel.add((u, v), rng.uniform(lo, hi))
-    return Database([rel])
+        rows.append((u, v))
+        weights.append(rng.uniform(lo, hi))
+    return Database([Relation(relation_name, ("src", "dst"), rows, weights)])
 
 
 def triangle_worstcase_database(n: int) -> Database:

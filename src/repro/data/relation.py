@@ -80,15 +80,7 @@ class Relation:
         self._positions: dict[tuple[str, ...], tuple[int, ...]] = {}
         self._columnar = None
         if rows is not None:
-            weight_list = list(weights) if weights is not None else None
-            row_list = [tuple(row) for row in rows]
-            if weight_list is not None and len(weight_list) != len(row_list):
-                raise SchemaError(
-                    f"relation {name!r}: {len(row_list)} rows but "
-                    f"{len(weight_list)} weights"
-                )
-            for i, row in enumerate(row_list):
-                self.add(row, weight_list[i] if weight_list is not None else 0.0)
+            self.extend(rows, weights)
 
     # ------------------------------------------------------------------
     # Basic container protocol
@@ -135,13 +127,12 @@ class Relation:
     def extend(
         self, rows: Iterable[Sequence[Any]], weights: Optional[Iterable[float]] = None
     ) -> None:
-        """Append many rows (with optional parallel weights)."""
-        if weights is None:
-            for row in rows:
-                self.add(row)
-        else:
-            for row, weight in zip(rows, weights, strict=True):
-                self.add(row, weight)
+        """Append many rows (with optional parallel weights): one
+        :meth:`bulk_load`, so nothing is appended when any row is bad."""
+        rows = list(rows)
+        self.bulk_load(
+            rows, [0.0] * len(rows) if weights is None else list(weights)
+        )
 
     def bulk_load(
         self, rows: Sequence[Sequence[Any]], weights: Sequence[float]
@@ -250,44 +241,75 @@ class Relation:
     # ------------------------------------------------------------------
     # Relational operations (copying)
     # ------------------------------------------------------------------
+    def derive(
+        self,
+        rows: list[tuple],
+        weights: list[float],
+        name: Optional[str] = None,
+        schema: Optional[Sequence[str]] = None,
+    ) -> "Relation":
+        """The trusted constructor for relations *derived* from this one.
+
+        Adopts the ready-made ``rows``/``weights`` lists without copying
+        or re-validating them — they come out of relations whose tuples
+        passed :meth:`add`/:meth:`bulk_load` at base insertion — and
+        carries the data generation (``version``) over, so a derived
+        relation never aliases a static fingerprint in the plan/stats
+        caches.  Passing this relation's own lists makes an O(1) *view*
+        (another name/schema over the same storage); a view is read-only,
+        which is safe because published snapshots are never mutated in
+        place (:mod:`repro.dynamic` is copy-on-write).
+        """
+        out = Relation(
+            name or self.name, self.schema if schema is None else schema
+        )
+        out.rows = rows
+        out.weights = weights
+        out.version = self.version
+        return out
+
+    def restrict(
+        self, ids: Iterable[int], name: Optional[str] = None
+    ) -> "Relation":
+        """The rows at ``ids``, in that order (a fresh derived relation)."""
+        rows, weights = self.rows, self.weights
+        return self.derive(
+            [rows[i] for i in ids], [weights[i] for i in ids], name
+        )
+
     def project(self, attrs: Sequence[str], name: Optional[str] = None) -> "Relation":
         """Projection (bag semantics: keeps duplicates and weights)."""
         positions = self.positions(attrs)
-        out = Relation(name or f"pi_{self.name}", attrs)
-        for row, weight in zip(self.rows, self.weights):
-            out.add(tuple(row[p] for p in positions), weight)
-        return out
+        return self.derive(
+            [tuple(row[p] for p in positions) for row in self.rows],
+            list(self.weights),
+            name or f"pi_{self.name}",
+            attrs,
+        )
 
     def select(
         self, predicate: Callable[[tuple], bool], name: Optional[str] = None
     ) -> "Relation":
         """Selection by an arbitrary row predicate."""
-        out = Relation(name or f"sigma_{self.name}", self.schema)
-        for row, weight in zip(self.rows, self.weights):
-            if predicate(row):
-                out.add(row, weight)
-        return out
+        return self.restrict(
+            [i for i, row in enumerate(self.rows) if predicate(row)],
+            name or f"sigma_{self.name}",
+        )
 
     def rename(
         self, mapping: dict[str, str], name: Optional[str] = None
     ) -> "Relation":
         """Rename attributes; shares row storage semantics by copying."""
-        new_schema = tuple(mapping.get(a, a) for a in self.schema)
-        out = Relation(name or self.name, new_schema)
-        out.rows = list(self.rows)
-        out.weights = list(self.weights)
-        # A renamed view is the same data generation: resetting to 0
-        # would alias a static fingerprint in the plan/stats caches.
-        out.version = self.version
-        return out
+        return self.derive(
+            list(self.rows),
+            list(self.weights),
+            name,
+            tuple(mapping.get(a, a) for a in self.schema),
+        )
 
     def copy(self, name: Optional[str] = None) -> "Relation":
         """Shallow copy (rows are immutable tuples, so this is safe)."""
-        out = Relation(name or self.name, self.schema)
-        out.rows = list(self.rows)
-        out.weights = list(self.weights)
-        out.version = self.version
-        return out
+        return self.derive(list(self.rows), list(self.weights), name)
 
     def sorted_by_weight(self) -> "Relation":
         """A copy sorted by ascending weight (ties broken by row value).
@@ -303,16 +325,12 @@ class Relation:
         from repro.anyk.ranking import solution_tie_key
 
         rows, weights = self.rows, self.weights
-        order = sorted(
-            range(len(rows)),
-            key=lambda i: (weights[i], solution_tie_key(rows[i])),
+        return self.restrict(
+            sorted(
+                range(len(rows)),
+                key=lambda i: (weights[i], solution_tie_key(rows[i])),
+            )
         )
-        out = Relation(self.name, self.schema)
-        out.rows = [rows[i] for i in order]
-        out.weights = [weights[i] for i in order]
-        # Same data generation, like copy()/rename().
-        out.version = self.version
-        return out
 
     def columnar(self, backend: Optional[str] = None):
         """A cached columnar view (:class:`repro.data.columnar.ColumnStore`).

@@ -154,33 +154,24 @@ class VersionedDatabase:
     def _inserted(relation: Relation, mutation: Insert) -> tuple[Relation, int]:
         replacement = relation.copy()
         try:
-            for row, weight in zip(mutation.rows, mutation.weights):
-                replacement.add(row, weight)
+            replacement.extend(mutation.rows, mutation.weights)
         except SchemaError as exc:
             raise MutationError(str(exc)) from exc
         return replacement, len(mutation.rows)
 
     @staticmethod
     def _deleted(relation: Relation, mutation: Delete) -> tuple[Relation, int]:
-        replacement = Relation(relation.name, relation.schema)
         predicate = mutation.predicate
         if predicate is None:  # DELETE without WHERE: drop everything
-            return replacement, len(relation)
-        kept_rows: list[tuple] = []
-        kept_weights: list[float] = []
+            return relation.restrict(()), len(relation)
         try:
-            for row, weight in zip(relation.rows, relation.weights):
-                if not predicate(row):
-                    kept_rows.append(row)
-                    kept_weights.append(weight)
+            kept = relation.select(lambda row: not predicate(row), relation.name)
         except Exception as exc:
             raise MutationError(
                 f"delete predicate on {relation.name!r} failed: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
-        replacement.rows = kept_rows
-        replacement.weights = kept_weights
-        return replacement, len(relation) - len(kept_rows)
+        return kept, len(relation) - len(kept)
 
     # ------------------------------------------------------------------
     # Conveniences

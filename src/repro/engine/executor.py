@@ -91,9 +91,9 @@ def negated_database(
         if names is not None and relation.name not in names:
             negated.add(relation)
             continue
-        copy = relation.copy()
-        copy.weights = [-w for w in copy.weights]
-        negated.add(copy)
+        negated.add(
+            relation.derive(relation.rows, [-w for w in relation.weights])
+        )
     return negated
 
 
@@ -123,11 +123,9 @@ def filtered_database(
             for f in filters:
                 position = relation.positions((f.column,))[0]
                 selected = selected.select(f.predicate(position), name=name)
-            selected.name = name
-            # The filtered copy inherits its base's snapshot generation so
-            # cached statistics over it invalidate exactly when the base
-            # relation is mutated.
-            selected.version = relation.version
+            # select() carries the base's snapshot generation over, so
+            # cached statistics over the filtered copy invalidate exactly
+            # when the base relation is mutated.
             working.replace(selected)
             atoms.append(Atom(name, atom.variables))
         else:

@@ -16,32 +16,18 @@ benchmarks of E14 measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.data.database import Database
-from repro.data.relation import Relation
-from repro.joins.semijoin import full_reducer
+from repro.joins.semijoin import (
+    Stage,
+    output_writers,
+    reduce_stages,
+    stage_layout,
+)
 from repro.query.cq import ConjunctiveQuery
 from repro.query.hypergraph import JoinTree, join_tree_or_raise
 from repro.util.counters import Counters
-
-
-@dataclass
-class FStage:
-    """One join-tree node of the factorized representation.
-
-    Mirrors :class:`repro.anyk.tdp.Stage`: the reduced relation, join-key
-    column positions linking to the parent stage, and child stages.
-    """
-
-    position: int
-    atom_index: int
-    relation: Relation
-    parent: Optional[int]
-    own_key_positions: tuple[int, ...]
-    parent_key_positions: tuple[int, ...]
-    children: list[int] = field(default_factory=list)
 
 
 class FactorizedRepresentation:
@@ -63,64 +49,21 @@ class FactorizedRepresentation:
         self.query = query
         self.counters = counters
         self.tree = tree if tree is not None else join_tree_or_raise(query)
-        reduced = full_reducer(db, query, tree=self.tree, counters=counters)
-
-        self.stages: list[FStage] = []
-        self._build_stages(reduced)
+        #: The T-DP's stage layout (:func:`stage_layout`), relations reduced.
+        self.stages: list[Stage] = stage_layout(
+            db, query, self.tree, counters=counters
+        )
         self.num_stages = len(self.stages)
 
         #: per stage: parent-key -> list of tuple ids (a union node)
         self.buckets: list[dict[tuple, list[int]]] = []
-        for stage in self.stages:
-            buckets: dict[tuple, list[int]] = {}
-            for tuple_id, row in enumerate(stage.relation.rows):
-                if counters is not None:
-                    counters.tuples_read += 1
-                key = tuple(row[p] for p in stage.own_key_positions)
-                buckets.setdefault(key, []).append(tuple_id)
-            self.buckets.append(buckets)
+        for stage, alive in zip(
+            self.stages, reduce_stages(self.stages, counters)
+        ):
+            stage.relation = alive.relation(stage.relation)
+            self.buckets.append(alive.buckets(stage, counters))
 
-        # Output assembly bookkeeping (variables first bound per stage).
-        seen: set[str] = set()
-        out_position = {v: i for i, v in enumerate(query.variables)}
-        self._writers: list[list[tuple[int, int]]] = []
-        for stage in self.stages:
-            writers = []
-            for schema_position, variable in enumerate(stage.relation.schema):
-                if variable not in seen:
-                    seen.add(variable)
-                    writers.append((schema_position, out_position[variable]))
-            self._writers.append(writers)
-
-    def _build_stages(self, reduced: dict[int, Relation]) -> None:
-        def visit(atom_index: int, parent_position: Optional[int]) -> None:
-            relation = reduced[atom_index]
-            if parent_position is None:
-                own_key: tuple[int, ...] = ()
-                parent_key: tuple[int, ...] = ()
-            else:
-                parent_stage = self.stages[parent_position]
-                join_vars = sorted(
-                    set(relation.schema) & set(parent_stage.relation.schema)
-                )
-                own_key = relation.positions(join_vars)
-                parent_key = parent_stage.relation.positions(join_vars)
-            position = len(self.stages)
-            stage = FStage(
-                position=position,
-                atom_index=atom_index,
-                relation=relation,
-                parent=parent_position,
-                own_key_positions=own_key,
-                parent_key_positions=parent_key,
-            )
-            self.stages.append(stage)
-            if parent_position is not None:
-                self.stages[parent_position].children.append(position)
-            for child_atom in self.tree.children[atom_index]:
-                visit(child_atom, position)
-
-        visit(self.tree.root, None)
+        self._writers = output_writers(self.stages, query.variables)
 
     # ------------------------------------------------------------------
     # Structure accessors

@@ -30,32 +30,37 @@ def atom_relation(
     Repeated variables inside the atom (e.g. ``E(x, x)``) become equality
     selections; only the first occurrence of each variable is kept as a
     column.  Weights are preserved per tuple.
+
+    An atom without repeated variables — the common case — is an O(1)
+    *read-only view*: the source's row and weight lists under the atom's
+    variable names (see :meth:`Relation.derive`), not a per-row copy.
     """
     atom = query.atoms[atom_index]
     source = db[atom.relation]
-    distinct_vars: list[str] = []
-    keep_positions: list[int] = []
+    name = name or f"{atom.relation}#{atom_index}"
+    first: dict[str, int] = {}
     for position, variable in enumerate(atom.variables):
-        if variable not in distinct_vars:
-            distinct_vars.append(variable)
-            keep_positions.append(position)
+        first.setdefault(variable, position)
+    if len(first) == len(atom.variables):
+        return source.derive(source.rows, source.weights, name, atom.variables)
 
-    out = Relation(name or f"{atom.relation}#{atom_index}", tuple(distinct_vars))
-    needs_filter = len(distinct_vars) != len(atom.variables)
-    first_position = {v: atom.variables.index(v) for v in distinct_vars}
-    for row, weight in zip(source.rows, source.weights):
-        if counters is not None:
-            counters.tuples_read += 1
-        if needs_filter:
-            consistent = True
-            for position, variable in enumerate(atom.variables):
-                if row[position] != row[first_position[variable]]:
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-        out.add(tuple(row[p] for p in keep_positions), weight)
-    return out
+    repeats = [
+        (position, first[variable])
+        for position, variable in enumerate(atom.variables)
+        if first[variable] != position
+    ]
+    if counters is not None:
+        counters.tuples_read += len(source)
+    consistent = source.select(
+        lambda row: all(row[p] == row[q] for p, q in repeats)
+    )
+    keep = tuple(first.values())
+    return consistent.derive(
+        [tuple(row[p] for p in keep) for row in consistent.rows],
+        consistent.weights,
+        name,
+        tuple(first),
+    )
 
 
 def multiset(relation: Relation, round_digits: int = 9) -> Multiset:
@@ -86,11 +91,7 @@ def reorder_to_query_schema(
     """Reorder a result relation's columns into the query's variable order."""
     if relation.schema == query.variables:
         return relation
-    positions = relation.positions(query.variables)
-    out = output_relation(query, relation.name)
-    for row, weight in zip(relation.rows, relation.weights):
-        out.add(tuple(row[p] for p in positions), weight)
-    return out
+    return relation.project(query.variables, relation.name)
 
 
 def iter_weighted(relation: Relation) -> Iterable[tuple[tuple, float]]:

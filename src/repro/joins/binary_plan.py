@@ -51,6 +51,10 @@ def evaluate_left_deep(
         raise QueryError(f"order {order} is not a permutation of atom ids")
 
     current = atom_relation(db, query, order[0], counters=counters)
+    if len(order) == 1:
+        # The atom view shares the base relation's storage; a result is
+        # the caller's to keep.
+        current = current.copy()
     for atom_index in order[1:]:
         right = atom_relation(db, query, atom_index, counters=counters)
         current = hash_join(current, right, counters=counters, combine=combine)

@@ -68,6 +68,8 @@ def evaluate(
     ]
 
     result = output_relation(query)
+    out_rows: list[tuple] = []
+    out_weights: list[float] = []
     out_positions = [var_order.index(v) for v in query.variables]
     binding: list = [None] * len(var_order)
     # Current node per atom (descends as its variables get bound).  The
@@ -81,7 +83,8 @@ def evaluate(
             weight = combo[0]
             for w in combo[1:]:
                 weight = combine(weight, w)
-            result.add(row, weight)
+            out_rows.append(row)
+            out_weights.append(weight)
             if counters is not None:
                 counters.output_tuples += 1
 
@@ -116,6 +119,7 @@ def evaluate(
                 node_stack[i].pop()
 
     recurse(0)
+    result.bulk_load(out_rows, out_weights)
     return result
 
 

@@ -110,13 +110,14 @@ def fourcycle_union_of_trees(
     trees: list[UnionTree] = []
 
     # ---- x2 heavy: one tree per heavy value -------------------------
-    index2 = r2.index_on((v2,))
+    # (every tree reads the same R3/R4 resp. R1L/R2L objects: relations
+    # are read-only to the engines, so there is nothing to copy)
     for b in sorted(heavy2, key=repr):
         u1 = _filtered_unary(r1, v2, b, keep=v1, name="U1", counters=counters)
         u2 = _filtered_unary(r2, v2, b, keep=v3, name="U2", counters=counters)
         if len(u1) == 0 or len(u2) == 0:
             continue
-        tree_db = Database([u1, u2, r3.copy("R3"), r4.copy("R4")])
+        tree_db = Database([u1, u2, r3, r4])
         tree_query = ConjunctiveQuery(
             [
                 Atom("U1", (v1,)),
@@ -140,9 +141,7 @@ def fourcycle_union_of_trees(
         u4 = _filtered_unary(r4, v4, d, keep=v1, name="U4", counters=counters)
         if len(u3) == 0 or len(u4) == 0:
             continue
-        tree_db = Database(
-            [r1_light.copy("R1L"), r2_light.copy("R2L"), u3, u4]
-        )
+        tree_db = Database([r1_light, r2_light, u3, u4])
         tree_query = ConjunctiveQuery(
             [
                 Atom("R1L", (v1, v2)),
@@ -181,16 +180,17 @@ def _filtered_unary(
     counters: Optional[Counters],
 ) -> Relation:
     """σ_{filter_var = value}(relation) projected (with weights) to ``keep``."""
-    index = relation.index_on((filter_var,))
+    row_ids = relation.index_on((filter_var,)).get((value,), ())
     keep_position = relation.positions((keep,))[0]
-    out = Relation(name, (keep,))
-    for row_id in index.get((value,), ()):
-        if counters is not None:
-            counters.tuples_read += 1
-        out.add(
-            (relation.rows[row_id][keep_position],), relation.weights[row_id]
-        )
-    return out
+    if counters is not None:
+        counters.tuples_read += len(row_ids)
+    rows, weights = relation.rows, relation.weights
+    return relation.derive(
+        [(rows[i][keep_position],) for i in row_ids],
+        [weights[i] for i in row_ids],
+        name,
+        (keep,),
+    )
 
 
 def _light_restriction(
@@ -202,13 +202,16 @@ def _light_restriction(
 ) -> Relation:
     """Rows whose ``variable`` value is not heavy."""
     position = relation.positions((variable,))[0]
-    out = Relation(name, relation.schema)
-    for row, weight in zip(relation.rows, relation.weights):
-        if counters is not None:
-            counters.tuples_read += 1
-        if row[position] not in heavy_values:
-            out.add(row, weight)
-    return out
+    if counters is not None:
+        counters.tuples_read += len(relation)
+    return relation.restrict(
+        [
+            i
+            for i, row in enumerate(relation.rows)
+            if row[position] not in heavy_values
+        ],
+        name,
+    )
 
 
 def _wedge(
@@ -234,16 +237,19 @@ def _wedge(
     right_position = right.positions((join_var,))[0]
     extra = [a for a in right.schema if a != join_var]
     extra_positions = right.positions(extra)
-    out = Relation(name, tuple(left.schema) + tuple(extra))
+    left_rows, left_weights = left.rows, left.weights
+    out_rows: list[tuple] = []
+    out_weights: list[float] = []
     for row, weight in zip(right.rows, right.weights):
-        if counters is not None:
-            counters.tuples_read += 1
-            counters.hash_probes += 1
-        for left_id in left_index.get((row[right_position],), ()):
-            out.add(
-                left.rows[left_id] + tuple(row[p] for p in extra_positions),
-                combine(left.weights[left_id], weight),
+        matches = left_index.get((row[right_position],))
+        if matches:
+            tail = tuple(row[p] for p in extra_positions)
+            out_rows.extend([left_rows[i] + tail for i in matches])
+            out_weights.extend(
+                [combine(left_weights[i], weight) for i in matches]
             )
-            if counters is not None:
-                counters.intermediate_tuples += 1
-    return out
+    if counters is not None:
+        counters.tuples_read += len(right)
+        counters.hash_probes += len(right)
+        counters.intermediate_tuples += len(out_rows)
+    return left.derive(out_rows, out_weights, name, left.schema + tuple(extra))

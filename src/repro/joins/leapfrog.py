@@ -59,6 +59,8 @@ def evaluate(
         for variable in var_order
     ]
     result = output_relation(query)
+    out_rows: list[tuple] = []
+    out_weights: list[float] = []
     out_positions = [var_order.index(v) for v in query.variables]
     binding: list = [None] * len(var_order)
 
@@ -69,7 +71,8 @@ def evaluate(
             weight = combo[0]
             for w in combo[1:]:
                 weight = combine(weight, w)
-            result.add(row, weight)
+            out_rows.append(row)
+            out_weights.append(weight)
             if counters is not None:
                 counters.output_tuples += 1
 
@@ -89,6 +92,7 @@ def evaluate(
                 it.up()
 
     recurse(0)
+    result.bulk_load(out_rows, out_weights)
     return result
 
 

@@ -45,12 +45,15 @@ def evaluate(
             )
 
     result = output_relation(query)
+    out_rows: list[tuple] = []
+    out_weights: list[float] = []
     binding: dict[str, object] = {}
 
     def recurse(depth: int, weight_so_far: float) -> None:
         if depth == len(relations):
             row = tuple(binding[v] for v in query.variables)
-            result.add(row, weight_so_far)
+            out_rows.append(row)
+            out_weights.append(weight_so_far)
             if counters is not None:
                 counters.output_tuples += 1
             return
@@ -79,4 +82,5 @@ def evaluate(
                 del binding[variable]
 
     recurse(0, 0.0)
+    result.bulk_load(out_rows, out_weights)
     return result

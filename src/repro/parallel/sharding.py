@@ -230,12 +230,10 @@ def shard_database(
             continue
         relation = db[atom.relation]
         name = f"{atom.relation}__p{atom_index}"
-        buckets = [Relation(name, relation.schema) for _ in range(shards)]
-        for bucket in buckets:
-            # Buckets inherit the base relation's snapshot generation:
-            # the shard payload a worker pickles is pinned to the exact
-            # versions the plan was costed on.
-            bucket.version = relation.version
+        # Buckets inherit the base relation's snapshot generation (derive):
+        # the shard payload a worker pickles is pinned to the exact
+        # versions the plan was costed on.
+        buckets = [relation.derive([], [], name) for _ in range(shards)]
         for row, weight in zip(relation.rows, relation.weights):
             bucket = buckets[assign(row[column])]
             bucket.rows.append(row)

@@ -159,6 +159,104 @@ def test_version_survives_all_three_copying_ops():
     assert r.rename({"b": "y"}).sorted_by_weight().copy().version == 7
 
 
+def test_every_derived_relation_producer_keeps_version():
+    """Regression: ``select``, ``project`` and ``semijoin`` (both
+    branches, incl. the empty-right one) built their result with
+    ``Relation(...)`` + ``add`` and so reset ``version`` to 0; only
+    ``filtered_database`` patched it back by hand.  Every producer of a
+    derived relation now goes through :meth:`Relation.derive`."""
+    from repro.data.database import Database
+    from repro.dynamic import Delete, VersionedDatabase
+    from repro.joins.base import atom_relation, reorder_to_query_schema
+    from repro.joins.semijoin import full_reducer, semijoin
+    from repro.query.cq import Atom, ConjunctiveQuery
+
+    r = Relation("R", ("a", "b"), [(1, 2), (3, 3)], [0.2, 0.1])
+    s = Relation("S", ("b", "c"), [(2, 5)], [0.3])
+    r.version, s.version = 7, 4
+    assert r.select(lambda row: row[0] == 1).version == 7
+    assert r.project(("b",)).version == 7
+    assert r.restrict([1]).version == 7
+    assert r.derive([], []).version == 7
+    assert semijoin(r, s).version == 7
+    unrelated = Relation("T", ("z",), [(0,)])
+    assert semijoin(r, unrelated).version == 7
+    assert semijoin(r, Relation("T", ("z",))).version == 7  # empty right
+    db = Database([r, s])
+    q = ConjunctiveQuery([Atom("R", ("x", "y")), Atom("S", ("y", "z"))])
+    assert atom_relation(db, q, 0).version == 7
+    loop = ConjunctiveQuery([Atom("R", ("x", "x"))])
+    assert atom_relation(db, loop, 0).rows == [(3,)]
+    assert atom_relation(db, loop, 0).version == 7
+    assert {i: rel.version for i, rel in full_reducer(db, q).items()} == {0: 7, 1: 4}
+    flipped = ConjunctiveQuery([Atom("R", ("b", "a"))])
+    assert reorder_to_query_schema(r, flipped).schema == ("b", "a")
+    assert reorder_to_query_schema(r, flipped).version == 7
+    # A delete publishes the filtered relation under the *next* version.
+    versioned = VersionedDatabase(db)
+    before = versioned.version
+    versioned.apply(Delete("R", lambda row: row[0] == 1))
+    assert versioned.snapshot()["R"].version == before + 1
+    assert versioned.snapshot()["R"].rows == [(3, 3)]
+
+
+def test_filtered_database_copy_inherits_base_version():
+    import repro.sql
+    from repro.data.database import Database
+    from repro.engine.executor import filtered_database
+    from repro.sql.analyzer import analyze
+
+    r = Relation("R", ("a", "b"), [(1, 2), (3, 4)], [0.2, 0.1])
+    r.version = 9
+    db = Database([r])
+    compiled = analyze(db, "SELECT * FROM R WHERE R.a = 1 AND R.b = 2")
+    working, query = filtered_database(db, compiled)
+    filtered = working[query.atoms[0].relation]
+    assert filtered.name == "R__sigma0"
+    assert filtered.rows == [(1, 2)] and filtered.version == 9
+
+
+def test_derive_adopts_lists_and_atom_views_share_storage():
+    """``derive`` is the trusted constructor: no copy, no validation, one
+    fresh cache; an atom without repeated variables is an O(1) view."""
+    from repro.data.database import Database
+    from repro.joins.base import atom_relation
+    from repro.query.cq import Atom, ConjunctiveQuery
+
+    r = Relation("R", ("a", "b"), [(1, 2), (3, 4)], [0.2, 0.1])
+    r.index_on(("a",))
+    rows, weights = [(9, 9)], [0.5]
+    d = r.derive(rows, weights, "D", ("x", "y"))
+    assert d.rows is rows and d.weights is weights
+    assert (d.name, d.schema) == ("D", ("x", "y"))
+    assert d.index_on(("x",)) == {(9,): [0]}  # its own cache, not r's
+    view = atom_relation(
+        Database([r]), ConjunctiveQuery([Atom("R", ("u", "v"))]), 0
+    )
+    assert view.rows is r.rows and view.weights is r.weights
+    assert view.schema == ("u", "v") and view.name == "R#0"
+    with pytest.raises(SchemaError):
+        r.derive([], [], schema=("a", "a"))
+
+
+def test_extend_and_constructor_load_in_one_validated_sweep():
+    r = Relation("R", ("a", "b"), [[1, 2], (3, 4)])
+    assert r.rows == [(1, 2), (3, 4)] and r.weights == [0.0, 0.0]
+    r.index_on(("a",))
+    r.extend(iter([(5, 6)]), iter([1]))
+    assert r.weights == [0.0, 0.0, 1.0] and (5,) in r.index_on(("a",))
+    # All-or-nothing: a bad row anywhere leaves the relation untouched.
+    with pytest.raises(SchemaError):
+        r.extend([(7, 8), (9,)])
+    with pytest.raises(SchemaError):
+        r.extend([(7, 8)], [float("nan")])
+    with pytest.raises(SchemaError):
+        r.extend([(7, 8)], [0.1, 0.2])
+    assert len(r) == 3
+    with pytest.raises(SchemaError):
+        Relation("R", ("a",), [(1,), (2,)], [0.1])
+
+
 def test_positions_are_memoized_per_attrs_tuple():
     r = Relation("R", ("a", "b", "c"))
     first = r.positions(("c", "a"))
