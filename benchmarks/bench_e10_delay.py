@@ -10,9 +10,9 @@ grows linearly with n, the latter stays flat.
 from repro.anyk.api import rank_enumerate
 from repro.data.generators import path_database
 from repro.query.cq import path_query
-from repro.util.counters import Counters
+from repro.util.counters import Counters, growth_exponent
 
-from common import growth_exponent, print_table
+from common import print_table
 
 SIZES = (50, 100, 200, 400)
 K = 200

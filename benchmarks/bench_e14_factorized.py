@@ -16,9 +16,9 @@ from repro.factorized import (
     aggregate,
 )
 from repro.query.cq import path_query
-from repro.util.counters import Counters
+from repro.util.counters import Counters, growth_exponent
 
-from common import growth_exponent, print_table
+from common import print_table
 
 SIZE, DOMAIN = 120, 4  # tiny domain: flat output explodes with length
 LENGTHS = (2, 3, 4, 5)

@@ -10,9 +10,9 @@ pattern via any-k vs batch, plus the factorized count of all matches.
 from repro.patterns.graph import random_labeled_graph
 from repro.patterns.pattern import TreePattern
 from repro.patterns.search import count_matches, find_patterns
-from repro.util.counters import Counters
+from repro.util.counters import Counters, growth_exponent
 
-from common import growth_exponent, print_table
+from common import print_table
 
 SIZES = (400, 800, 1600, 3200)  # edges
 K = 10

@@ -12,9 +12,9 @@ from repro.joins.generic_join import evaluate as generic_join
 from repro.joins.leapfrog import evaluate as leapfrog_join
 from repro.query.agm import agm_bound
 from repro.query.cq import triangle_query
-from repro.util.counters import Counters
+from repro.util.counters import Counters, growth_exponent
 
-from common import growth_exponent, print_table
+from common import print_table
 
 SIZES = (40, 80, 160, 320)
 

@@ -12,9 +12,9 @@ from repro.data.generators import random_graph_database
 from repro.joins.boolean import fourcycle_boolean
 from repro.joins.generic_join import evaluate as generic_join
 from repro.query.cq import cycle_query
-from repro.util.counters import Counters
+from repro.util.counters import Counters, growth_exponent
 
-from common import growth_exponent, print_table
+from common import print_table
 
 SIZES = (200, 400, 800, 1600)
 

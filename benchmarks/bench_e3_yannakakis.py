@@ -10,9 +10,9 @@ from repro.data.generators import dangling_path_database, path_database
 from repro.joins.binary_plan import evaluate_left_deep
 from repro.joins.yannakakis import evaluate as yannakakis_join
 from repro.query.cq import path_query
-from repro.util.counters import Counters
+from repro.util.counters import Counters, growth_exponent
 
-from common import growth_exponent, print_table
+from common import print_table
 
 SIZES = (50, 100, 200, 400)
 

@@ -20,9 +20,9 @@ from repro.anyk.api import rank_enumerate
 from repro.data.generators import fourcycle_decoy_database, random_graph_database
 from repro.query.cq import cycle_query
 from repro.topk.rank_join import rank_join_stream
-from repro.util.counters import Counters
+from repro.util.counters import Counters, growth_exponent
 
-from common import growth_exponent, print_table
+from common import print_table
 
 SIZES = (100, 200, 400, 800)
 

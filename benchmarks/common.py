@@ -4,12 +4,11 @@ Every bench prints its series as an aligned table (the "rows the paper
 reports") and uses pytest-benchmark for one representative wall-clock
 measurement.  Operation counts are the primary series — the repro band for
 this paper notes that pure-Python timings are not comparable to the
-authors' Java testbed, while RAM-model counts transfer (DESIGN.md).
+authors' Java testbed, while RAM-model counts transfer.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 
@@ -30,21 +29,3 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)
-
-
-def growth_exponent(ns: Sequence[int], costs: Sequence[float]) -> float:
-    """Least-squares slope of log(cost) against log(n).
-
-    The empirical growth exponent: ~2 for quadratic series, ~1.5 for the
-    WCO/submodular-width series, ~1 for linear ones.
-    """
-    points = [
-        (math.log(n), math.log(c)) for n, c in zip(ns, costs) if c > 0 and n > 1
-    ]
-    if len(points) < 2:
-        return float("nan")
-    mean_x = sum(x for x, _ in points) / len(points)
-    mean_y = sum(y for _, y in points) / len(points)
-    num = sum((x - mean_x) * (y - mean_y) for x, y in points)
-    den = sum((x - mean_x) ** 2 for x, _ in points)
-    return num / den if den else float("nan")

@@ -35,7 +35,6 @@ Example
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from typing import Any, Iterator, Optional
@@ -60,13 +59,6 @@ from repro.util.counters import Counters
 METHODS: tuple[str, ...] = tuple(
     f"part:{name}" for name in sorted(STRATEGIES)
 ) + ("rec", "batch", "lawler")
-
-#: Default for ``rank_enumerate(compile_kernels=...)``: compiled
-#: enumeration kernels are on unless ``REPRO_ANYK_KERNELS=0`` (the
-#: interpreted path stays available for differential testing and as the
-#: fallback for unsupported shapes).  Read once at import, so worker
-#: processes inherit the setting through their environment.
-KERNELS_DEFAULT: bool = os.environ.get("REPRO_ANYK_KERNELS", "1") != "0"
 
 
 def _enumerator_factory(method: str):
@@ -94,7 +86,7 @@ def rank_enumerate(
     counters: Optional[Counters] = None,
     workers: Optional[int] = None,
     deterministic: bool = True,
-    compile_kernels: Optional[bool] = None,
+    compile_kernels: bool = True,
     kernel_slot: Optional[Any] = None,
 ) -> Iterator[tuple[tuple, Any]]:
     """Enumerate query answers in nondecreasing ranking order.
@@ -127,9 +119,10 @@ def rank_enumerate(
 
     ``compile_kernels`` toggles the code-generated enumeration kernels
     (:mod:`repro.anyk.kernels`) that specialize the T-DP inner loops to
-    this query's shape; ``None`` (the default) follows
-    :data:`KERNELS_DEFAULT`.  Compiled streams are byte-identical to
-    interpreted ones; unsupported shapes silently run interpreted.
+    this query's shape.  Compiled streams are byte-identical to
+    interpreted ones; unsupported shapes silently run interpreted, and
+    ``False`` selects the interpreted reference the differential suite
+    compares against.
     ``kernel_slot`` (a :class:`repro.anyk.kernels.KernelSlot`) lets a
     plan cache pin the compiled template across executions so warm
     statements skip kernel setup too.
@@ -181,10 +174,7 @@ def rank_enumerate(
     tree = gyo_reduction(query)
     if tree is not None:
         tdp = TDP(db, query, ranking=ranking, tree=tree, counters=counters)
-        use_kernels = (
-            KERNELS_DEFAULT if compile_kernels is None else compile_kernels
-        )
-        if use_kernels and method != "lawler":
+        if compile_kernels and method != "lawler":
             # The naive-Lawler strawman stays interpreted on purpose: its
             # whole point is measuring the uncompiled from-scratch cost.
             from repro.anyk.kernels import install_kernels

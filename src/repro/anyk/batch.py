@@ -15,16 +15,11 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-from repro.anyk.ranking import RankingFunction, SUM
+from repro.anyk.ranking import RankingFunction, SUM, solution_tie_key
 from repro.data.database import Database
 from repro.joins.generic_join import evaluate as generic_join
 from repro.joins.yannakakis import evaluate as yannakakis_join
-from repro.obs.memory import (
-    batch_sort_bytes,
-    columnar_row_bytes,
-    row_bytes,
-    tracker_of,
-)
+from repro.obs.memory import batch_sort_bytes, row_bytes, tracker_of
 from repro.query.cq import ConjunctiveQuery
 from repro.query.hypergraph import gyo_reduction
 from repro.util.counters import Counters
@@ -47,26 +42,22 @@ def batch_enumerate(
         result = yannakakis_join(db, query, counters=counters, combine=combine, tree=tree)
     else:
         result = generic_join(db, query, counters=counters, combine=combine)
-    # Sort through the columnar view: one pass builds the lifted weight
-    # vector, and the order pass touches row values only inside tie
-    # groups.  Lifted weights (not raw) key the sort so tie groups form
-    # in the ranking carrier, exactly as the any-k engines see them.
+    # Lifted weights (not raw) key the sort so tie groups form in the
+    # ranking carrier, exactly as the any-k engines see them; row values
+    # are touched only inside tie groups.
     lift = ranking.lift
-    store = result.columnar()
+    rows = result.rows
     lifted = [lift(w) for w in result.weights]
-    order = store.sorted_order(weights=lifted)
+    order = sorted(
+        range(len(rows)), key=lambda i: (lifted[i], solution_tie_key(rows[i]))
+    )
     if counters is not None:
         counters.comparisons += max(0, len(order) - 1)
-    rows = result.rows
     space = tracker_of(counters)
     if space is not None:
-        store.attach_gauge(
-            space.gauge("columnar.rows", columnar_row_bytes(len(store.schema)))
-        )
         space.gauge("batch.sort", batch_sort_bytes()).add(len(order))
-        # The row-wise materialization stays alive beside the columnar
-        # view for the whole emission: the joined row tuples and the raw
-        # weight vector they carry.
-        space.gauge("batch.rows", row_bytes(len(store.schema))).add(len(rows))
+        # The materialized join stays alive for the whole emission: the
+        # joined row tuples and the raw weight vector they carry.
+        space.gauge("batch.rows", row_bytes(len(result.schema))).add(len(rows))
     for i in order:
         yield rows[i], lifted[i]

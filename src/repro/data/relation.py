@@ -47,7 +47,6 @@ class Relation:
         "version",
         "_indexes",
         "_positions",
-        "_columnar",
     )
 
     def __init__(
@@ -78,7 +77,6 @@ class Relation:
         # schema is immutable for the life of the relation, so entries
         # never invalidate (unlike _indexes, which depend on the rows).
         self._positions: dict[tuple[str, ...], tuple[int, ...]] = {}
-        self._columnar = None
         if rows is not None:
             self.extend(rows, weights)
 
@@ -122,7 +120,6 @@ class Relation:
         self.rows.append(row)
         self.weights.append(weight)
         self._indexes.clear()
-        self._columnar = None
 
     def extend(
         self, rows: Iterable[Sequence[Any]], weights: Optional[Iterable[float]] = None
@@ -167,7 +164,6 @@ class Relation:
         self.rows.extend(rows)
         self.weights.extend(weights)
         self._indexes.clear()
-        self._columnar = None
 
     # ------------------------------------------------------------------
     # Attribute access helpers
@@ -331,21 +327,6 @@ class Relation:
                 key=lambda i: (weights[i], solution_tie_key(rows[i])),
             )
         )
-
-    def columnar(self, backend: Optional[str] = None):
-        """A cached columnar view (:class:`repro.data.columnar.ColumnStore`).
-
-        Built on first use and invalidated on mutation, like the hash
-        indexes.  Passing an explicit ``backend`` bypasses the cache
-        (the cached view uses the environment-selected default).
-        """
-        from repro.data.columnar import ColumnStore
-
-        if backend is not None:
-            return ColumnStore.from_relation(self, backend=backend)
-        if self._columnar is None:
-            self._columnar = ColumnStore.from_relation(self)
-        return self._columnar
 
     def as_set(self) -> set[tuple]:
         """The set of distinct rows (weights ignored)."""

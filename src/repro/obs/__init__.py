@@ -25,7 +25,7 @@ Seven pieces, one per module:
 - :mod:`repro.obs.memory` — the space profiler: calibrated
   bytes-per-entry models over the engines' load-bearing structures
   (priority queues, REC solution lists, T-DP state, HRJN buffers, hash
-  buckets, columnar stores) folded into live/peak per-cursor profiles
+  buckets, batch rows) folded into live/peak per-cursor profiles
   at O(1) hot-path cost, feeding the admission watermark
   (``repro-serve --max-mem-mb``) and the planner's Q-error feedback.
 - :mod:`repro.obs.slo` — declarative SLO specs (latency percentiles,

@@ -17,7 +17,7 @@ Two clocks per result, deliberately:
   charges only the enumeration work, not the idle hour.
 - ``ttf_ms`` / ``ttk_ms[k]`` — *wall* time from the first pull to the
   1st / k-th result, the quantity an end user experiences and the one
-  ``bench_e23_obs.py`` cross-checks against the external measurement.
+  ``tests/test_obs.py`` cross-checks against an external clock.
 
 Profiles are mergeable (histograms fold exactly, TTF/TT(k) become
 distributions across queries) and snapshot/restore across process

@@ -31,8 +31,8 @@ retirement.
 The byte models deliberately count only the containers the engine
 allocates (heap slots, candidate tuples, entry objects, list slots,
 fresh floats) — row values are shared with the base relations and would
-be double-counted.  ``benchmarks/bench_e27_memory.py`` cross-checks the
-model against ``tracemalloc`` and pins it within 2x.
+be double-counted.  ``tests/test_obs_memory.py`` cross-checks the model
+against ``tracemalloc`` and pins it within 2x.
 """
 
 from __future__ import annotations
@@ -155,12 +155,6 @@ def join_build_entry_bytes() -> int:
     """One build-side index entry of a binary hash join (amortized:
     the key dict slot is shared across rows with equal keys)."""
     return _PTR + _INT + _DICT_SLOT // 2
-
-
-def columnar_row_bytes(arity: int) -> int:
-    """One row in a :class:`~repro.data.columnar.ColumnStore`: a slot
-    per value column plus the weight cell (values are shared)."""
-    return arity * _PTR + _PTR + _FLOAT
 
 
 def batch_sort_bytes() -> int:

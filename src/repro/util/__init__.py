@@ -17,7 +17,12 @@ generator, the server's per-op latency stats, and the anytime-delay
 profiler in :mod:`repro.obs`.
 """
 
-from repro.util.counters import Counters, global_counters, reset_global_counters
+from repro.util.counters import (
+    Counters,
+    global_counters,
+    growth_exponent,
+    reset_global_counters,
+)
 from repro.util.histogram import DEFAULT_BOUNDS, Histogram, geometric_bounds
 from repro.util.lru import LruCache
 from repro.util.heaps import (
@@ -34,6 +39,7 @@ __all__ = [
     "geometric_bounds",
     "LruCache",
     "global_counters",
+    "growth_exponent",
     "reset_global_counters",
     "BinaryHeap",
     "LazySortedList",

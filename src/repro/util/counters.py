@@ -13,13 +13,15 @@ talks about (tuples read, intermediate tuples materialized, comparisons,
 sorted/random accesses, heap operations) rather than literal machine
 operations.  Benchmarks report these counts as their primary series because
 absolute Python wall-clock is not a faithful proxy for the authors' Java
-testbed (see DESIGN.md, substitution table).
+testbed; :func:`growth_exponent` fits the exponent such a series grows with.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 
 @dataclass
@@ -221,3 +223,21 @@ def reset_global_counters() -> Counters:
     """Reset and return the module-level :data:`global_counters`."""
     global_counters.reset()
     return global_counters
+
+
+def growth_exponent(ns: Sequence[int], costs: Sequence[float]) -> float:
+    """Least-squares slope of log(cost) against log(n).
+
+    The empirical growth exponent: ~2 for quadratic series, ~1.5 for the
+    WCO/submodular-width series, ~1 for linear ones.
+    """
+    points = [
+        (math.log(n), math.log(c)) for n, c in zip(ns, costs) if c > 0 and n > 1
+    ]
+    if len(points) < 2:
+        return float("nan")
+    mean_x = sum(x for x, _ in points) / len(points)
+    mean_y = sum(y for _, y in points) / len(points)
+    num = sum((x - mean_x) * (y - mean_y) for x, y in points)
+    den = sum((x - mean_x) ** 2 for x, _ in points)
+    return num / den if den else float("nan")

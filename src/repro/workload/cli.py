@@ -12,12 +12,12 @@ Examples::
     repro-serve --gen "path:length=3,size=400,domain=50,seed=13" --port 0
     repro-loadgen --scenario read-mostly --connect 127.0.0.1:PORT
 
-The text report prints to stdout; the machine-readable report lands in
-``BENCH_workload.json`` (``--json PATH`` to move it, ``--json ''`` to
-skip).  The same ``--scenario --seed --duration --clients`` always
-replays the identical request trace — the report's ``trace.sha256`` is
-the receipt.  Exit status: 0 on a clean run, 2 when replay validation
-found mismatches (a correctness bug, not a performance problem).
+The text report prints to stdout; ``--json PATH`` also writes the
+machine-readable report there.  The same ``--scenario --seed --duration
+--clients`` always replays the identical request trace — the report's
+``trace.sha256`` is the receipt.  Exit status: 0 on a clean run, 2 when
+replay validation found mismatches (a correctness bug, not a performance
+problem).
 """
 
 from __future__ import annotations
@@ -108,9 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json",
         metavar="PATH",
-        default="BENCH_workload.json",
-        help="where to write the machine-readable report "
-        "(default BENCH_workload.json; '' skips)",
+        help="also write the machine-readable report to PATH",
     )
     parser.add_argument(
         "--slo",

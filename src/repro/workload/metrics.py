@@ -6,7 +6,7 @@ merge exactly; see :mod:`repro.util.histogram`).  The merged collector
 plus run metadata becomes the SLO report — including per-spec burn-rate
 verdicts from :func:`evaluate_slos` (same spec language as the server's
 :mod:`repro.obs.slo` engine) — rendered both as text for humans and as
-a JSON document (``BENCH_workload.json``) for trend tracking.
+a JSON document (``repro-loadgen --json PATH``).
 
 Latency taxonomy (all wall-clock at the driver, ms):
 

@@ -5,7 +5,7 @@ operation counts, so it is pinned on :class:`~repro.util.counters.Counters`
 rather than on a clock: ``tuples_read + hash_probes`` of the
 preprocessing step, over a doubling series of seeded instances, must grow
 with the exponent the paper states (fitted by
-``benchmarks/common.growth_exponent``) *and* stay inside an absolute
+:func:`repro.util.growth_exponent`) *and* stay inside an absolute
 per-tuple budget.  The counts are exact per seed, so a reintroduced copy
 pass (budget) or an accidental quadratic (exponent) fails here, in
 tier-1 — not in a benchmark nobody reruns.
@@ -13,9 +13,7 @@ tier-1 — not in a benchmark nobody reruns.
 
 from __future__ import annotations
 
-import importlib.util
 import math
-from pathlib import Path
 
 from repro.anyk.cyclic import enumerate_union_of_trees
 from repro.anyk.part import anyk_part
@@ -28,15 +26,7 @@ from repro.data.generators import (
 )
 from repro.joins.heavylight import fourcycle_union_of_trees
 from repro.query.cq import cycle_query, path_query
-from repro.util.counters import Counters
-
-_spec = importlib.util.spec_from_file_location(
-    "benchmarks_common",
-    Path(__file__).resolve().parent.parent / "benchmarks" / "common.py",
-)
-_common = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_common)
-growth_exponent = _common.growth_exponent
+from repro.util import Counters, growth_exponent
 
 
 def _accesses(counters: Counters) -> int:

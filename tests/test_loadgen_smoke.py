@@ -53,7 +53,7 @@ def test_loadgen_smoke(tmp_path):
                 port = int(line.rsplit(":", 1)[1])
         assert port, "repro-serve never printed its listening line"
 
-        report_path = tmp_path / "BENCH_workload.json"
+        report_path = tmp_path / "report.json"
         result = subprocess.run(
             [
                 sys.executable,

@@ -391,15 +391,27 @@ def test_delay_bounds_open_below_default_latency_bounds():
     assert DELAY_BOUNDS[0] <= 0.0001
 
 
-def test_execute_with_profile_counts_every_emitted_row(path_db):
+@pytest.mark.parametrize("engine", ["part:lazy", "rec", "batch", "rank_join"])
+def test_execute_with_profile_counts_every_emitted_row(path_db, engine):
     sql = PATH_SQL.format(k=60)
-    compiled = repro.sql.analyze(path_db, sql)
-    plan = plan_compiled(path_db, compiled, engine="part:lazy")
     profile = DelayProfile()
-    rows = sum(1 for _ in execute(path_db, compiled, plan, profile=profile))
+    # The external clock starts before parsing, where a caller's does.
+    started = time.perf_counter()
+    compiled = repro.sql.analyze(path_db, sql)
+    plan = plan_compiled(path_db, compiled, engine=engine)
+    rows = 0
+    for _ in execute(path_db, compiled, plan, profile=profile):
+        if rows == 0:
+            ttfr_ms = (time.perf_counter() - started) * 1000.0
+        rows += 1
+    wall_ms = (time.perf_counter() - started) * 1000.0
     assert rows > 0
     assert profile.results == rows
-    assert profile.engine == "part:lazy"  # filled from the plan
+    assert profile.engine == engine  # filled from the plan
+    # The in-engine clocks start at the first pull, inside the external
+    # one: a profile that exceeds it charges time nobody waited.
+    assert profile.ttf.max <= ttfr_ms
+    assert profile.ttk[10].max <= wall_ms
 
 
 # ----------------------------------------------------------------------

@@ -123,17 +123,21 @@ def test_stabilize_ties_sorts_equal_weight_groups():
     assert list(stabilize_ties([])) == []
 
 
-def test_all_equal_weights_enumerate_in_row_order():
+@pytest.mark.parametrize("middle", [(0, 1, 2), (0, "hub", 2)])
+def test_all_equal_weights_enumerate_in_row_order(middle):
     """Regression: with every weight equal, the whole output is one tie
     group and must come out ordered by tuple identity — for every engine,
-    so shard merges (and cross-engine diffs) are deterministic."""
+    so shard merges (and cross-engine diffs) are deterministic.  The
+    mixed ``int``/``str`` join column is the hub-graph shape: the tie
+    key must order it without ever comparing ``int < str``."""
     from repro.anyk.api import rank_enumerate
+    from repro.anyk.ranking import solution_tie_key
     from repro.data.database import Database
     from repro.data.relation import Relation
     from repro.query.cq import path_query
 
-    rows1 = [(i, j) for i in range(3) for j in range(3)]
-    rows2 = [(j, m) for j in range(3) for m in range(3)]
+    rows1 = [(i, j) for i in range(3) for j in middle]
+    rows2 = [(j, m) for j in middle for m in range(3)]
     db = Database(
         [
             Relation("R1", ("A1", "A2"), rows1, [1.0] * len(rows1)),
@@ -144,7 +148,7 @@ def test_all_equal_weights_enumerate_in_row_order():
     expected = None
     for method in ("part:lazy", "part:eager", "part:all", "rec", "batch"):
         got = list(rank_enumerate(db, query, method=method))
-        assert got == sorted(got, key=lambda pair: pair[0])
+        assert got == sorted(got, key=lambda pair: solution_tie_key(pair[0]))
         if expected is None:
             expected = got
         else:

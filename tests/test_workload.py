@@ -217,9 +217,10 @@ def test_inprocess_run_clean_and_validated(clients):
     assert "errors:   none" in text
 
 
-def test_wire_run_clean_and_validated():
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_wire_run_clean_and_validated(scenario):
     result = run_scenario(
-        "churn",
+        scenario,
         seed=5,
         duration=1.2,
         clients=2,
@@ -232,6 +233,22 @@ def test_wire_run_clean_and_validated():
     assert report["validation"]["mismatches"] == 0
     assert report["validation"]["checked"] > 0
     assert report["server"]["mutations"] == report["trace"]["mutations"]
+
+
+@pytest.mark.parametrize(
+    "spec, status",
+    [("error_rate<=1%", "ok"), ("query_p99_ms<=0.000001", "page")],
+)
+def test_report_grades_the_run_against_its_slos(spec, status):
+    """The negative control keeps the green verdict honest: the same
+    seeded trace graded against an impossible objective must page."""
+    result = run_scenario(
+        "read-only", seed=11, duration=0.5, clients=2, mode="inprocess",
+        sample=0.0, slos=[spec],
+    )
+    graded = result.report["slo"]
+    assert graded["status"] == status
+    assert [entry["status"] for entry in graded["slos"]] == [status]
 
 
 def test_identical_seed_replays_identical_trace_across_runs():
