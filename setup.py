@@ -24,12 +24,10 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=[
-        "numpy",
-        "scipy",
-    ],
+    install_requires=[],
     extras_require={
-        "test": ["pytest", "hypothesis"],
+        # scipy only as the oracle of the cover-LP solver's test.
+        "test": ["pytest", "hypothesis", "scipy"],
     },
     entry_points={
         "console_scripts": [

@@ -117,12 +117,11 @@ def rank_enumerate(
     when the input is too small to amortize fork+pickle overhead (the
     decision is visible in ``explain()``).
 
-    ``compile_kernels`` toggles the code-generated enumeration kernels
-    (:mod:`repro.anyk.kernels`) that specialize the T-DP inner loops to
-    this query's shape.  Compiled streams are byte-identical to
-    interpreted ones; unsupported shapes silently run interpreted, and
-    ``False`` selects the interpreted reference the differential suite
-    compares against.
+    ``compile_kernels`` toggles the code-generated output-row kernel
+    (:mod:`repro.anyk.kernels`) that specializes the one T-DP accessor the
+    loops call per emitted answer to this query's shape.  Compiled
+    streams are byte-identical to interpreted ones; ``False`` selects the
+    interpreted reference the differential suite compares against.
     ``kernel_slot`` (a :class:`repro.anyk.kernels.KernelSlot`) lets a
     plan cache pin the compiled template across executions so warm
     statements skip kernel setup too.
@@ -175,8 +174,8 @@ def rank_enumerate(
     if tree is not None:
         tdp = TDP(db, query, ranking=ranking, tree=tree, counters=counters)
         if compile_kernels and method != "lawler":
-            # The naive-Lawler strawman stays interpreted on purpose: its
-            # whole point is measuring the uncompiled from-scratch cost.
+            # The naive-Lawler strawman stays on the reference accessors
+            # on purpose: its whole point is the from-scratch cost.
             from repro.anyk.kernels import install_kernels
 
             install_kernels(tdp, slot=kernel_slot, engine=method)

@@ -1,41 +1,29 @@
-"""Per-plan compiled enumeration kernels for the any-k inner loops.
+"""The compiled output-row kernel of the any-k loops.
 
-The T-DP accessors ANYK-PART and ANYK-REC hammer during enumeration —
-:meth:`~repro.anyk.tdp.TDP.prefix_priority` (one call per candidate
-pushed), :meth:`~repro.anyk.tdp.TDP.expand_best` (one per emitted
-result), :meth:`~repro.anyk.tdp.TDP.solution_row` (one per result) —
-are interpreted walks over the stage list: a ``while`` loop, a
-``combine`` callback per term, a bucket lookup through two attribute
-hops per frontier stage.  For a *fixed* query shape all of that
-structure is constant: the join order, the arity, the per-stage parent
-key positions, the subtree extents, the ranking's fold operator, and
-the output writers are decided at plan time and never change during
-enumeration.
-
-This module therefore generates, per **shape signature**, straight-line
-Python source with all of it baked in — e.g. for a 3-stage SUM plan the
-full-prefix priority compiles to ``l0[c0] + l1[c1] + l2[c2]`` — and
-``exec``-compiles it once into a :class:`KernelTemplate`.  Templates
-are cached process-wide in an LRU keyed on the signature, and a
+ANYK-PART and ANYK-REC carry prefix weights, walked buckets and composed
+entries themselves (:mod:`repro.anyk.part`, :mod:`repro.anyk.rec`), so the
+one T-DP accessor they still call per *emitted* answer is
+:meth:`~repro.anyk.tdp.TDP.solution_row` — an interpreted double loop over
+the stage list and the per-stage writer table.  For a fixed query shape
+that table is constant, so this module generates, per **shape signature**
+``(number of output variables, writers)``, the straight-line source of the
+row — e.g. ``r0 = rows0[choices[0]]; ...; return (r0[0], r0[1], r1[1])``
+— and ``exec``-compiles it once into a :class:`KernelTemplate` (the
+measured pair against the interpreted writer loop is in README, "Storage
+& compiled kernels").
+Templates are cached process-wide in an LRU keyed on the signature, and a
 :class:`KernelSlot` stored inside the server's cached plan pins the
 template alongside the routing so a warm statement skips planning *and*
-kernel setup.  Binding a template to a concrete :class:`TDP` is cheap
-(tuple/dict snapshots of the already-computed stage arrays) and
-installs the closures as *instance attributes*, shadowing the
-interpreted methods for that TDP only.
+kernel setup.  Binding a template to a concrete :class:`TDP` closes it
+over the stages' *row lists* — not over the T-DP, which would be a
+``tdp -> closure -> tdp`` cycle keeping a closed cursor's program alive
+until the next full collection — and installs the closure as an
+*instance attribute*, shadowing the interpreted method for that TDP only.
 
-Correctness contract: a kernel folds contributions in exactly the DFS
-pre-order the interpreted walk uses, with the same first-element
-special case and the same left association, and reads the same
-first-minimum bucket representatives — so compiled streams are
-byte-identical to interpreted ones (pinned by the differential suite).
-Unsupported shapes (unregistered rankings) silently fall back to the
-interpreted path and bump the ``unsupported`` counter.
-
-Fold-exactness per ranking: ``sum``/``product``(log-lifted)/``lex``
-fold with Python's left-associative ``+`` — identical to the
-interpreted left fold; ``max`` folds as nested ``max(acc, term)``
-calls — again identical, including the return-first-on-ties behavior.
+Correctness contract: the compiled row reads the same cells in the same
+output order as the interpreted method, for every ranking (the source
+does not depend on it), so compiled streams are byte-identical to
+interpreted ones (pinned by the differential suite).
 """
 
 from __future__ import annotations
@@ -44,19 +32,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.anyk.ranking import RANKINGS_BY_NAME
 from repro.anyk.tdp import TDP
 from repro.util.lru import LruCache
-
-#: Registered ranking name -> fold operator spelling used by codegen.
-#: PRODUCT ranks in log space (lift = log), so its carrier fold is "+";
-#: LEX concatenates per-stage tuples, also "+".
-_FOLD_OPS: dict[str, str] = {
-    "sum": "+",
-    "product": "+",
-    "lex": "+",
-    "max": "max",
-}
 
 #: Process-wide template cache: shape signature -> KernelTemplate.
 #: Shapes are tiny (a few hundred bytes of source each); 256 distinct
@@ -69,7 +46,6 @@ _EVENTS = (
     "template_hits",
     "template_misses",
     "slot_hits",
-    "unsupported",
 )
 
 _stats: dict[str, dict[str, int]] = {}
@@ -87,7 +63,7 @@ def _bump(engine: str, event: str) -> None:
 
 def kernel_stats() -> dict[str, dict[str, int]]:
     """Per-engine kernel counters (installs, template hits/misses,
-    slot hits, compiles, unsupported fallbacks)."""
+    slot hits, compiles)."""
     with _stats_lock:
         return {engine: dict(counts) for engine, counts in _stats.items()}
 
@@ -109,162 +85,42 @@ def clear_kernel_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# Shape signatures
+# Shape signature and source generation
 # ----------------------------------------------------------------------
-def kernel_signature(tdp: TDP) -> Optional[tuple]:
-    """The shape key a compiled template is valid for, or None.
-
-    Everything the generated source depends on: the ranking's fold
-    operator (via its registry name — a custom RankingFunction that
-    merely *shares* a registered name is rejected by identity check),
-    the number of output variables, and per stage its parent position,
-    parent-key positions, and DFS subtree extent, plus the writer table.
-    """
-    name = tdp.ranking.name
-    if _FOLD_OPS.get(name) is None or RANKINGS_BY_NAME.get(name) is not tdp.ranking:
-        return None
-    stages = tuple(
-        (
-            -1 if stage.parent is None else stage.parent,
-            stage.parent_key_positions,
-            stage.subtree_size,
-        )
-        for stage in tdp.stages
+def kernel_signature(tdp: TDP) -> tuple:
+    """The shape key a compiled template is valid for: the number of
+    output variables and, per stage, the ``(schema position, output
+    position)`` writers — everything the generated source depends on."""
+    return (
+        len(tdp.query.variables),
+        tuple(tuple(stage_writers) for stage_writers in tdp._writers),
     )
-    writers = tuple(tuple(w) for w in tdp._writers)
-    return (name, len(tdp.query.variables), stages, writers)
-
-
-# ----------------------------------------------------------------------
-# Source generation
-# ----------------------------------------------------------------------
-def _fold(op: str, terms: list[str]) -> str:
-    """Fold ``terms`` exactly as the interpreted left fold would."""
-    if op == "+":
-        return " + ".join(terms)
-    expr = terms[0]
-    for term in terms[1:]:
-        expr = f"max({expr}, {term})"
-    return expr
-
-
-def _key_expr(parent: int, key_positions: tuple[int, ...]) -> str:
-    """The bucket-key expression read off the parent's row.
-
-    Single-attribute keys read a scalar (the snapshot dicts for those
-    stages are re-keyed by the lone value — see :func:`generate_source`),
-    skipping a tuple allocation per lookup on the hottest path.
-    """
-    if len(key_positions) == 1:
-        return f"r{parent}[{key_positions[0]}]"
-    parts = ", ".join(f"r{parent}[{q}]" for q in key_positions)
-    return f"({parts})"
 
 
 def generate_source(signature: tuple) -> str:
     """Python source for one shape's ``_bind`` factory.
 
-    ``_bind(tdp, interp_priority, interp_expand, interp_row)`` snapshots
-    the TDP's stage arrays into locals and returns the three closures;
-    the ``interp_*`` class functions back the fallback branches for
-    prefix lengths the straight-line code does not cover (defensive —
-    the engines never produce them).
+    ``_bind(rows)`` takes the per-stage row lists and returns the
+    ``solution_row(choices)`` closure over them.
     """
-    _, num_out, stages, writers = signature
-    op = _FOLD_OPS[signature[0]]
-    m = len(stages)
-    parent = [entry[0] for entry in stages]
-    key_positions = [entry[1] for entry in stages]
-    subtree = [entry[2] for entry in stages]
-
-    lines: list[str] = []
-    emit = lines.append
-    emit("def _bind(tdp, interp_priority, interp_expand, interp_row):")
-    for i in range(m):
-        emit(f"    rows{i} = tdp.stages[{i}].relation.rows")
-        emit(f"    l{i} = tdp.lifted[{i}]")
-    for i in range(1, m):
-        # Buckets are keyed by parent-key tuples; stages joining on a
-        # single attribute re-key their snapshots by the lone value so
-        # lookups need no tuple allocation (matches _key_expr).
-        key = "key[0]" if len(key_positions[i]) == 1 else "key"
-        emit(
-            f"    bw{i} = {{{key}: b.subtree_weights[b.best_position]"
-            f" for key, b in tdp.buckets[{i}].items()}}"
-        )
-        emit(
-            f"    bt{i} = {{{key}: b.tuple_ids[b.best_position]"
-            f" for key, b in tdp.buckets[{i}].items()}}"
-        )
-    emit("")
-
-    # -- prefix_priority ------------------------------------------------
-    emit("    def prefix_priority(choices):")
-    emit("        L = len(choices)")
-    for length in range(1, m + 1):
-        emit(f"        {'if' if length == 1 else 'elif'} L == {length}:")
-        frontier: list[int] = []
-        position = length
-        while position < m:
-            frontier.append(position)
-            position += subtree[position]
-        needed_parents = sorted({parent[p] for p in frontier})
-        for p in needed_parents:
-            emit(f"            r{p} = rows{p}[choices[{p}]]")
-        terms = [f"l{i}[choices[{i}]]" for i in range(length)]
-        terms += [
-            f"bw{p}[{_key_expr(parent[p], key_positions[p])}]" for p in frontier
-        ]
-        emit(f"            return {_fold(op, terms)}")
-    emit("        return interp_priority(tdp, choices)")
-    emit("")
-
-    # -- expand_best ----------------------------------------------------
-    emit("    def expand_best(choices):")
-    emit("        L = len(choices)")
-    for length in range(1, m + 1):
-        emit(f"        {'if' if length == 1 else 'elif'} L == {length}:")
-        if length == m:
-            emit("            return choices")
-            continue
-        defined_rows: set[int] = set()
-        body: list[str] = []
-        for p in range(length, m):
-            par = parent[p]
-            if par not in defined_rows:
-                source = f"choices[{par}]" if par < length else f"c{par}"
-                body.append(f"r{par} = rows{par}[{source}]")
-                defined_rows.add(par)
-            body.append(f"c{p} = bt{p}[{_key_expr(par, key_positions[p])}]")
-            body.append(f"choices.append(c{p})")
-        body.append("return choices")
-        for statement in body:
-            emit(f"            {statement}")
-    emit("        return interp_expand(tdp, choices)")
-    emit("")
-
-    # -- solution_row ---------------------------------------------------
-    emit("    def solution_row(choices):")
+    num_out, writers = signature
+    lines = ["def _bind(rows):"]
+    lines += [
+        f"    rows{position} = rows[{position}]"
+        for position, stage_writers in enumerate(writers)
+        if stage_writers
+    ]
+    lines.append("    def solution_row(choices):")
     cells: list[tuple[int, str]] = []
-    for stage_position, stage_writers in enumerate(writers):
+    for position, stage_writers in enumerate(writers):
         if stage_writers:
-            emit(
-                f"        r{stage_position} ="
-                f" rows{stage_position}[choices[{stage_position}]]"
-            )
+            lines.append(f"        r{position} = rows{position}[choices[{position}]]")
         for schema_position, out_position in stage_writers:
-            cells.append((out_position, f"r{stage_position}[{schema_position}]"))
-    cells.sort()
-    row = ", ".join(expr for _, expr in cells)
+            cells.append((out_position, f"r{position}[{schema_position}]"))
+    row = ", ".join(expr for _, expr in sorted(cells))
     if num_out == 1:
         row += ","
-    emit(f"        return ({row})")
-    emit("")
-    emit(
-        "    return {'prefix_priority': prefix_priority,"
-        " 'expand_best': expand_best, 'solution_row': solution_row}"
-    )
-    emit("")
+    lines += [f"        return ({row})", "    return solution_row", ""]
     return "\n".join(lines)
 
 
@@ -276,12 +132,9 @@ class KernelTemplate:
     source: str
     factory: Callable
 
-    def bind(self, tdp: TDP) -> dict[str, Callable]:
-        """Closures specialized to one TDP instance (cheap: snapshots
-        of the stage arrays the TDP already computed)."""
-        return self.factory(
-            tdp, TDP.prefix_priority, TDP.expand_best, TDP.solution_row
-        )
+    def bind(self, tdp: TDP) -> Callable[[list[int]], tuple]:
+        """``solution_row`` over one TDP's row lists (not over the TDP)."""
+        return self.factory([stage.relation.rows for stage in tdp.stages])
 
 
 @dataclass
@@ -312,17 +165,13 @@ def install_kernels(
     tdp: TDP,
     slot: Optional[KernelSlot] = None,
     engine: str = "anyk",
-) -> bool:
-    """Shadow ``tdp``'s hot accessors with compiled closures.
+) -> None:
+    """Shadow ``tdp.solution_row`` with the shape's compiled closure.
 
-    Returns True when a kernel was installed; False (interpreted path
-    untouched) for unsupported shapes.  ``slot`` pins the template on a
-    cached plan; ``engine`` labels the per-engine counters.
+    ``slot`` pins the template on a cached plan; ``engine`` labels the
+    per-engine counters.
     """
     signature = kernel_signature(tdp)
-    if signature is None:
-        _bump(engine, "unsupported")
-        return False
     template: Optional[KernelTemplate] = None
     if slot is not None and slot.template is not None:
         if slot.template.signature == signature:
@@ -340,9 +189,5 @@ def install_kernels(
             _bump(engine, "template_hits")
         if slot is not None:
             slot.template = template
-    bound = template.bind(tdp)
-    tdp.prefix_priority = bound["prefix_priority"]  # type: ignore[method-assign]
-    tdp.expand_best = bound["expand_best"]  # type: ignore[method-assign]
-    tdp.solution_row = bound["solution_row"]  # type: ignore[method-assign]
+    tdp.solution_row = template.bind(tdp)  # type: ignore[method-assign]
     _bump(engine, "installs")
-    return True

@@ -36,6 +36,7 @@ any nondecreasing stream, and is what makes a hash-sharded parallel run
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
@@ -106,7 +107,7 @@ def _product_lift(weight: float) -> float:
 
 #: Tropical sum: results ranked by total weight (the default everywhere).
 SUM = RankingFunction(
-    "sum", lambda a, b: a + b, 0.0, float, raw_combine=lambda a, b: a + b
+    "sum", operator.add, 0.0, float, raw_combine=lambda a, b: a + b
 )
 
 #: Bottleneck: results ranked by their heaviest participating tuple.
@@ -117,7 +118,7 @@ MAX = RankingFunction(
 #: Product of (positive) weights, compared in log space for stability.
 PRODUCT = RankingFunction(
     "product",
-    lambda a, b: a + b,
+    operator.add,
     0.0,
     _product_lift,
     raw_combine=lambda a, b: a * b,
@@ -128,7 +129,7 @@ PRODUCT = RankingFunction(
 #: which keeps concatenation strictly monotone.
 LEX = RankingFunction(
     "lex",
-    lambda a, b: a + b,
+    operator.add,
     (),
     lambda w: (float(w),),
     float_based=False,
@@ -189,17 +190,24 @@ def stabilize_ties(
     head = next(iterator, None)
     if head is None:
         return
-    group = [head]
-    group_weight = head[1]
+    #: the tie group ``head`` opens — a list only once a second result of
+    #: its weight has actually arrived
+    group = None
     for item in iterator:
-        if item[1] == group_weight:
+        if item[1] == head[1]:
+            if group is None:
+                group = [head]
             group.append(item)
             continue
-        if len(group) > 1:
+        if group is None:
+            yield head
+        else:
             group.sort(key=lambda pair: key(pair[0]))
-        yield from group
-        group = [item]
-        group_weight = item[1]
-    if len(group) > 1:
+            yield from group
+            group = None
+        head = item
+    if group is None:
+        yield head
+    else:
         group.sort(key=lambda pair: key(pair[0]))
-    yield from group
+        yield from group

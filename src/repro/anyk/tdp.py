@@ -13,8 +13,9 @@ Key objects:
   next to the reducer, :mod:`repro.joins.semijoin`).
 - :class:`Bucket` — the tuples of a stage sharing one parent join-key
   value, with their *subtree weights* (the tuple's lifted weight ⊗ the best
-  achievable completion of its whole subtree) and the bucket minimum.
-  Buckets are the unit on which the ANYK-PART successor strategies operate.
+  achievable completion of its whole subtree) and the bucket minimum
+  (weight and tuple, stored).  Buckets are the unit on which the ANYK-PART
+  successor strategies operate.
 - :class:`TDP` — builds stages and buckets in O(n), inside the reducer's
   two passes (:func:`repro.joins.semijoin.reduce_stages` folds the subtree
   weights bottom-up while it drops dangling tuples), and provides the
@@ -23,10 +24,22 @@ Key objects:
   (prefix) priorities and full solution weights are always comparable —
   this is what makes non-float rankings such as LEX safe on trees.
 
+``TDP.buckets`` is one dict per stage, keyed by the reducer's join key
+(:func:`repro.joins.semijoin.key_getter`: the bare value for a single join
+attribute, a tuple otherwise, ``()`` at the root), and ``TDP.resolvers``
+holds per stage what finding a bucket from a chosen parent tuple takes —
+parent position, parent rows, ``Stage.parent_key`` and that dict — so the
+enumeration loops resolve a bucket lazily with two index operations, one
+C-level key read and one dict probe, allocating nothing.
+
 A *solution prefix* is a choice of tuples for stages ``0..L-1`` (DFS order
 guarantees each stage's parent is chosen before it).  Its *priority* — the
 exact weight of the best full solution extending it — folds assigned lifts
 and, for each frontier subtree, the corresponding bucket minimum.
+:meth:`TDP.prefix_priority`, :meth:`TDP.expand_best` and
+:meth:`TDP.bucket_for` spell that definition out one prefix at a time; they
+are the *reference* accessors (tests, the naive-Lawler strawman) — the
+any-k loops carry prefix weights and walked buckets instead of calling them.
 """
 
 from __future__ import annotations
@@ -48,12 +61,14 @@ from repro.query.hypergraph import JoinTree, join_tree_or_raise
 from repro.util.counters import Counters
 
 
-@dataclass
+@dataclass(slots=True)
 class Bucket:
     """Tuples of one stage sharing a parent join-key value.
 
     ``tuple_ids`` index into the stage relation; ``subtree_weights`` is
-    parallel.  ``best_position`` points at the (first) minimum.
+    parallel.  ``best_position`` points at the (first) minimum, whose
+    weight and tuple id are stored as ``best_weight`` / ``best_tuple``
+    (the loops read them once per walked stage).
     ``structure`` is a per-strategy successor structure attached lazily by
     ANYK-PART; ``stream`` is the memoized solution stream attached lazily
     by ANYK-REC.
@@ -61,26 +76,20 @@ class Bucket:
 
     tuple_ids: list[int]
     subtree_weights: list[Any]
-    best_position: int = 0
+    best_position: int
+    best_weight: Any
+    best_tuple: int
     structure: Any = None
     stream: Any = None
 
     @classmethod
     def of(cls, tuple_ids: list[int], subtree: list[Any]) -> "Bucket":
         """The bucket of ``tuple_ids``, weights read off the stage's
-        ``subtree`` list; ``best_position`` is the first minimum."""
+        ``subtree`` list; the best is the first minimum."""
         weights = [subtree[i] for i in tuple_ids]
-        return cls(tuple_ids, weights, weights.index(min(weights)))
-
-    @property
-    def best_weight(self) -> Any:
-        """Minimum subtree weight in the bucket."""
-        return self.subtree_weights[self.best_position]
-
-    @property
-    def best_tuple(self) -> int:
-        """Tuple id achieving the bucket minimum."""
-        return self.tuple_ids[self.best_position]
+        best = min(weights)
+        position = weights.index(best)
+        return cls(tuple_ids, weights, position, best, tuple_ids[position])
 
     def __len__(self) -> int:
         return len(self.tuple_ids)
@@ -130,8 +139,8 @@ class TDP:
         )
         #: Lifted tuple weights per stage (parallel to relation rows).
         self.lifted: list[list[Any]] = []
-        #: per stage: parent-key -> Bucket
-        self.buckets: list[dict[tuple, Bucket]] = []
+        #: per stage: parent join key (``Stage.parent_key``) -> Bucket
+        self.buckets: list[dict[Any, Bucket]] = []
         for stage, alive, weights in zip(self.stages, survivors, lifted):
             if len(alive.ids) != len(weights):
                 weights = [weights[i] for i in alive.ids]
@@ -140,9 +149,21 @@ class TDP:
             self.buckets.append(
                 {
                     key: Bucket.of(tuple_ids, alive.subtree)
-                    for key, tuple_ids in alive.buckets(stage, counters).items()
+                    for key, tuple_ids in alive.buckets(counters).items()
                 }
             )
+        #: per non-root stage ``(parent position, parent rows, parent row
+        #: -> key, bucket dict)``: the stage's bucket for a solution is
+        #: ``buckets[key(rows[solution[parent]])]``
+        self.resolvers: list[Optional[tuple]] = [None] + [
+            (
+                stage.parent,
+                self.stages[stage.parent].relation.rows,
+                stage.parent_key,
+                self.buckets[stage.position],
+            )
+            for stage in self.stages[1:]
+        ]
         if counters is not None:
             # One comparison per non-first tuple of a bucket for its minimum.
             counters.comparisons += self.total_tuples() - sum(
@@ -181,14 +202,10 @@ class TDP:
         ``choices[stage.parent]`` must be assigned.  After the full
         reducer, the bucket always exists.
         """
-        stage = self.stages[position]
-        if stage.parent is None:
+        if position == 0:
             return self.buckets[0][()]
-        parent_row = self.stages[stage.parent].relation.rows[
-            choices[stage.parent]
-        ]
-        key = tuple(parent_row[p] for p in stage.parent_key_positions)
-        return self.buckets[position][key]
+        parent, rows, key_of, buckets = self.resolvers[position]
+        return buckets[key_of(rows[choices[parent]])]
 
     def prefix_priority(self, choices: Sequence[int]) -> Any:
         """Exact weight of the best full solution extending ``choices``.

@@ -250,6 +250,10 @@ def execute(
 
     positions = compiled.output_positions
     identity = positions == tuple(range(len(cq.variables)))
+    if identity and not compiled.descending:
+        # Nothing to re-pack: hand the engine's pairs through as they are.
+        yield from stream
+        return
     for row, weight in stream:
         out = row if identity else tuple(row[p] for p in positions)
         yield out, (-weight if compiled.descending else weight)

@@ -16,7 +16,7 @@ benchmarks of E14 measure.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.data.database import Database
 from repro.joins.semijoin import (
@@ -55,13 +55,14 @@ class FactorizedRepresentation:
         )
         self.num_stages = len(self.stages)
 
-        #: per stage: parent-key -> list of tuple ids (a union node)
-        self.buckets: list[dict[tuple, list[int]]] = []
+        #: per stage: parent join key (``Stage.parent_key``) -> list of
+        #: tuple ids (a union node)
+        self.buckets: list[dict[Any, list[int]]] = []
         for stage, alive in zip(
             self.stages, reduce_stages(self.stages, counters)
         ):
             stage.relation = alive.relation(stage.relation)
-            self.buckets.append(alive.buckets(stage, counters))
+            self.buckets.append(alive.buckets(counters))
 
         self._writers = output_writers(self.stages, query.variables)
 
@@ -76,10 +77,10 @@ class FactorizedRepresentation:
         self, child_position: int, parent_position: int, parent_tuple: int
     ) -> list[int]:
         """The child union selected by a parent tuple's join-key value."""
-        child_stage = self.stages[child_position]
         row = self.stages[parent_position].relation.rows[parent_tuple]
-        key = tuple(row[p] for p in child_stage.parent_key_positions)
-        return self.buckets[child_position][key]
+        return self.buckets[child_position][
+            self.stages[child_position].parent_key(row)
+        ]
 
     def is_empty(self) -> bool:
         """True iff the query has no answers."""

@@ -10,12 +10,20 @@ The reduction itself is :func:`reduce_stages`: set-at-a-time and
 index-based.  It works on the join tree serialized as :class:`Stage`\\ s
 (:func:`stage_layout`, DFS pre-order over O(1) atom views) and computes per
 stage the surviving *row ids* in two passes, with position-resolved join
-keys (the bare value for a single join attribute) and no intermediate
-relation.  Its three consumers differ only in what they build from the
-ids: :func:`full_reducer` materializes relations (Yannakakis joins them),
+keys and no intermediate relation.  Its three consumers differ only in
+what they build from the ids: :func:`full_reducer` materializes relations
+(Yannakakis joins them),
 :class:`repro.factorized.frep.FactorizedRepresentation` buckets them, and
 :class:`repro.anyk.tdp.TDP` additionally has the bottom-up pass fold the
 subtree weights of its dynamic program.
+
+One key convention everywhere: a join key is what :func:`key_getter`
+reads off a row — the *bare value* for a single join attribute, a tuple
+for several, ``()`` for none.  The reducer's summaries,
+:meth:`Survivors.buckets`, ``TDP.buckets`` and the factorized unions are
+all keyed by it, and ``Stage.parent_key`` is the resolver that reads a
+stage's bucket key off a parent row, so no lookup allocates or re-wraps
+a key and there is one dict per stage.
 """
 
 from __future__ import annotations
@@ -33,12 +41,19 @@ from repro.query.hypergraph import JoinTree, join_tree_or_raise
 from repro.util.counters import Counters
 
 
+def key_getter(positions: Sequence[int]) -> Callable[[tuple], Any]:
+    """``row -> join key`` at ``positions``: the bare value for a single
+    attribute (no tuple per lookup), a tuple otherwise, ``()`` for none."""
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
+
+
 def join_keys(positions: Sequence[int], rows: list[tuple]) -> list:
-    """The join key of every row at ``positions``: the bare value for a
-    single attribute (no tuple per row), a tuple otherwise."""
+    """The join key (:func:`key_getter`) of every row at ``positions``."""
     if not positions:
         return [()] * len(rows)
-    return list(map(operator.itemgetter(*positions), rows))
+    return list(map(key_getter(positions), rows))
 
 
 def _pick(values: Optional[Sequence], keep: list[int]) -> Optional[list]:
@@ -82,6 +97,9 @@ class Stage:
     own_key_positions: tuple[int, ...]
     #: positions (in the parent relation's schema) of the same join vars
     parent_key_positions: tuple[int, ...]
+    #: parent row -> key of this stage's bucket (:func:`key_getter` over
+    #: ``parent_key_positions``), resolved once per stage
+    parent_key: Callable[[tuple], Any]
     children: list[int] = field(default_factory=list)
     subtree_size: int = 1
 
@@ -113,6 +131,7 @@ def stage_layout(
             parent=parent_position,
             own_key_positions=own_key,
             parent_key_positions=parent_key,
+            parent_key=key_getter(parent_key),
         )
         stages.append(stage)
         for child_atom in tree.children[atom_index]:
@@ -156,17 +175,14 @@ class Survivors(NamedTuple):
         weights = source.weights
         return source.derive(self.rows, [weights[i] for i in self.ids])
 
-    def buckets(
-        self, stage: Stage, counters: Optional[Counters] = None
-    ) -> dict[tuple, list[int]]:
-        """Dense tuple ids grouped by parent join key (tuple-keyed)."""
+    def buckets(self, counters: Optional[Counters] = None) -> dict[Any, list[int]]:
+        """Dense tuple ids grouped by parent join key, keyed as ``keys``
+        is (what ``Stage.parent_key`` reads off a parent row)."""
         if counters is not None:
             counters.tuples_read += len(self.keys)
         groups: dict = defaultdict(list)
         for tuple_id, key in enumerate(self.keys):
             groups[key].append(tuple_id)
-        if len(stage.own_key_positions) == 1:
-            return {(key,): group for key, group in groups.items()}
         return dict(groups)
 
 

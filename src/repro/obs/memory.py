@@ -63,11 +63,24 @@ def _tuple_bytes(n: int) -> int:
     return sys.getsizeof((None,) * n)
 
 
-class _Slots3:  # a 3-slot instance, shaped like ``rec._Entry``
-    __slots__ = ("a", "b", "c")
+def _slots_bytes(n: int) -> int:
+    """Allocation size of an instance with ``n`` ``__slots__``."""
+    probe = type("_Probe", (), {"__slots__": tuple(f"s{i}" for i in range(n))})
+    return sys.getsizeof(probe())
 
 
-_OBJ3 = sys.getsizeof(_Slots3())
+_ENTRY = _slots_bytes(4)  # shaped like ``rec._Entry``
+_BUCKET = _slots_bytes(7)  # shaped like ``tdp.Bucket``
+
+
+def _grown_list_bytes(n: int) -> int:
+    """Allocation size of an ``n``-element list built by appends (with
+    the over-allocation that leaves behind)."""
+    probe: list = []
+    for _ in range(n):
+        probe.append(None)
+    return sys.getsizeof(probe)
+
 
 #: Amortized per-entry cost of a dict slot (key/value/hash triple plus
 #: the table's load-factor headroom).  CPython does not expose per-entry
@@ -82,38 +95,36 @@ _DICT_SLOT = 5 * _PTR
 def pq_entry_bytes(stages: int) -> int:
     """One ANYK-PART candidate in the global priority queue.
 
-    Heap slot + ``(key, tick, item)`` triple + fresh priority float +
-    tick int + ``(choices, anchor)`` pair + the ``choices`` tuple of
-    ``stages`` shared tuple ids.
+    The fixed part: heap slot + the flat 8-field ``(priority, tick,
+    solution, position, choice, anchor, bucket, prefix_weight)`` entry +
+    fresh priority float + tick int + the carried prefix-weight float
+    (choice, anchor and bucket are shared).  Plus the emitted answer's
+    ``stages``-long id list the entry points at: it is shared by every
+    candidate that answer left behind (measured 0.3–0.9 live lists per
+    entry under ``lazy``, fewer under ``take2`` / ``all``), and charged
+    to each entry as if unshared — the model stays an upper bound.
     """
     return (
         _PTR
-        + _tuple_bytes(3)
-        + _FLOAT
+        + _tuple_bytes(8)
+        + 2 * _FLOAT
         + _INT
-        + _tuple_bytes(2)
-        + _tuple_bytes(stages)
+        + _grown_list_bytes(stages)
     )
 
 
 def rec_entry_bytes(children: int) -> int:
-    """One ANYK-REC heap candidate: heap slot + triple + the
-    ``(weight, position)`` key pair + tick + the
-    ``(position, child_ranks, j)`` item with its rank tuple."""
-    return (
-        _PTR
-        + _tuple_bytes(3)
-        + _tuple_bytes(2)
-        + _FLOAT
-        + _INT
-        + _tuple_bytes(3)
-        + _tuple_bytes(children)
-    )
+    """One ANYK-REC heap candidate: heap slot + the flat ``(weight,
+    position, tick, children, j)`` entry + weight float + tick int + the
+    tuple of the ``children`` child entries it is composed from."""
+    return _PTR + _tuple_bytes(5) + _FLOAT + _INT + _tuple_bytes(children)
 
 
 def rec_solution_bytes(children: int) -> int:
-    """One memoized ``_Entry`` in a REC stream's solution prefix."""
-    return _PTR + _OBJ3 + _FLOAT + _tuple_bytes(children)
+    """One memoized ``_Entry`` in a REC stream's solution prefix: list
+    slot + the 4-slot entry + its weight float and rank int + the tuple
+    of the ``children`` child entries it keeps."""
+    return _PTR + _ENTRY + _FLOAT + _INT + _tuple_bytes(children)
 
 
 def tdp_tuple_bytes() -> int:
@@ -123,9 +134,9 @@ def tdp_tuple_bytes() -> int:
 
 
 def tdp_bucket_bytes() -> int:
-    """Per-bucket overhead: the stage dict slot, the ``Bucket`` record,
-    and its two list headers."""
-    return _DICT_SLOT + 6 * _PTR + 2 * sys.getsizeof([])
+    """Per-bucket overhead: its one slot in the stage's dict, the slotted
+    ``Bucket`` record, and its two list headers."""
+    return _DICT_SLOT + _BUCKET + 2 * sys.getsizeof([])
 
 
 def hrjn_seen_bytes() -> int:

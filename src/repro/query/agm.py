@@ -10,11 +10,13 @@ program:
     subject to  Σ_{e ∋ v} x_e ≥ 1   for every variable v
                 x_e ≥ 0
 
-which we solve with :func:`scipy.optimize.linprog`.  With unit relation
-sizes the optimal objective is the *fractional edge cover number* ρ*(Q) —
-e.g. 1.5 for the triangle query, 2 for the 4-cycle — the exponent in the
-worst-case output size O(n^{ρ*}) that worst-case-optimal join algorithms
-match.
+which :func:`_solve_cover` solves with a dense-tableau simplex on the
+*dual* (a query has a handful of atoms and variables; importing an LP
+library for it costs every process more than all its queries' LPs
+together).  With unit relation sizes the optimal objective is the
+*fractional edge cover number* ρ*(Q) — e.g. 1.5 for the triangle query, 2
+for the 4-cycle — the exponent in the worst-case output size O(n^{ρ*})
+that worst-case-optimal join algorithms match.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
-from scipy.optimize import linprog
 
 from repro.data.database import Database
 from repro.query.cq import ConjunctiveQuery, QueryError
@@ -63,6 +62,61 @@ class FractionalCover:
 #: bounded LRU also backing the server's plan and stats caches).
 _COVER_CACHE = LruCache(65536)
 
+#: Below this a tableau cell is rounding noise, not a sign.
+_EPS = 1e-12
+
+
+def _solve_cover(
+    constraints: Sequence[Sequence[int]], costs: Sequence[float]
+) -> tuple[list[float], float]:
+    """``min c·x  s.t.  Σ_{e ∈ constraints[v]} x_e ≥ 1 ∀v,  x ≥ 0`` for
+    strictly positive ``costs``: the optimal ``x`` and objective.
+
+    Primal simplex on the dual ``max Σ_v y_v  s.t.  Σ_{v ∋ e} y_v ≤ c_e,
+    y ≥ 0``, whose slack basis is feasible because ``c > 0`` (no phase
+    one).  Dense tableau, one row per atom ``e`` (columns: the ``y``, the
+    slacks, the right-hand side); Bland's rule — smallest entering index,
+    ratio ties to the smallest basic variable — so it terminates.  At the
+    optimum the cover weights are the slack columns' reduced costs.
+    """
+    num_atoms, num_vars = len(costs), len(constraints)
+    tableau = [[0.0] * (num_vars + num_atoms + 1) for _ in range(num_atoms)]
+    for v, atoms in enumerate(constraints):
+        for e in atoms:
+            tableau[e][v] = 1.0
+    for e, cost in enumerate(costs):
+        tableau[e][num_vars + e] = 1.0
+        tableau[e][-1] = cost
+    reduced = [-1.0] * num_vars + [0.0] * (num_atoms + 1)
+    basis = list(range(num_vars, num_vars + num_atoms))
+    while True:
+        entering = next(
+            (j for j in range(num_vars + num_atoms) if reduced[j] < -_EPS), None
+        )
+        if entering is None:
+            break
+        ratios = [
+            (row[-1] / row[entering], basis[i], i)
+            for i, row in enumerate(tableau)
+            if row[entering] > _EPS
+        ]
+        if not ratios:  # pragma: no cover - every variable is in an atom
+            raise RuntimeError("edge cover LP is infeasible")
+        leaving = min(ratios)[2]
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[entering]
+        pivot_row[:] = [cell / pivot for cell in pivot_row]
+        for row in tableau + [reduced]:
+            factor = row[entering]
+            if row is not pivot_row and factor:
+                row[:] = [a - factor * b for a, b in zip(row, pivot_row)]
+        basis[leaving] = entering
+    weights = [
+        0.0 if abs(x) < _EPS else x
+        for x in reduced[num_vars : num_vars + num_atoms]
+    ]
+    return weights, reduced[-1]
+
 
 def fractional_edge_cover(
     query: ConjunctiveQuery, sizes: Optional[Sequence[int]] = None
@@ -100,29 +154,10 @@ def fractional_edge_cover(
     if cached is not None:
         return cached
 
-    # One constraint per variable: sum of x_e over atoms containing it >= 1.
-    rows = []
-    for variable in query.variables:
-        row = [
-            -1.0 if variable in atom.variable_set else 0.0
-            for atom in query.atoms
-        ]
-        rows.append(row)
-    a_ub = np.array(rows)
-    b_ub = -np.ones(len(query.variables))
-    result = linprog(
-        c=np.array(logs),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0, None)] * atom_count,
-        method="highs",
-    )
-    if not result.success:  # pragma: no cover - LP is always feasible
-        raise RuntimeError(f"edge cover LP failed: {result.message}")
-    cover = FractionalCover(
-        weights=tuple(float(x) for x in result.x),
-        log_bound=float(result.fun),
-    )
+    # One constraint per distinct incidence pattern (variables in the same
+    # atoms state the same inequality), in a canonical order.
+    weights, log_bound = _solve_cover(sorted(incidence), logs)
+    cover = FractionalCover(weights=tuple(weights), log_bound=log_bound)
     _COVER_CACHE.put(key, cover)
     return cover
 

@@ -81,8 +81,10 @@ class SqlResult:
         self.columns: tuple[str, ...] = compiled.output_columns
         self._stream = stream
 
-    def __iter__(self) -> "SqlResult":
-        return self
+    def __iter__(self) -> Iterator[tuple[tuple, Any]]:
+        # The stream itself, so ``list(result)`` / ``extend(result)`` drain
+        # it at C level instead of through ``__next__`` per row.
+        return self._stream
 
     def __next__(self) -> tuple[tuple, Any]:
         return next(self._stream)

@@ -6,8 +6,10 @@ a bucket of candidate tuples is found*.  This module provides the underlying
 structures:
 
 ``BinaryHeap``
-    A plain binary min-heap with operation counting; the global priority
-    queue of every any-k algorithm.
+    A plain binary min-heap with operation counting; the priority queue of
+    the cyclic merge, the naive-Lawler strawman, k-shortest paths and the
+    top-k middleware (ANYK-PART and ANYK-REC keep the same ``(key, tick,
+    payload…)`` layout flat, in :mod:`heapq` lists of their own).
 ``LazySortedList``
     Incremental heap-sort: a bucket whose sorted order is produced on demand,
     one element per (amortized) O(log b) pop.  Backs the ``Lazy`` (and, with
@@ -21,14 +23,16 @@ structures:
     children that are no smaller than it.  Backs the ``Take2`` strategy, in
     which a popped solution spawns at most two sibling deviations.
 
-All structures order elements by a caller-supplied key and break ties by
-insertion order, so enumeration is deterministic.
+The three bucket structures hold *self-ordering* elements — ANYK-PART
+feeds them ``(subtree weight, index)`` pairs, so equal weights break by
+bucket position and enumeration is deterministic; ``BinaryHeap`` orders by
+a caller-supplied key and breaks ties by insertion order.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.util.counters import Counters
 
@@ -89,7 +93,7 @@ class BinaryHeap:
 class LazySortedList:
     """A sequence sorted incrementally, one element per request.
 
-    ``get(i)`` returns the i-th smallest element (by ``key``), extending an
+    ``get(i)`` returns the i-th smallest element, extending an
     internally materialized sorted prefix with heap pops as needed.  Asking
     for elements in increasing index order — the access pattern of Lawler-
     style successor queries — costs amortized O(log b) per element instead of
@@ -97,16 +101,11 @@ class LazySortedList:
     """
 
     def __init__(
-        self,
-        items: Iterable[Any],
-        key: Callable[[Any], Any],
-        counters: Optional[Counters] = None,
+        self, items: Iterable[Any], counters: Optional[Counters] = None
     ) -> None:
         self._counters = counters
         self._prefix: list[Any] = []
-        self._heap: list[tuple[Any, int, Any]] = [
-            (key(item), i, item) for i, item in enumerate(items)
-        ]
+        self._heap: list[Any] = list(items)
         heapq.heapify(self._heap)
         if self._counters is not None:
             self._counters.heap_ops += len(self._heap)
@@ -127,7 +126,7 @@ class LazySortedList:
                 raise IndexError("lazy sorted list exhausted")
             if self._counters is not None:
                 self._counters.heap_ops += 1
-            self._prefix.append(heapq.heappop(self._heap)[2])
+            self._prefix.append(heapq.heappop(self._heap))
         return self._prefix[index]
 
     def materialized(self) -> Sequence[Any]:
@@ -151,13 +150,9 @@ class IncrementalQuickSelect:
     """
 
     def __init__(
-        self,
-        items: Iterable[Any],
-        key: Callable[[Any], Any],
-        counters: Optional[Counters] = None,
+        self, items: Iterable[Any], counters: Optional[Counters] = None
     ) -> None:
         self._items = list(items)
-        self._keys = [key(item) for item in self._items]
         self._counters = counters
         # Stack of exclusive right boundaries of fully-resolved prefixes;
         # the sentinel len(items) means "nothing to the right is resolved".
@@ -173,23 +168,17 @@ class IncrementalQuickSelect:
 
     def _partition(self, lo: int, hi: int) -> int:
         """Partition ``items[lo:hi]`` around a median-of-three pivot."""
-        keys, items = self._keys, self._items
+        items = self._items
         mid = (lo + hi - 1) // 2
-        candidates = sorted(
-            ((keys[i], i) for i in (lo, mid, hi - 1)), key=lambda pair: pair[0]
-        )
-        pivot_index = candidates[1][1]
-        keys[pivot_index], keys[hi - 1] = keys[hi - 1], keys[pivot_index]
+        pivot_index = sorted((lo, mid, hi - 1), key=items.__getitem__)[1]
         items[pivot_index], items[hi - 1] = items[hi - 1], items[pivot_index]
-        pivot_key = keys[hi - 1]
+        pivot = items[hi - 1]
         store = lo
         for i in range(lo, hi - 1):
             self._compare()
-            if keys[i] <= pivot_key:
-                keys[i], keys[store] = keys[store], keys[i]
+            if items[i] <= pivot:
                 items[i], items[store] = items[store], items[i]
                 store += 1
-        keys[store], keys[hi - 1] = keys[hi - 1], keys[store]
         items[store], items[hi - 1] = items[hi - 1], items[store]
         return store
 
@@ -226,16 +215,12 @@ class TournamentBucket:
     """
 
     def __init__(
-        self,
-        items: Iterable[Any],
-        key: Callable[[Any], Any],
-        counters: Optional[Counters] = None,
+        self, items: Iterable[Any], counters: Optional[Counters] = None
     ) -> None:
-        decorated = [(key(item), i, item) for i, item in enumerate(items)]
-        heapq.heapify(decorated)
+        self._entries = list(items)
+        heapq.heapify(self._entries)
         if counters is not None:
-            counters.heap_ops += len(decorated)
-        self._entries = decorated
+            counters.heap_ops += len(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -244,15 +229,11 @@ class TournamentBucket:
         """The minimum element (position 0)."""
         if not self._entries:
             raise IndexError("empty tournament bucket")
-        return self._entries[0][2]
+        return self._entries[0]
 
     def item_at(self, position: int) -> Any:
         """Element stored at heap ``position``."""
-        return self._entries[position][2]
-
-    def key_at(self, position: int) -> Any:
-        """Key of the element stored at heap ``position``."""
-        return self._entries[position][0]
+        return self._entries[position]
 
     def children(self, position: int) -> list[int]:
         """Heap child positions of ``position`` (zero, one, or two)."""

@@ -1,6 +1,10 @@
 """Tests for fractional edge covers and the AGM bound (§3 claims)."""
 
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from repro.data.generators import random_graph_database, triangle_worstcase_database
 from repro.joins.generic_join import evaluate as generic_join
 from repro.query.agm import (
+    _solve_cover,
     agm_bound,
     fractional_cover_number,
     fractional_edge_cover,
@@ -89,3 +94,70 @@ def test_integral_cover_of_single_atom():
     q = ConjunctiveQuery([Atom("R", ("a", "b"))])
     assert integral_cover_number(q) == 1
     assert fractional_cover_number(q) == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# The stdlib simplex against its oracle, and out of the process
+# ----------------------------------------------------------------------
+def test_cover_numbers_are_exact_on_the_textbook_queries():
+    """ρ* of the triangle / 4-cycle / 5-cycle / 4-path, bit for bit (the
+    pivots only ever halve and add small integers)."""
+    assert fractional_cover_number(triangle_query()) == 1.5
+    assert fractional_cover_number(cycle_query(4)) == 2.0
+    assert fractional_cover_number(cycle_query(5)) == 2.5
+    assert fractional_cover_number(path_query(4)) == 3.0
+
+
+def test_simplex_matches_scipy_linprog_on_random_cover_lps():
+    """The optimum is solver-independent (the *vertex* need not be): on
+    seeded random cover LPs with unit and log-size costs, objective and
+    unit-cost cover number within 1e-9 of HiGHS, and the returned weights
+    a feasible cover attaining the objective."""
+    np = pytest.importorskip("numpy")
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = random.Random(19)
+    for trial in range(300):
+        atoms = rng.randint(1, 7)
+        constraints = sorted(
+            {
+                tuple(sorted(rng.sample(range(atoms), rng.randint(1, atoms))))
+                for _ in range(rng.randint(1, 8))
+            }
+        )
+        if trial % 2:
+            costs = [math.log(max(2, rng.randint(0, 5000))) for _ in range(atoms)]
+        else:
+            costs = [1.0] * atoms
+        weights, objective = _solve_cover(constraints, costs)
+        matrix = np.zeros((len(constraints), atoms))
+        for row, members in enumerate(constraints):
+            matrix[row, list(members)] = -1.0
+        oracle = linprog(
+            c=np.array(costs),
+            A_ub=matrix,
+            b_ub=-np.ones(len(constraints)),
+            bounds=[(0, None)] * atoms,
+            method="highs",
+        )
+        assert oracle.success
+        assert objective == pytest.approx(oracle.fun, abs=1e-9)
+        assert all(w >= 0.0 for w in weights)
+        for members in constraints:
+            assert sum(weights[e] for e in members) >= 1.0 - 1e-9
+        assert sum(c * w for c, w in zip(costs, weights)) == pytest.approx(
+            objective, abs=1e-9
+        )
+        if not trial % 2:
+            assert sum(weights) == pytest.approx(float(oracle.x.sum()), abs=1e-9)
+
+
+def test_serving_process_imports_neither_numpy_nor_scipy():
+    """The planner's LP was the only reason either was loaded (0.6 s and
+    ~60 MB per process); a dependency must not silently come back."""
+    probe = (
+        "import sys, repro.sql, repro.server.service; "
+        "sys.exit(bool({'numpy', 'scipy'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, timeout=60)
+    assert done.returncode == 0

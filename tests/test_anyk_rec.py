@@ -74,14 +74,14 @@ def test_streams_are_memoized_and_shared():
     the suffix-sharing that distinguishes REC from PART."""
     db = Database(
         [
-            # Two R1 tuples share A2=1, so they share R2's (1,) bucket.
+            # Two R1 tuples share A2=1, so they share R2's bucket for key 1.
             Relation("R1", ("A1", "A2"), [(0, 1), (9, 1)], [0.1, 0.2]),
             Relation("R2", ("A2", "A3"), [(1, 5), (1, 6)], [0.3, 0.4]),
         ]
     )
     tdp = TDP(db, path_query(2))
     list(anyk_rec(tdp))
-    bucket = tdp.buckets[1][(1,)]
+    bucket = tdp.buckets[1][1]
     assert bucket.stream is not None
     assert stream_for(tdp, 1, bucket) is bucket.stream
     # The shared stream produced both suffixes exactly once.

@@ -120,6 +120,40 @@ def test_full_stream_agreement_beyond_prefix(workers):
 
 
 # ----------------------------------------------------------------------
+# The PART record vs the textbook formulation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", range(NUM_INSTANCES))
+def test_part_record_matches_textbook_lawler(seed):
+    """``naive_lawler`` keeps the textbook ``(choices, anchor)`` candidate
+    over the reference accessors (``TDP.prefix_priority`` / ``expand_best``
+    / ``bucket_for``); ``part:eager`` runs the same partition on the O(1)
+    record.  Un-stabilised, the two must emit the identical ``(row,
+    weight)`` list — same floats, same tick order among ties — and the
+    five successor strategies must agree once ties are stabilised."""
+    from repro.anyk.part import STRATEGIES, anyk_part, naive_lawler
+    from repro.anyk.tdp import TDP
+
+    db, query, _ = random_acyclic_instance(seed)
+    for ranking in (SUM, MAX, PRODUCT):
+        instance = _positive_weights(db) if ranking is PRODUCT else db
+        textbook = list(naive_lawler(TDP(instance, query, ranking=ranking)))
+        record = list(
+            anyk_part(TDP(instance, query, ranking=ranking), strategy="eager")
+        )
+        assert record == textbook, (seed, ranking.name)
+        streams = {
+            strategy: list(
+                rank_enumerate(
+                    instance, query, ranking=ranking, method=f"part:{strategy}"
+                )
+            )
+            for strategy in STRATEGIES
+        }
+        for strategy, stream in streams.items():
+            assert stream == streams["eager"], (seed, ranking.name, strategy)
+
+
+# ----------------------------------------------------------------------
 # Compiled kernels vs the interpreted path
 # ----------------------------------------------------------------------
 

@@ -75,14 +75,14 @@ def test_binary_heap_peek_does_not_remove():
 # ----------------------------------------------------------------------
 @given(float_lists)
 def test_lazy_sorted_list_agrees_with_sorted(values):
-    lazy = LazySortedList(values, key=lambda v: v)
+    lazy = LazySortedList(zip(values, range(len(values))))
     expected = sorted(values)
-    assert [lazy.get(i) for i in range(len(values))] == expected
+    assert [lazy.get(i)[0] for i in range(len(values))] == expected
 
 
 def test_lazy_sorted_list_is_incremental():
     c = Counters()
-    lazy = LazySortedList(range(100), key=lambda v: -v, counters=c)
+    lazy = LazySortedList(((-v, v) for v in range(100)), counters=c)
     baseline = c.heap_ops
     lazy.get(0)
     # One element must not cost a full sort's worth of heap operations.
@@ -90,7 +90,7 @@ def test_lazy_sorted_list_is_incremental():
 
 
 def test_lazy_sorted_list_out_of_range():
-    lazy = LazySortedList([1, 2], key=lambda v: v)
+    lazy = LazySortedList([(1, 0), (2, 1)])
     with pytest.raises(IndexError):
         lazy.get(2)
     with pytest.raises(IndexError):
@@ -98,9 +98,9 @@ def test_lazy_sorted_list_out_of_range():
 
 
 def test_lazy_sorted_list_materialized_prefix():
-    lazy = LazySortedList([3, 1, 2], key=lambda v: v)
+    lazy = LazySortedList([(3, 0), (1, 1), (2, 2)])
     lazy.get(1)
-    assert lazy.materialized() == (1, 2)
+    assert lazy.materialized() == ((1, 1), (2, 2))
 
 
 # ----------------------------------------------------------------------
@@ -108,22 +108,22 @@ def test_lazy_sorted_list_materialized_prefix():
 # ----------------------------------------------------------------------
 @given(float_lists)
 def test_quickselect_agrees_with_sorted(values):
-    qs = IncrementalQuickSelect(values, key=lambda v: v)
+    qs = IncrementalQuickSelect(zip(values, range(len(values))))
     expected = sorted(values)
-    assert [qs.get(i) for i in range(len(values))] == expected
+    assert [qs.get(i)[0] for i in range(len(values))] == expected
 
 
 @given(float_lists.filter(lambda v: len(v) >= 3))
 def test_quickselect_random_order_access(values):
-    qs = IncrementalQuickSelect(values, key=lambda v: v)
+    qs = IncrementalQuickSelect(zip(values, range(len(values))))
     expected = sorted(values)
     # Nondecreasing access with repeats (the PART access pattern).
     for i in (0, 0, 1, len(values) - 1, 1):
-        assert qs.get(i) == expected[i]
+        assert qs.get(i)[0] == expected[i]
 
 
 def test_quickselect_out_of_range():
-    qs = IncrementalQuickSelect([1.0], key=lambda v: v)
+    qs = IncrementalQuickSelect([(1.0, 0)])
     with pytest.raises(IndexError):
         qs.get(1)
     with pytest.raises(IndexError):
@@ -135,21 +135,21 @@ def test_quickselect_out_of_range():
 # ----------------------------------------------------------------------
 @given(float_lists.filter(bool))
 def test_tournament_root_is_minimum(values):
-    bucket = TournamentBucket(list(enumerate(values)), key=lambda p: p[1])
-    assert bucket.root()[1] == min(values)
+    bucket = TournamentBucket(zip(values, range(len(values))))
+    assert bucket.root()[0] == min(values)
 
 
 @given(float_lists.filter(bool))
 def test_tournament_children_never_smaller(values):
-    bucket = TournamentBucket(values, key=lambda v: v)
+    bucket = TournamentBucket(zip(values, range(len(values))))
     for position in range(len(bucket)):
         for child in bucket.children(position):
-            assert bucket.key_at(child) >= bucket.key_at(position)
+            assert bucket.item_at(child) >= bucket.item_at(position)
 
 
 @given(float_lists.filter(bool))
 def test_tournament_children_cover_everything(values):
-    bucket = TournamentBucket(values, key=lambda v: v)
+    bucket = TournamentBucket(zip(values, range(len(values))))
     reached = set()
     frontier = [0]
     while frontier:
@@ -161,4 +161,4 @@ def test_tournament_children_cover_everything(values):
 
 def test_tournament_empty_root_errors():
     with pytest.raises(IndexError):
-        TournamentBucket([], key=lambda v: v).root()
+        TournamentBucket([]).root()

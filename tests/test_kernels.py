@@ -63,12 +63,74 @@ def test_install_shadows_instance_only():
     db, query = small_instance()
     tdp = TDP(db, query)
     other = TDP(db, query)
-    assert install_kernels(tdp, engine="part:lazy")
-    assert "prefix_priority" in vars(tdp)  # instance attribute shadow
-    assert "prefix_priority" not in vars(other)  # class path untouched
+    install_kernels(tdp, engine="part:lazy")
+    assert "solution_row" in vars(tdp)  # instance attribute shadow
+    assert "solution_row" not in vars(other)  # class path untouched
     full = tdp.expand_best([tdp.root_bucket().best_tuple])
-    assert tdp.prefix_priority(full) == other.prefix_priority(full)
     assert tdp.solution_row(full) == other.solution_row(full)
+
+
+def _tdp_is_freed_without_gc(build_and_close) -> bool:
+    """Run ``build_and_close`` (returns a weakref to the T-DP it used)
+    with the cycle collector off: only reference counting may free."""
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        return build_and_close()() is None
+    finally:
+        gc.enable()
+
+
+def test_closed_part_stream_frees_its_tdp_without_gc():
+    """The compiled row is bound over the row lists, not over the T-DP:
+    no ``tdp -> closure -> tdp`` cycle keeps a closed cursor's program
+    (what ``--max-mem-mb`` eviction believes it freed) alive until the
+    next full collection."""
+    import weakref
+
+    from repro.anyk.part import anyk_part
+
+    db, query = small_instance()
+
+    def drained():
+        tdp = TDP(db, query)
+        install_kernels(tdp, engine="part:lazy")
+        stream = anyk_part(tdp, strategy="lazy")
+        assert len([next(stream) for _ in range(50)]) == 50
+        stream.close()
+        return weakref.ref(tdp)
+
+    assert _tdp_is_freed_without_gc(drained)
+
+
+def test_closed_pausable_stream_frees_its_tdp_without_gc():
+    """The same through the serving path: ``rank_enumerate`` (kernels on)
+    under a ``PausableStream`` that is closed with results pending."""
+    import gc
+    import weakref
+
+    from repro.anyk.api import PausableStream
+
+    db, query = small_instance()
+
+    def paused():
+        before = {id(o) for o in gc.get_objects() if isinstance(o, TDP)}
+        stream = PausableStream(rank_enumerate(db, query, method="part:lazy"))
+        results, done = stream.take(50)
+        assert len(results) == 50 and not done
+        (tdp,) = [
+            o for o in gc.get_objects()
+            if isinstance(o, TDP) and id(o) not in before
+        ]
+        assert "solution_row" in vars(tdp)  # the compiled path is the one under test
+        ref = weakref.ref(tdp)
+        del tdp
+        stream.close()
+        return ref
+
+    assert _tdp_is_freed_without_gc(paused)
 
 
 def test_template_cache_hit_on_same_shape():
@@ -101,26 +163,39 @@ def test_slot_with_stale_signature_recompiles():
     install_kernels(TDP(db, query), slot=slot, engine="part:lazy")
     stale = slot.template
     db2 = path_database(length=4, size=40, domain=8, seed=3)
-    assert install_kernels(TDP(db2, path_query(4)), slot=slot, engine="part:lazy")
+    install_kernels(TDP(db2, path_query(4)), slot=slot, engine="part:lazy")
     assert slot.template is not stale  # different shape replaced the pin
     assert kernel_stats()["part:lazy"]["slot_hits"] == 0
 
 
-def test_unregistered_ranking_falls_back_to_interpreted():
+def test_unregistered_ranking_shares_the_row_template():
+    """The compiled row does not depend on the ranking, so a custom
+    RankingFunction has nothing to fall back from: it hits the template a
+    registered ranking compiled, and streams as the interpreted path."""
     db, query = small_instance()
-    custom = RankingFunction("sum", lambda a, b: a + b, 0.0, float)
-    tdp = TDP(db, query, ranking=custom)  # shares the name, not the identity
-    assert not install_kernels(tdp, engine="part:lazy")
-    assert "prefix_priority" not in vars(tdp)
-    assert kernel_stats()["part:lazy"]["unsupported"] == 1
-    assert kernel_signature(tdp) is None
+    custom = RankingFunction("counted", lambda a, b: a + b, 0.0, float)
+    install_kernels(TDP(db, query, ranking=SUM), engine="part:lazy")
+    tdp = TDP(db, query, ranking=custom)
+    install_kernels(tdp, engine="part:lazy")
+    assert "solution_row" in vars(tdp)
+    counts = kernel_stats()["part:lazy"]
+    assert (counts["compiles"], counts["template_hits"]) == (1, 1)
+    for method in ("part:lazy", "rec"):
+        assert list(
+            rank_enumerate(db, query, ranking=custom, method=method, k=40)
+        ) == list(
+            rank_enumerate(
+                db, query, ranking=custom, method=method, k=40,
+                compile_kernels=False,
+            )
+        )
 
 
-def test_signature_distinguishes_rankings_and_shapes():
+def test_signature_is_the_output_shape_alone():
     db, query = small_instance()
     sig_sum = kernel_signature(TDP(db, query, ranking=SUM))
     sig_max = kernel_signature(TDP(db, query, ranking=MAX))
-    assert sig_sum != sig_max
+    assert sig_sum == sig_max  # the row template is ranking-independent
     db2 = path_database(length=4, size=40, domain=8, seed=3)
     assert kernel_signature(TDP(db2, path_query(4))) != sig_sum
 
@@ -153,10 +228,12 @@ def test_generated_source_is_shape_specialized():
     tdp = TDP(db, query)
     signature = kernel_signature(tdp)
     source = kernels.generate_source(signature)
-    # Straight-line fold with the join order baked in, one branch per
-    # prefix length, and no ranking callback in sight.
-    assert "l0[choices[0]] + l1[choices[1]] + l2[choices[2]]" in source
-    assert "combine" not in source
+    # Straight-line row with the join order and the writers baked in,
+    # bound over the row lists alone (no T-DP, no ranking in sight).
+    assert "def _bind(rows):" in source
+    assert "r1 = rows1[choices[1]]" in source
+    assert "return (r2[0], r1[0], r0[0], r0[1])" in source
+    assert "tdp" not in source and "combine" not in source
     compile(source, "<test>", "exec")  # must be valid Python
 
 

@@ -128,4 +128,4 @@ def test_buckets_keyed_by_parent_join_value():
     tdp = TDP(_tiny_path_db(), path_query(2))
     child_position = 1
     keys = set(tdp.buckets[child_position].keys())
-    assert keys == {(1,), (3,)}
+    assert keys == {1, 3}  # bare values: one join attribute
