@@ -11,8 +11,8 @@ setup(
         "conjunctive queries, with a SQL front-end, cost-based engine "
         "router, partition-parallel sharded execution, a concurrent "
         "query server with resumable snapshot-isolated cursors over "
-        "versioned dynamic data, a seeded load-generation/SLO "
-        "harness, and end-to-end observability (tracing, a unified "
+        "versioned dynamic data, and end-to-end observability "
+        "(tracing, SLOs, a unified "
         "metrics registry, in-engine anytime-delay profiles, EXPLAIN "
         "ANALYZE) (reproduction of Tziavelis, "
         "Gatterbauer, Riedewald, SIGMOD 2020)"
@@ -33,7 +33,6 @@ setup(
         "console_scripts": [
             "repro-sql = repro.sql.cli:main",
             "repro-serve = repro.server.cli:main",
-            "repro-loadgen = repro.workload.cli:main",
             "repro-obs = repro.obs.cli:main",
         ],
     },

@@ -11,7 +11,7 @@ Seven pieces, one per module:
 - :mod:`repro.obs.registry` — the process-wide metrics registry
   (counters, gauges, histograms) with Prometheus-text and JSON
   exporters, unifying the RAM-model :class:`~repro.util.counters.Counters`
-  and the workload histograms behind one model.
+  and the latency histograms behind one model.
 - :mod:`repro.obs.delay` — the anytime-delay profiler: per-cursor
   inter-result delay, TTF, and TT(k) histograms recorded *inside* the
   engines (PART/REC/batch/HRJN and the parallel merge), with worker
@@ -27,7 +27,7 @@ Seven pieces, one per module:
   (priority queues, REC solution lists, T-DP state, HRJN buffers, hash
   buckets, batch rows) folded into live/peak per-cursor profiles
   at O(1) hot-path cost, feeding the admission watermark
-  (``repro-serve --max-mem-mb``) and the planner's Q-error feedback.
+  (``repro-serve --max-mem-mb``) and EXPLAIN ANALYZE's Q-error line.
 - :mod:`repro.obs.slo` — declarative SLO specs (latency percentiles,
   per-cursor peak memory, error rate, availability) evaluated with
   multi-window burn rates over the registry's live numbers.
@@ -46,7 +46,6 @@ from repro.obs.delay import DELAY_BOUNDS, TTK_CHECKPOINTS, DelayProfile
 from repro.obs.events import EventLog, read_events, replay_events, sql_hash
 from repro.obs.memory import (
     MEM_BOUNDS,
-    QERROR_BOUNDS,
     MemoryProfile,
     SpaceGauge,
     attach_tracker,
@@ -59,7 +58,6 @@ from repro.obs.slo import (
     SloEngine,
     SloError,
     SloSpec,
-    evaluate_specs,
     parse_slo,
     parse_slos,
     render_slo_report,
@@ -85,7 +83,6 @@ __all__ = [
     "MemoryProfile",
     "MetricsRegistry",
     "NOOP_SPAN",
-    "QERROR_BOUNDS",
     "SloEngine",
     "SloError",
     "SloSpec",
@@ -95,7 +92,6 @@ __all__ = [
     "Tracer",
     "attach_tracker",
     "build_report",
-    "evaluate_specs",
     "format_traceparent",
     "join_traces",
     "new_trace_id",

@@ -3,12 +3,12 @@
 The paper's claims are statements about *time between ranked results*:
 any-k algorithms bound the delay between consecutive answers, which is
 what makes time-to-first and time-to-k sublinear in the output.  The
-load generator (:mod:`repro.workload`) measures those quantities from
-the *outside* — wall clock across the wire, planning and framing
-included.  This profiler measures them where they are produced: wrapped
-around the engine's ranked stream, charging each result with the time
-spent *inside* the enumeration (``next()`` on the engine iterator) and
-tracking wall time from stream start for TTF/TT(k).
+benchmark's wire workloads (``python3 -m bench``) measure those
+quantities from the *outside* — wall clock across the wire, planning and
+framing included.  This profiler measures them where they are produced:
+wrapped around the engine's ranked stream, charging each result with the
+time spent *inside* the enumeration (``next()`` on the engine iterator)
+and tracking wall time from stream start for TTF/TT(k).
 
 Two clocks per result, deliberately:
 
@@ -47,8 +47,7 @@ class DelayProfile:
     """Delay/TTF/TT(k) measurements for one cursor (or one fold of many).
 
     Single-writer on the hot path (the enumerating thread); merging and
-    snapshotting are done by the owner after the stream quiesces — the
-    same discipline as :class:`repro.workload.metrics.MetricsCollector`.
+    snapshotting are done by the owner after the stream quiesces.
     """
 
     __slots__ = (

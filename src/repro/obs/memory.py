@@ -45,11 +45,6 @@ from repro.util.histogram import geometric_bounds
 #: Bucket bounds for byte-valued histograms (1 KiB .. 16 GiB).
 MEM_BOUNDS = geometric_bounds(lo=1024.0, hi=float(2**34), per_decade=5)
 
-#: Bucket bounds for planner Q-error histograms.  The lowest bucket
-#: (``le=1``) holds exact estimates; the overflow bucket holds
-#: misestimates beyond six orders of magnitude.
-QERROR_BOUNDS = geometric_bounds(lo=1.0, hi=1e6, per_decade=4)
-
 # ----------------------------------------------------------------------
 # Calibration probes (run once at import; never on the hot path)
 # ----------------------------------------------------------------------

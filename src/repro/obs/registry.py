@@ -3,7 +3,7 @@
 One model for every number the system publishes, unifying what used to
 be three ad-hoc shapes — :class:`repro.util.counters.Counters`
 (RAM-model work), the server's ``(count, total, max)`` op timers, and
-the load generator's latency histograms — behind two exporters:
+the latency histograms — behind two exporters:
 
 - :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
   exposition format (``# HELP`` / ``# TYPE`` / sample lines, histograms

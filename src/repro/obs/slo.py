@@ -40,9 +40,7 @@ regression from hiding in a long average:
 
 The engine is pull-driven — no background thread.  The server ticks it
 (time-gated) per request and on every ``slo`` op; a single evaluation
-with no history simply reports the since-start window everywhere, which
-is also exactly what ``repro-loadgen``'s whole-run verdicts use via
-:func:`evaluate_specs`.
+with no history simply reports the since-start window everywhere.
 """
 
 from __future__ import annotations
@@ -206,8 +204,7 @@ def spec_counts(
     ``histogram_for`` maps a latency indicator (an op name, ``ttf``,
     ``delay``) to a merged :class:`Histogram` (or None when nothing was
     recorded); ``requests_errors`` returns cumulative request and error
-    totals.  Both callables let the server and the load generator feed
-    the same evaluator from their own state.
+    totals.  :class:`SloEngine`'s ``source`` applies it to every spec.
     """
     if spec.kind == "latency":
         hist = histogram_for(spec.indicator)
@@ -245,44 +242,6 @@ _STATUS_RANK = {"ok": 0, "warn": 1, "page": 2}
 
 def worst_status(statuses: Sequence[str]) -> str:
     return max(statuses, key=lambda s: _STATUS_RANK.get(s, 0), default="ok")
-
-
-def evaluate_specs(
-    specs: Sequence[SloSpec],
-    histogram_for: Callable[[str], Optional[Histogram]],
-    requests_errors: Callable[[], tuple[int, int]],
-    window_label: str = "run",
-) -> dict:
-    """Single-window (whole-run) evaluation — ``repro-loadgen``'s path.
-
-    The one window covers everything the callables have seen, so the
-    burn rate is the run's bad fraction over the budget; the verdict
-    thresholds are the same as the rolling engine's.
-    """
-    slos = []
-    for spec in specs:
-        total, bad = spec_counts(spec, histogram_for, requests_errors)
-        burn = _burn(total, bad, spec.budget)
-        slos.append(
-            {
-                "spec": spec.raw,
-                "objective": spec.objective(),
-                "kind": spec.kind,
-                "budget": spec.budget,
-                "total": total,
-                "bad": bad,
-                "bad_fraction": round(bad / total, 6) if total else 0.0,
-                "burn_rates": {window_label: round(burn, 4)},
-                "status": _verdict([burn]),
-            }
-        )
-    return {
-        "status": worst_status([s["status"] for s in slos]),
-        "windows_s": [],
-        "warn_burn": WARN_BURN,
-        "page_burn": PAGE_BURN,
-        "slos": slos,
-    }
 
 
 class SloEngine:
@@ -387,8 +346,7 @@ class SloEngine:
 
 
 def render_slo_report(report: dict) -> list[str]:
-    """Text lines for one evaluation dict (shared by ``repro-obs``
-    summary and the ``repro-loadgen`` report)."""
+    """Text lines for one evaluation dict (the ``repro-obs`` summary)."""
     lines = [f"slo status: {report.get('status', 'ok')}"]
     for entry in report.get("slos", ()):
         burns = entry.get("burn_rates", {})

@@ -423,7 +423,7 @@ class PipelinedClient:
 
     The query surface mirrors :class:`Client` (``execute`` returns a
     :class:`ResultCursor`, ``mutate``/``stats``/``close_cursor`` behave
-    identically), so workload drivers can treat either as a connection.
+    identically), so a driver can treat either as a connection.
     """
 
     def __init__(

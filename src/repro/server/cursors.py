@@ -57,9 +57,6 @@ class Cursor:
         counters: Counters,
         profile: Optional["DelayProfile"] = None,
         memory: Optional["MemoryProfile"] = None,
-        template: Optional[str] = None,
-        estimate: Optional[float] = None,
-        limit: Optional[int] = None,
     ) -> None:
         self.id = cursor_id
         self.sql = sql
@@ -75,12 +72,6 @@ class Cursor:
         #: structures this cursor pins; read by the admission watermark
         #: and folded like ``profile`` at retirement.
         self.memory = memory
-        #: Planner-feedback metadata: the statement's template digest and
-        #: the planner's output-cardinality estimate (AGM bound), matched
-        #: against actual rows at retirement when the stream ran dry.
-        self.template = template
-        self.estimate = estimate
-        self.limit = limit
         self.created = time.monotonic()
         self.last_used = self.created
 
@@ -172,9 +163,6 @@ class CursorManager:
         counters: Counters,
         profile: Optional["DelayProfile"] = None,
         memory: Optional["MemoryProfile"] = None,
-        template: Optional[str] = None,
-        estimate: Optional[float] = None,
-        limit: Optional[int] = None,
     ) -> Cursor:
         """Register a new cursor; raises :class:`CursorLimitError` when
         full and nothing is idle enough to evict."""
@@ -199,9 +187,6 @@ class CursorManager:
                     counters,
                     profile,
                     memory=memory,
-                    template=template,
-                    estimate=estimate,
-                    limit=limit,
                 )
                 self._cursors[cursor_id] = cursor
                 self.opened += 1

@@ -264,7 +264,9 @@ def fingerprint_drift(before: tuple, after: tuple) -> float:
     cardinality change for same-shaped catalogs, and ``inf`` when the
     shape changed (relations appeared/disappeared/re-schemed) or any
     relation flipped between empty and non-empty — the cases where
-    cached routing decisions are not worth keeping.
+    cached routing decisions are not worth keeping.  Drift measures
+    routing risk, not staleness: two generations of equal cardinality
+    have drift 0.0 and still hold different rows.
     """
     if before == after:
         return 0.0

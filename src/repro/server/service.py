@@ -24,13 +24,8 @@ from repro.engine.catalog import StatsCache, database_fingerprint
 from repro.engine.executor import apply_mutation, execute
 from repro.engine.planner import plan_compiled
 from repro.obs.delay import DELAY_BOUNDS, DelayProfile
-from repro.obs.events import EventLog, sql_hash
-from repro.obs.memory import (
-    MEM_BOUNDS,
-    QERROR_BOUNDS,
-    MemoryProfile,
-    q_error,
-)
+from repro.obs.events import EventLog
+from repro.obs.memory import MEM_BOUNDS, MemoryProfile
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import (
     DEFAULT_SLOS,
@@ -76,15 +71,11 @@ class BoundPlan:
     working instance is rebuilt from the request snapshot at execution
     time.  Mirrors the ``.compiled``/``.plan`` attribute shape of
     :class:`~repro.server.plancache.CachedPlan` so call sites read the
-    same either way.  ``template`` is the statement's parameterized
-    template text — the cache key's stable half, reused as the label of
-    the planner Q-error histogram so every instantiation of one shape
-    lands in the same series.
+    same either way.
     """
 
     compiled: Any
     plan: Any
-    template: Optional[str] = None
 
 
 class QueryService:
@@ -232,16 +223,6 @@ class QueryService:
             labelnames=("engine",),
             bounds=MEM_BOUNDS,
         )
-        #: Planner-feedback Q-error (max(est/actual, actual/est)) per
-        #: statement template, recorded when a cursor retires with its
-        #: enumeration run dry (a LIMIT-truncated stream says nothing
-        #: about the true cardinality).
-        self._qerror_metric = self.registry.histogram(
-            "repro_plan_qerror",
-            "Planner cardinality Q-error by statement template",
-            labelnames=("template",),
-            bounds=QERROR_BOUNDS,
-        )
         self._errors_metric = self.registry.counter(
             "repro_errors_total",
             "Error responses by op and error code",
@@ -299,10 +280,12 @@ class QueryService:
         Staleness is validated on hit against the request snapshot's
         fingerprint of the referenced relations:
 
-        - no drift + identical bound values: the entry's plan (with its
-          materialized working instance) is served as-is;
-        - drift within :data:`~repro.server.plancache.RECOST_DRIFT` or
-          different values: the routing is reused on a per-request plan
+        - identical fingerprint (relation versions included) + identical
+          bound values: the entry's plan (with its materialized working
+          instance) is served as-is;
+        - any other generation within
+          :data:`~repro.server.plancache.RECOST_DRIFT` or different
+          values: the routing is reused on a per-request plan
           copy whose filtered instance is rebuilt from the snapshot;
         - larger drift or an empty/non-empty flip: the entry is
           re-costed in place (counted as a miss — the cache saved no
@@ -343,7 +326,7 @@ class QueryService:
                 costed_values=values,
             )
             self.plan_cache.store(key, entry)
-            return BoundPlan(bound, routed, parameterized.template), False
+            return BoundPlan(bound, routed), False
         bound = bind_compiled(entry.compiled, values, sql)
         drift = fingerprint_drift(entry.fingerprint, fingerprint)
         if drift > RECOST_DRIFT:
@@ -361,11 +344,13 @@ class QueryService:
                 )
             entry.recost(routed, fingerprint, values)
             self.plan_cache.note_recost()
-            return BoundPlan(bound, routed, parameterized.template), False
-        if drift == 0.0 and values == entry.costed_values:
+            return BoundPlan(bound, routed), False
+        if fingerprint == entry.fingerprint and values == entry.costed_values:
             # Fast path: same data generation, same binding — the
             # entry's materialized working instance is exactly right.
-            return BoundPlan(bound, entry.plan, parameterized.template), True
+            # (Zero drift is not enough: an INSERT plus a DELETE keeps
+            # every cardinality and changes the rows.)
+            return BoundPlan(bound, entry.plan), True
         # Soft hit: the routing holds, but the filtered working instance
         # was materialized for other values (or a slightly different
         # generation) — drop it so execute() rebuilds the selections
@@ -377,7 +362,7 @@ class QueryService:
             working_cq=None,
             snapshot_version=snapshot.version,
         )
-        return BoundPlan(bound, plan, parameterized.template), True
+        return BoundPlan(bound, plan), True
 
     # ------------------------------------------------------------------
     # Ops
@@ -436,9 +421,6 @@ class QueryService:
             counters=session_counters,
             profile=profile,
             memory=memory,
-            template=entry.template,
-            estimate=entry.plan.estimates.agm_bound,
-            limit=entry.compiled.k,
         )
         with self._metrics_lock:
             self._queries += 1
@@ -448,9 +430,8 @@ class QueryService:
             "engine": entry.plan.engine,
             "plan_cached": was_cached,
             # The snapshot generation the cursor is pinned to — every
-            # page it ever serves drains exactly this version, which is
-            # what lets a load generator replay sampled pages against a
-            # serial recompute of the same generation.
+            # page it ever serves drains exactly this version, so a client
+            # can check a page against a serial recompute of it.
             "version": snapshot.version,
             "rows": [],
             "done": False,
@@ -573,7 +554,6 @@ class QueryService:
         self.counters.merge(cursor.counters)
         self._fold_profile(getattr(cursor, "profile", None), cursor.engine)
         self._fold_memory(getattr(cursor, "memory", None), cursor.engine)
-        self._record_qerror(cursor)
 
     def _fold_profile(
         self, profile: Optional[DelayProfile], engine: str
@@ -611,28 +591,6 @@ class QueryService:
                 aggregate = self.memory_profiles[name] = MemoryProfile(name)
             aggregate.merge(memory)
         self._mem_metric.labels(engine=name).observe(float(memory.peak_bytes))
-
-    def _record_qerror(self, cursor) -> None:
-        """Planner feedback: Q-error of the routed plan's cardinality
-        estimate against the rows the cursor actually produced.
-
-        Recorded only when the enumeration ran dry below its LIMIT — a
-        truncated or abandoned stream says nothing about the statement's
-        true cardinality.  Labeled by the parameterized template's digest
-        so every instantiation of one shape shares a series."""
-        estimate = getattr(cursor, "estimate", None)
-        template = getattr(cursor, "template", None)
-        if estimate is None or template is None:
-            return
-        if not getattr(cursor.stream, "exhausted", False):
-            return
-        emitted = cursor.emitted
-        limit = getattr(cursor, "limit", None)
-        if limit is not None and emitted >= limit:
-            return
-        self._qerror_metric.labels(template=sql_hash(template)).observe(
-            q_error(estimate, emitted)
-        )
 
     def explain(
         self,
@@ -708,13 +666,6 @@ class QueryService:
         self.counters.merge(counters)
         self._fold_profile(profile, entry.plan.engine)
         self._fold_memory(memory, entry.plan.engine)
-        # The analyzed run drained the whole stream, so the actual
-        # cardinality is known exactly — unless LIMIT truncated it.
-        k = entry.compiled.k
-        if entry.template is not None and (k is None or rows < k):
-            self._qerror_metric.labels(
-                template=sql_hash(entry.template)
-            ).observe(q_error(entry.plan.estimates.agm_bound, rows))
         return {
             "explain": render_analyze(report),
             "analyze": report,
@@ -823,8 +774,7 @@ class QueryService:
     def _op_latency_summary(self) -> dict:
         """Per-op latency digests from the registry histogram family.
 
-        Keeps the pre-registry keys (``count``/``mean``/``max``) the
-        workload reporters read, and adds the percentile keys the
+        ``count``/``mean``/``max`` plus the percentile keys the
         fixed-bucket histogram makes possible.
         """
         out: dict[str, dict] = {}

@@ -244,7 +244,7 @@ class AnykTCPServer:
     """The ranked-enumeration service bound to a TCP address.
 
     An asyncio server behind the blocking ``socketserver``-style surface
-    the rest of the repo (CLI, tests, benchmarks, load generator) drives:
+    the rest of the repo (CLI, tests, benchmarks) drives:
     construct, ``serve_forever()`` (or :func:`serve_background`), then
     ``shutdown()`` + ``server_close()``.  The listening socket binds in
     the constructor — :attr:`bound_port` is readable immediately, and

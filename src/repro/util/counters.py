@@ -67,11 +67,6 @@ class Counters:
     random_accesses: int = 0
     heap_ops: int = 0
     extras: dict = field(default_factory=dict)
-    #: Named duration observations as ``name -> [count, total, max]``.
-    #: Updated via :meth:`observe`, summarized via :meth:`timing_summary`;
-    #: excluded from :meth:`snapshot` / :meth:`total_work` because a
-    #: latency is not a RAM-model operation count.
-    timings: dict = field(default_factory=dict)
     #: Guards every cross-thread update/read path.  ``repr=False`` keeps
     #: dataclass rendering clean; ``compare=False`` keeps equality on the
     #: counts themselves.
@@ -85,8 +80,6 @@ class Counters:
             for f in fields(self):
                 if f.name == "extras":
                     self.extras.clear()
-                elif f.name == "timings":
-                    self.timings.clear()
                 elif f.name != "_lock":
                     setattr(self, f.name, 0)
 
@@ -103,41 +96,6 @@ class Counters:
         """
         with self._lock:
             setattr(self, name, getattr(self, name) + amount)
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one duration/size observation under ``name`` (atomic).
-
-        Keeps ``(count, total, max)`` per name — enough for the
-        count/mean/max summaries the server's ``stats`` op reports —
-        without unbounded per-sample storage.  Full percentile tracking
-        lives in :class:`repro.util.histogram.Histogram`; this is the
-        always-on, O(1)-memory server-side companion.
-        """
-        with self._lock:
-            entry = self.timings.get(name)
-            if entry is None:
-                self.timings[name] = [1, value, value]
-            else:
-                entry[0] += 1
-                entry[1] += value
-                if value > entry[2]:
-                    entry[2] = value
-
-    def timing_summary(self) -> dict:
-        """``{name: {"count", "mean", "max"}}`` for every observed name.
-
-        Taken under the lock; values are plain floats, JSON-ready (the
-        ``stats`` op embeds this as ``op_latency_ms``).
-        """
-        with self._lock:
-            return {
-                name: {
-                    "count": count,
-                    "mean": total / count if count else 0.0,
-                    "max": maximum,
-                }
-                for name, (count, total, maximum) in self.timings.items()
-            }
 
     def total_accesses(self) -> int:
         """Middleware cost: sorted plus random accesses (TA model)."""
@@ -179,7 +137,7 @@ class Counters:
             out = {
                 f.name: getattr(self, f.name)
                 for f in fields(self)
-                if f.name not in ("extras", "timings", "_lock")
+                if f.name not in ("extras", "_lock")
             }
             out.update(self.extras)
         out["total_work"] = sum(v for v in out.values())
@@ -197,16 +155,6 @@ class Counters:
                 if f.name == "extras":
                     for key, value in other.extras.items():
                         self.extras[key] = self.extras.get(key, 0) + value
-                elif f.name == "timings":
-                    for key, (count, total, maximum) in other.timings.items():
-                        entry = self.timings.get(key)
-                        if entry is None:
-                            self.timings[key] = [count, total, maximum]
-                        else:
-                            entry[0] += count
-                            entry[1] += total
-                            if maximum > entry[2]:
-                                entry[2] = maximum
                 elif f.name != "_lock":
                     setattr(
                         self, f.name, getattr(self, f.name) + getattr(other, f.name)

@@ -1,12 +1,11 @@
 """Mergeable fixed-bucket latency histograms.
 
-The measurement primitive of the whole stack (promoted here from
-``repro.workload`` so the server, the engine-side delay profiler, and
-the metrics registry share one model): a histogram with *fixed,
-geometric* bucket boundaries shared by every instance, so per-worker
-shard histograms merge into a global one by plain element-wise
-addition — no rebinning, no approximation drift.  That
-merge-equals-global property is what lets each driver thread (or shard
+The measurement primitive of the whole stack (the server, the
+engine-side delay profiler, and the metrics registry share one model):
+a histogram with *fixed, geometric* bucket boundaries shared by every
+instance, so per-worker shard histograms merge into a global one by
+plain element-wise addition — no rebinning, no approximation drift.
+That merge-equals-global property is what lets each thread (or shard
 worker process) record into a private histogram (no locks on the hot
 path) and the consumer fold them at the end; it is property-tested in
 ``tests/test_histogram.py``.  :meth:`Histogram.to_dict` /
@@ -47,7 +46,7 @@ def geometric_bounds(
     return tuple(bounds)
 
 
-#: The default boundary set every histogram in the load generator uses.
+#: The default boundary set of every latency histogram.
 #: One shared tuple means merges never have to compare boundary floats.
 DEFAULT_BOUNDS = geometric_bounds()
 

@@ -85,15 +85,6 @@ def test_sql_topk_runs():
 
 
 @pytest.mark.slow
-def test_loadgen_demo_runs():
-    out = _run("loadgen_demo.py")
-    assert "scenario: bursty" in out
-    assert "0 mismatches" in out
-    assert "errors:   none" in out
-    assert "clean run, every sampled page verified: True" in out
-
-
-@pytest.mark.slow
 def test_kshortest_paths_runs():
     out = _run("kshortest_paths.py")
     assert "Hoffman-Pavley" in out

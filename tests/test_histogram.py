@@ -1,6 +1,6 @@
 """Property tests for the mergeable fixed-bucket latency histograms.
 
-The load generator's measurement layer leans on three facts: shard
+Every latency metric leans on three facts: shard
 histograms merged equal one global histogram (per-thread recording with
 an exact fold), percentiles are monotone in the quantile (SLO tables
 never invert), and empty histograms are handled, not special-cased by

@@ -38,7 +38,6 @@ from repro.obs import (
 )
 from repro.server import QueryService
 from repro.server.protocol import ProtocolError, validate_request
-from repro.util.histogram import Histogram
 
 PATH_SQL = (
     "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 JOIN R3 ON R2.A3 = R3.A3 "
@@ -701,18 +700,6 @@ def test_protocol_validates_new_ops():
         validate_request({"op": "explain", "sql": "x", "analyze": "yes"})
 
 
-def test_workload_histogram_shim_is_gone():
-    """The deprecated repro.workload.histogram shim has been removed;
-    the canonical import path is repro.util.histogram."""
-    import importlib
-
-    import repro.util.histogram as util_histogram
-
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.workload.histogram")
-    assert isinstance(util_histogram.Histogram(), Histogram)
-
-
 def test_repro_obs_cli_against_background_server(path_db, capsys):
     """Every repro-obs view against a live in-process server."""
     from repro.obs.cli import main as obs_main
@@ -872,7 +859,6 @@ def test_prometheus_exposition_conformance(path_db):
 
     assert types["repro_op_latency_ms"] == "histogram"
     assert types["repro_mem_peak_bytes"] == "histogram"
-    assert types["repro_plan_qerror"] == "histogram"
     assert types["repro_errors_total"] == "counter"
 
     for family, kind in types.items():

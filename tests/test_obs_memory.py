@@ -1,16 +1,14 @@
 """The space-accounting layer: calibrated byte models, live/peak
-profiles, memory-aware admission, and planner Q-error feedback.
+profiles, memory-aware admission, and EXPLAIN ANALYZE's Q-error.
 
-Three properties anchor the suite (the issue's acceptance criteria):
+Two properties anchor the suite:
 
 - *O(1) accounting* — the gauges never walk structures; engine runs
   under a profile report per-category entry counts that match the
   structures' own bookkeeping;
 - *clean refusal* — a server over its ``--max-mem-mb`` watermark
   answers new queries with ``mem_pressure``, never ``internal``, and
-  sheds idle cursors before refusing;
-- *feedback closes the loop* — drained cursors land a Q-error
-  observation per statement template; truncated ones don't.
+  sheds idle cursors before refusing.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from repro.engine.executor import execute
 from repro.engine.planner import plan_compiled
 from repro.obs.memory import (
     MEM_BOUNDS,
-    QERROR_BOUNDS,
     MemoryProfile,
     SpaceGauge,
     attach_tracker,
@@ -94,8 +91,6 @@ def test_byte_models_are_positive_ints():
 def test_bucket_bounds_shapes():
     assert MEM_BOUNDS[0] == 1024.0
     assert list(MEM_BOUNDS) == sorted(MEM_BOUNDS)
-    assert QERROR_BOUNDS[0] == 1.0  # the exact-estimate bucket
-    assert QERROR_BOUNDS[-1] >= 1e6
 
 
 def test_q_error_convention():
@@ -336,7 +331,7 @@ def test_parallel_workers_ship_shard_snapshots():
 
 
 # ----------------------------------------------------------------------
-# Service integration: payloads, admission, eviction, Q-error
+# Service integration: payloads, admission, eviction
 # ----------------------------------------------------------------------
 def drain(service, cursor_id, n=500):
     while True:
@@ -409,23 +404,6 @@ def test_retired_cursor_feeds_peak_histogram_and_aggregate(path_db):
         for labels, child in service._mem_metric.children()
     )
     assert children[opened["engine"]].summary()["count"] == 1
-    service.shutdown()
-
-
-def test_qerror_recorded_only_when_stream_ran_dry(path_db):
-    service = QueryService(path_db)
-    # Truncated at LIMIT: the actual cardinality is unknown — no sample.
-    opened = service.query(PATH_SQL.format(k=10), fetch=0)
-    drain(service, opened["cursor"])
-    assert not list(service._qerror_metric.children())
-    # LIMIT far above the join size: the stream runs dry — one sample.
-    opened = service.query(PATH_SQL.format(k=10_000_000), fetch=0)
-    drain(service, opened["cursor"])
-    children = list(service._qerror_metric.children())
-    assert len(children) == 1
-    labels, child = children[0]
-    assert len(labels["template"]) == 16  # the template digest
-    assert child.summary()["count"] == 1
     service.shutdown()
 
 

@@ -281,6 +281,27 @@ def test_catalog_drift_validates_on_hit(path_db):
     assert info["entries"] == 1
 
 
+def test_equal_cardinality_generation_is_not_served_a_stale_plan(path_db):
+    """An INSERT plus a DELETE leaves every cardinality (and so the drift)
+    unchanged; the cached working instance must still not be reused."""
+    import repro.sql
+
+    service = QueryService(path_db)
+    sql = "SELECT * FROM R1 ORDER BY weight LIMIT 3"
+    query = {"id": 1, "op": "query", "sql": sql, "fetch": 3}
+    (a1, a2), _ = service.handle(query)["rows"][0]
+    for mutation in (
+        "INSERT INTO R1 (A1, A2, weight) VALUES (500, 1, 0.9)",
+        f"DELETE FROM R1 WHERE A1 = {a1} AND A2 = {a2}",
+    ):
+        assert service.handle({"id": 2, "op": "mutate", "sql": mutation})["ok"]
+    again = service.handle(query)
+    assert again["version"] == 3 and again["plan_cached"]
+    assert again["rows"] == [
+        [list(row), weight] for row, weight in repro.sql.query(service.db, sql)
+    ]
+
+
 def test_plan_cache_lru_bound():
     from repro.server.plancache import CachedPlan
 
@@ -368,6 +389,43 @@ def test_stats_endpoint_shape(path_db):
     assert stats["cursors"]["open"] == 0  # drained cursor auto-closed
     assert stats["counters"]["total_work"] > 0
     assert set(stats["relations"]) == {"R1", "R2", "R3"}
+
+
+def test_query_response_reports_pinned_snapshot_version(path_db):
+    service = QueryService(path_db)
+    sql = "SELECT * FROM R1 ORDER BY weight LIMIT 3"
+    query = {"id": 1, "op": "query", "sql": sql, "fetch": 3}
+    assert service.handle(query)["version"] == 1
+    assert service.handle(
+        {
+            "id": 2,
+            "op": "mutate",
+            "sql": "INSERT INTO R1 (A1, A2, weight) VALUES (0, 0, 0.5)",
+        }
+    )["ok"]
+    assert service.handle(query)["version"] == 2
+
+
+def test_stats_op_latency_counts_every_dispatched_op(path_db):
+    service = QueryService(path_db)
+    service.handle(
+        {
+            "id": 1,
+            "op": "query",
+            "sql": "SELECT * FROM R1 ORDER BY weight LIMIT 2",
+            "fetch": 2,
+        }
+    )
+    failed = service.handle({"id": 2, "op": "query", "sql": "SELECT broken"})
+    assert not failed["ok"]
+    latency = service.handle({"id": 3, "op": "stats"})["op_latency_ms"]
+    # Two query dispatches — the failed one still cost server time.
+    assert latency["query"]["count"] == 2
+    assert latency["query"]["mean"] <= latency["query"]["max"]
+    # A stats dispatch observes itself only after building its payload,
+    # so the *second* stats call sees the first one's timing.
+    second = service.handle({"id": 4, "op": "stats"})
+    assert second["op_latency_ms"]["stats"]["count"] == 1
 
 
 # ----------------------------------------------------------------------

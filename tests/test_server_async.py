@@ -375,26 +375,3 @@ def test_shutdown_is_idempotent_and_unserved_server_closes(graph_db):
     server.shutdown()
     server.server_close()
     server.server_close()
-
-
-# ----------------------------------------------------------------------
-# Loadgen over the pipelined wire
-# ----------------------------------------------------------------------
-@pytest.mark.slow
-def test_wire_pipelined_scenario_smoke():
-    from repro.workload.driver import run_scenario
-    from repro.workload.scenarios import SCENARIOS
-
-    result = run_scenario(
-        SCENARIOS["read-mostly"],
-        seed=3,
-        duration=1.0,
-        clients=3,
-        mode="wire-pipelined",
-        sample=0.2,
-    )
-    report = result.report
-    assert report["mode"] == "wire-pipelined"
-    assert report["ops"]["query"]["count"] > 0
-    assert report["errors"]["total"] == 0
-    assert result.validation is None or not result.validation.mismatches

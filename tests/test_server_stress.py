@@ -1,6 +1,6 @@
 """Concurrency stress tests for the query service.
 
-Two regimes the unit tests cannot reach:
+Three regimes the unit tests cannot reach:
 
 - many threads hammering *one* cursor: the stream lock must serialize
   pulls so the union of all pages is an exact dup-free, gap-free prefix
@@ -8,17 +8,22 @@ Two regimes the unit tests cannot reach:
 - eviction racing an in-flight fetch: the loser must see a *clean*
   protocol error (``unknown_cursor``, fed by :class:`StreamClosed`) —
   never a silent ``done`` that truncates the ranked stream, and never an
-  ``internal`` error escaping the wire handler.
+  ``internal`` error escaping the wire handler;
+- concurrent sessions beside a concurrent writer: every page must equal
+  a serial recompute on the snapshot version its cursor reported.
 """
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
 
 import pytest
 
 from repro.anyk.api import PausableStream, StreamClosed
-from repro.data.generators import random_graph_database
+from repro.data.generators import path_database, random_graph_database
+from repro.dynamic import VersionedDatabase
 import repro.server.protocol as protocol
 from repro.server import QueryService
 from repro.sql import query as sql_query
@@ -207,3 +212,100 @@ def test_concurrent_opens_respect_the_admission_limit():
     stats = service.cursors.stats()
     assert stats["open"] == 4
     assert stats["rejected"] >= 8
+
+
+_PAIR = "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2"
+_TRIPLE = _PAIR + " JOIN R3 ON R2.A3 = R3.A3"
+#: The ``serve_churn`` benchmark's six template shapes, on a smaller LIMIT.
+CHURN_TEMPLATES = (
+    _PAIR + " ORDER BY weight LIMIT 40",
+    _TRIPLE + " ORDER BY weight LIMIT 40",
+    _PAIR + " WHERE R1.A1 = {v} ORDER BY weight LIMIT 40",
+    _TRIPLE + " ORDER BY max(weight) LIMIT 40",
+    _PAIR + " ORDER BY weight DESC LIMIT 40",
+    "SELECT * FROM R2 WHERE R2.A2 = {v} ORDER BY weight LIMIT 40",
+)
+
+
+@pytest.mark.parametrize("sessions", [1, 4])
+def test_concurrent_sessions_beside_a_writer_match_serial_recompute(sessions):
+    versioned = VersionedDatabase(
+        path_database(length=3, size=120, domain=15, seed=7), copy=False
+    )
+    service = QueryService(versioned)
+    snapshots = {versioned.version: versioned.snapshot()}
+    pages: list[tuple[str, int, int, list]] = []  # (sql, version, offset, rows)
+    failures: list[Exception] = []
+    readers_done = threading.Event()
+
+    def call(op: str, **fields) -> dict:
+        response = service.handle({"id": 0, "op": op, **fields})
+        assert response["ok"], response
+        return response
+
+    def writer():
+        for i in range(200):
+            if readers_done.is_set():
+                return
+            sql = (
+                f"DELETE FROM R1 WHERE A1 = {999 + i}"
+                if i % 2
+                else "INSERT INTO R1 (A1, A2, weight) "
+                f"VALUES ({1000 + i}, {i % 15}, {i / 200})"
+            )
+            version = call("mutate", sql=sql)["version"]
+            # The only writer, so the published snapshot is still its own.
+            snapshots[version] = versioned.snapshot()
+            assert snapshots[version].version == version
+
+    def reader(lane: int):
+        rng = random.Random(lane)
+        for _ in range(20):
+            sql = rng.choice(CHURN_TEMPLATES).format(v=rng.randrange(15))
+            response = call("query", sql=sql, fetch=7)
+            version, offset = response["version"], 0
+            while True:
+                pages.append((sql, version, offset, response["rows"]))
+                offset += len(response["rows"])
+                if response["done"]:
+                    break
+                response = call("fetch", cursor=response["cursor"], n=7)
+
+    def guarded(body, *args):
+        try:
+            body(*args)
+        except Exception as exc:  # re-raised on the main thread
+            failures.append(exc)
+
+    readers = [
+        threading.Thread(target=guarded, args=(reader, lane))
+        for lane in range(sessions)
+    ]
+    write = threading.Thread(target=guarded, args=(writer,))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often: more interleavings
+    try:
+        for thread in [write, *readers]:
+            thread.start()
+        for thread in readers:
+            thread.join(timeout=60)
+        readers_done.set()
+        write.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in [write, *readers])
+    if failures:
+        raise failures[0]
+
+    assert len({version for _, version, _, _ in pages}) > 1  # writes interleaved
+    expected: dict[tuple[int, str], list] = {}
+    for sql, version, offset, rows in pages:
+        if (version, sql) not in expected:
+            expected[version, sql] = protocol.jsonable_rows(
+                list(sql_query(snapshots[version], sql))
+            )
+        assert rows == expected[version, sql][offset : offset + len(rows)], (
+            sql,
+            version,
+            offset,
+        )
