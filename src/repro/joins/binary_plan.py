@@ -61,8 +61,9 @@ def evaluate_left_deep(
     result = reorder_to_query_schema(current, query)
     if counters is not None:
         counters.output_tuples += len(result)
-        # The final join's tuples are outputs, not intermediates.
-        counters.intermediate_tuples -= len(result)
+        if len(order) > 1:
+            # The final join's tuples are outputs, not intermediates.
+            counters.intermediate_tuples -= len(result)
     return result
 
 

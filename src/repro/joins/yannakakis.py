@@ -49,7 +49,9 @@ def evaluate(
     result = reorder_to_query_schema(joined[tree.root], query)
     if counters is not None:
         counters.output_tuples += len(result)
-        counters.intermediate_tuples -= len(result)
+        if len(tree.order) > 1:
+            # The final join's tuples are outputs, not intermediates.
+            counters.intermediate_tuples -= len(result)
     return result
 
 

@@ -12,9 +12,6 @@ Examples::
     repro-obs --stats                     # the stats op (latency, delay)
     repro-obs --trace t3f2a-1             # one buffered trace, rendered
     repro-obs --traces                    # the newest buffered traces
-    repro-obs --slo                       # SLO burn rates and verdicts
-    repro-obs --log query.log             # render a query log (no server)
-    repro-obs --replay query.log          # re-issue logged requests
     repro-obs --tail --interval 2         # refresh a summary every 2 s
     repro-obs --watch 2                   # same live summary, via --watch
     repro-obs --metrics --watch 5         # live Prometheus text every 5 s
@@ -28,8 +25,6 @@ import time
 from typing import Optional, Sequence
 
 import repro.server.protocol as protocol
-from repro.obs.events import read_events, render_event, replay_events
-from repro.obs.slo import render_slo_report
 from repro.server.client import Client, ServerError
 
 
@@ -69,32 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the newest buffered traces",
     )
     what.add_argument(
-        "--slo",
-        action="store_true",
-        help="print the server's SLO evaluation (burn rates + verdicts)",
-    )
-    what.add_argument(
-        "--log",
-        metavar="PATH",
-        help="render a repro-serve --query-log file (reads the file "
-        "directly; no server connection needed)",
-    )
-    what.add_argument(
-        "--replay",
-        metavar="PATH",
-        help="re-issue the requests in a --query-log file against the "
-        "server (queries and explains; mutations only with "
-        "--include-mutations)",
-    )
-    what.add_argument(
         "--tail",
         action="store_true",
         help="refresh a one-screen summary every --interval seconds",
-    )
-    parser.add_argument(
-        "--include-mutations",
-        action="store_true",
-        help="also replay logged mutate requests (--replay only)",
     )
     parser.add_argument(
         "--json",
@@ -155,63 +127,6 @@ def _print_trace(client: Client, trace_id: str, as_json: bool) -> int:
     else:
         print(response["rendered"])
     return 0
-
-
-def _print_slo(client: Client, as_json: bool) -> int:
-    report = client.slo()
-    if as_json:
-        print(json.dumps(report, indent=2, default=str))
-    else:
-        for line in render_slo_report(report):
-            print(line)
-    return 0 if report.get("status") != "page" else 2
-
-
-def _print_log(path: str, as_json: bool) -> int:
-    try:
-        events = list(read_events(path))
-    except OSError as exc:
-        print(f"repro-obs: cannot read query log {path!r}: {exc}")
-        return 1
-    if as_json:
-        print(json.dumps(events, indent=2, default=str))
-        return 0
-    for event in events:
-        print(render_event(event))
-    print(f"({len(events)} logged requests)")
-    return 0
-
-
-def _print_replay(
-    client: Client, path: str, include_mutations: bool, as_json: bool
-) -> int:
-    try:
-        events = list(read_events(path))
-    except OSError as exc:
-        print(f"repro-obs: cannot read query log {path!r}: {exc}")
-        return 1
-    outcome = replay_events(
-        events, client.call, include_mutations=include_mutations
-    )
-    if as_json:
-        print(json.dumps(outcome, indent=2, default=str))
-    else:
-        print(
-            f"replayed {outcome['replayed']} of {len(events)} logged "
-            f"requests ({outcome['skipped']} skipped, "
-            f"{outcome['failed']} failed)"
-        )
-        for entry in outcome.get("outcomes", ()):
-            original = entry.get("original_latency_ms")
-            was = (
-                f"{original:.3f}" if isinstance(original, (int, float)) else "-"
-            )
-            verdict = entry["error"] or "ok"
-            print(
-                f"  {entry['op']:<8} {entry['replay_latency_ms']:>10.3f} ms "
-                f"(was {was:>10} ms)  {verdict}"
-            )
-    return 0 if not outcome["failed"] else 1
 
 
 def _print_traces(client: Client, as_json: bool) -> None:
@@ -310,18 +225,6 @@ def render_summary(stats: dict) -> str:
             f"({tracer_info.get('dropped', 0)} dropped, "
             f"{tracer_info.get('joined', 0)} joined)"
         )
-    log_info = stats.get("event_log")
-    if log_info:
-        lines.append(
-            f"query log: {log_info.get('written', 0)} written / "
-            f"{log_info.get('candidates', 0)} seen  "
-            f"(sample={log_info.get('sample', 1.0)}, forced="
-            f"{log_info.get('forced', 0)}, "
-            f"rotations={log_info.get('rotations', 0)})"
-        )
-    slo_report = stats.get("slo")
-    if slo_report and slo_report.get("slos"):
-        lines.extend(render_slo_report(slo_report))
     return "\n".join(lines)
 
 
@@ -348,17 +251,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.watch is not None and args.watch <= 0:
         print("repro-obs: --watch needs a positive refresh period")
         return 2
-    if args.watch is not None and (
-        args.trace or args.traces or args.slo or args.log or args.replay
-    ):
+    if args.watch is not None and (args.trace or args.traces):
         print(
             "repro-obs: --watch live-refreshes the summary and --metrics "
             "views only"
         )
         return 2
-    if args.log:
-        # Pure file view — no server round trip.
-        return _print_log(args.log, args.json)
     try:
         client = Client(host=args.host, port=args.port, timeout=10.0)
     except OSError as exc:
@@ -380,12 +278,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             exit_code = _print_trace(client, args.trace, args.json)
         elif args.traces:
             _print_traces(client, args.json)
-        elif args.slo:
-            exit_code = _print_slo(client, args.json)
-        elif args.replay:
-            exit_code = _print_replay(
-                client, args.replay, args.include_mutations, args.json
-            )
         elif args.tail or args.watch is not None:
             # --metrics --watch is handled above; every other surviving
             # combination watches the summary view.

@@ -4,9 +4,8 @@ The any-k guarantees in the paper are time *and space* guarantees — the
 variants trade TTF/delay against the growth of their priority queues and
 materialized intermediates (ANYK-PART's candidate queue vs ANYK-REC's
 memoized solution prefixes vs batch's full materialization).  Layers 1–2
-(:mod:`repro.obs.trace`, :mod:`repro.obs.delay`, :mod:`repro.obs.slo`)
-measure only time; this module adds the byte axis with the same
-lifecycle:
+(:mod:`repro.obs.trace`, :mod:`repro.obs.delay`) measure only time;
+this module adds the byte axis with the same lifecycle:
 
 - :class:`SpaceGauge` — an O(1) live/peak entry counter for one named
   structure category ("part.pq", "rec.solutions", "hrjn.buffer", ...),

@@ -144,12 +144,6 @@ class HistogramChild(_Child):
         with self._lock:
             return self.histogram.summary()
 
-    def copy(self) -> Histogram:
-        """An independent :class:`Histogram` clone, taken under the lock
-        (the SLO engine diffs such clones to get per-window counts)."""
-        with self._lock:
-            return self.histogram.copy()
-
 
 class MetricFamily:
     """One named metric with optional label dimensions."""

@@ -174,46 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ring-buffer capacity of the span tracer (recent traces "
         "kept for the 'trace' op; default: the tracer's built-in size)",
     )
-    parser.add_argument(
-        "--query-log",
-        metavar="PATH",
-        default=None,
-        help="append sampled per-request JSON-lines records to PATH "
-        "(errors and slow requests are always captured)",
-    )
-    parser.add_argument(
-        "--log-sample",
-        type=float,
-        default=1.0,
-        metavar="FRACTION",
-        help="fraction of loggable requests to record in --query-log "
-        "(0..1, default 1.0 = everything)",
-    )
-    parser.add_argument(
-        "--log-slow-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="force-capture requests slower than MS into --query-log "
-        "regardless of --log-sample (default 100)",
-    )
-    parser.add_argument(
-        "--log-max-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="rotate --query-log to PATH.1 when it exceeds BYTES "
-        "(default 5000000)",
-    )
-    parser.add_argument(
-        "--slo",
-        action="append",
-        metavar="SPEC",
-        default=None,
-        help="an SLO spec evaluated by the 'slo' op, e.g. "
-        "'query_p99_ms<=25', 'ttf_ms<=5', 'error_rate<=0.1%%', "
-        "'availability>=99.9%%' (repeatable; default: a stock set)",
-    )
     return parser
 
 
@@ -232,31 +192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     db = load_database(args)
     from repro.dynamic import VersionedDatabase
-    from repro.obs.events import EventLog
-    from repro.obs.slo import SloError, parse_slos
     from repro.server.tcp import AnykTCPServer
-
-    if args.slo is not None:
-        try:
-            parse_slos(args.slo)
-        except SloError as exc:
-            raise SystemExit(f"repro-serve: bad --slo spec: {exc}") from None
-    event_log = None
-    if args.query_log:
-        if not 0.0 <= args.log_sample <= 1.0:
-            raise SystemExit(
-                "repro-serve: --log-sample must be between 0 and 1, "
-                f"got {args.log_sample}"
-            )
-        log_options = {"sample": args.log_sample}
-        if args.log_slow_ms is not None:
-            log_options["slow_ms"] = args.log_slow_ms
-        if args.log_max_bytes is not None:
-            log_options["max_bytes"] = args.log_max_bytes
-        try:
-            event_log = EventLog(args.query_log, **log_options)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"repro-serve: cannot open --query-log: {exc}")
 
     server = AnykTCPServer(
         # Ownership handover: the CLI never touches db again, so skip the
@@ -273,19 +209,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workers=args.workers,
         readonly=args.readonly,
         trace_capacity=args.trace_capacity,
-        event_log=event_log,
-        slos=args.slo,
     )
     names = ", ".join(
         f"{name}({len(db[name])})" for name in db.names()
     )
     print(f"repro-serve: serving {names}", flush=True)
-    if event_log is not None:
-        print(
-            f"repro-serve: query log -> {args.query_log} "
-            f"(sample={args.log_sample})",
-            flush=True,
-        )
     print(
         f"repro-serve: listening on {args.host}:{server.bound_port}",
         flush=True,

@@ -247,12 +247,6 @@ class Client:
                 out["rendered"] = render_trace_tree(joined)
         return out
 
-    def slo(self) -> dict:
-        """The server's SLO evaluation: per-spec multi-window burn rates
-        and ok/warn/page verdicts (see :mod:`repro.obs.slo`)."""
-        response = self.call("slo")
-        return {k: v for k, v in response.items() if k not in ("id", "ok")}
-
     def mutate(self, sql: str) -> dict:
         """Commit one ``INSERT INTO`` / ``DELETE FROM`` statement.
 

@@ -44,7 +44,7 @@ this).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional, Sequence, TYPE_CHECKING
 
 from repro.sql.errors import SqlError
@@ -285,13 +285,25 @@ def fingerprint_drift(before: tuple, after: tuple) -> float:
     return drift
 
 
+@dataclass(frozen=True)
+class CostedPlan:
+    """One routing outcome: ``plan`` was costed on ``fingerprint`` with
+    ``costed_values`` bound.  Frozen and published whole, so a reader
+    never pairs one recost's plan with another's fingerprint."""
+
+    plan: "Plan"
+    fingerprint: tuple
+    costed_values: tuple
+
+
 @dataclass
 class CachedPlan:
     """One plan-cache entry: a statement template plus its costed plan.
 
     ``compiled`` is the *template* compilation (filters and LIMIT may
-    hold :class:`Parameter` sentinels); ``plan`` was costed on
-    ``fingerprint`` with ``costed_values`` bound.  ``hits`` is bumped
+    hold :class:`Parameter` sentinels); ``costed`` is the current
+    :class:`CostedPlan`, replaced by one attribute store on
+    :meth:`recost` — read it once per request.  ``hits`` is bumped
     atomically under the cache lock; ``recosts`` counts in-place
     re-routings after large data drift.
 
@@ -306,25 +318,14 @@ class CachedPlan:
     """
 
     compiled: "CompiledQuery"
-    plan: "Plan"
-    fingerprint: tuple = ()
-    costed_values: tuple = ()
-    hits: int = field(default=0)
-    recosts: int = field(default=0)
+    costed: CostedPlan
+    hits: int = 0
+    recosts: int = 0
 
-    @property
-    def kernel_slot(self):
-        """The entry's compiled-kernel pin (None for non-any-k plans)."""
-        return getattr(self.plan, "kernel_slot", None)
-
-    def recost(
-        self, plan: "Plan", fingerprint: tuple, values: tuple
-    ) -> None:
+    def recost(self, costed: CostedPlan) -> None:
         """Swap in a freshly costed plan (the entry stays in place, so
         the LRU order and per-entry hit history survive the re-route)."""
-        self.plan = plan
-        self.fingerprint = fingerprint
-        self.costed_values = values
+        self.costed = costed
         self.recosts += 1
 
 

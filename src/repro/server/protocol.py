@@ -18,7 +18,7 @@ complete independent requests out of order.  All requests share the
 envelope::
 
     {"id": <any>, "op": "query" | "fetch" | "explain" | "mutate" | "close"
-     | "batch" | "hello" | "stats" | "metrics" | "trace" | "slo",
+     | "batch" | "hello" | "stats" | "metrics" | "trace",
      ...op fields...,
      "deadline_ms": <optional int>,
      "trace_context": <optional W3C-traceparent-style string>}
@@ -79,10 +79,6 @@ Op fields (see :class:`repro.server.service.QueryService` for semantics):
     Returns the buffered span tree; with neither field, the newest
     buffered traces.  A trace/request id the ring no longer (or never)
     buffered answers with an ``unknown_trace`` error.
-``slo``
-    no fields.  Returns the server's SLO evaluation: per-spec
-    multi-window burn rates and an ok/warn/page verdict each, plus the
-    worst overall status.
 
 ``trace_context`` (any op) carries a W3C-traceparent-style string
 (``00-<trace_id>-<parent_span_id>-01``): the server *adopts* the
@@ -147,7 +143,6 @@ OPS: dict[str, tuple[str, ...]] = {
     "stats": (),
     "metrics": (),
     "trace": (),
-    "slo": (),
 }
 
 # Error codes (the machine-readable half of every failure).

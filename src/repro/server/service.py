@@ -24,18 +24,9 @@ from repro.engine.catalog import StatsCache, database_fingerprint
 from repro.engine.executor import apply_mutation, execute
 from repro.engine.planner import plan_compiled
 from repro.obs.delay import DELAY_BOUNDS, DelayProfile
-from repro.obs.events import EventLog
 from repro.obs.memory import MEM_BOUNDS, MemoryProfile
 from repro.obs.registry import MetricsRegistry
-from repro.obs.slo import (
-    DEFAULT_SLOS,
-    DEFAULT_WINDOWS_S,
-    SloEngine,
-    parse_slos,
-    spec_counts,
-)
 from repro.obs.trace import parse_traceparent, render_trace_tree, tracer
-from repro.util.histogram import Histogram
 from repro.query.cq import QueryError
 # Submodule-style import: safe under the package's partially-initialized
 # state when ``repro.server/__init__`` pulls this module in (PEP 328's
@@ -50,6 +41,7 @@ from repro.server.cursors import (
 from repro.server.plancache import (
     RECOST_DRIFT,
     CachedPlan,
+    CostedPlan,
     PlanCache,
     bind_compiled,
     fingerprint_drift,
@@ -69,9 +61,7 @@ class BoundPlan:
     either the entry's own costed plan (the fast path: same catalog
     generation, same bound values) or a cheap per-request copy whose
     working instance is rebuilt from the request snapshot at execution
-    time.  Mirrors the ``.compiled``/``.plan`` attribute shape of
-    :class:`~repro.server.plancache.CachedPlan` so call sites read the
-    same either way.
+    time.
     """
 
     compiled: Any
@@ -123,16 +113,6 @@ class QueryService:
     trace_capacity:
         Resize the process tracer's ring buffer
         (``repro-serve --trace-capacity``; None keeps the current size).
-    event_log:
-        An :class:`~repro.obs.events.EventLog` to record sampled
-        per-request events into (``repro-serve --query-log``).
-    slos:
-        SLO spec strings (see :mod:`repro.obs.slo`) evaluated over
-        rolling windows and served by the ``slo`` op.  None means the
-        generous :data:`~repro.obs.slo.DEFAULT_SLOS`; an explicit empty
-        sequence disables evaluation.
-    slo_windows_s:
-        Rolling window lengths in seconds for burn-rate evaluation.
     """
 
     def __init__(
@@ -148,9 +128,6 @@ class QueryService:
         workers: int = 1,
         readonly: bool = False,
         trace_capacity: Optional[int] = None,
-        event_log: Optional[EventLog] = None,
-        slos: Optional[Sequence[str]] = None,
-        slo_windows_s: Sequence[float] = DEFAULT_WINDOWS_S,
     ) -> None:
         self.versioned = (
             db if isinstance(db, VersionedDatabase) else VersionedDatabase(db)
@@ -213,8 +190,7 @@ class QueryService:
             "In-engine wall time to the first result in ms, by engine",
             labelnames=("engine",),
         )
-        #: Per-cursor peak accounted bytes, by engine — the distribution
-        #: the ``peak_mem_mb<=`` SLO evaluates.  Observed exactly once
+        #: Per-cursor peak accounted bytes, by engine.  Observed exactly once
         #: per retiring cursor (peaks are maxima, not sums: folding them
         #: into a live gauge would erase the distribution).
         self._mem_metric = self.registry.histogram(
@@ -237,18 +213,6 @@ class QueryService:
         #: both fold on the same retire path.
         self.memory_profiles: dict[str, MemoryProfile] = {}
         self.registry.add_collector(self._collect_samples)
-        #: Sampled per-request JSON-lines log (None: not configured).
-        self.event_log = event_log
-        # Declarative SLOs over the registry's histograms + the request/
-        # error totals, evaluated with multi-window burn rates by the
-        # ``slo`` op.  The engine is pull-driven: ``handle`` ticks it
-        # (time-gated) so rolling windows fill under steady load.
-        self._slo_specs = parse_slos(DEFAULT_SLOS if slos is None else slos)
-        self._slo_engine: Optional[SloEngine] = (
-            SloEngine(self._slo_specs, self._slo_counts, windows_s=slo_windows_s)
-            if self._slo_specs
-            else None
-        )
 
     @property
     def db(self) -> Database:
@@ -320,15 +284,15 @@ class QueryService:
                     workers=self.workers,
                 )
             entry = CachedPlan(
-                template,
-                routed,
-                fingerprint=fingerprint,
-                costed_values=values,
+                template, CostedPlan(routed, fingerprint, values)
             )
             self.plan_cache.store(key, entry)
             return BoundPlan(bound, routed), False
         bound = bind_compiled(entry.compiled, values, sql)
-        drift = fingerprint_drift(entry.fingerprint, fingerprint)
+        # One read of the costed record: a concurrent recost publishes a
+        # whole new record, never a plan beside a stale fingerprint.
+        costed = entry.costed
+        drift = fingerprint_drift(costed.fingerprint, fingerprint)
         if drift > RECOST_DRIFT:
             # The data moved enough that the cached routing may be
             # genuinely wrong (e.g. rank-join over a since-emptied
@@ -342,21 +306,21 @@ class QueryService:
                     stats_cache=self.stats_cache,
                     workers=self.workers,
                 )
-            entry.recost(routed, fingerprint, values)
+            entry.recost(CostedPlan(routed, fingerprint, values))
             self.plan_cache.note_recost()
             return BoundPlan(bound, routed), False
-        if fingerprint == entry.fingerprint and values == entry.costed_values:
+        if fingerprint == costed.fingerprint and values == costed.costed_values:
             # Fast path: same data generation, same binding — the
             # entry's materialized working instance is exactly right.
             # (Zero drift is not enough: an INSERT plus a DELETE keeps
             # every cardinality and changes the rows.)
-            return BoundPlan(bound, entry.plan), True
+            return BoundPlan(bound, costed.plan), True
         # Soft hit: the routing holds, but the filtered working instance
         # was materialized for other values (or a slightly different
         # generation) — drop it so execute() rebuilds the selections
         # from this request's own snapshot.
         plan = dc_replace(
-            entry.plan,
+            costed.plan,
             k=bound.k,
             working_db=None,
             working_cq=None,
@@ -727,7 +691,7 @@ class QueryService:
         """Dispatch a list of sub-requests in order, on one turn.
 
         Each sub-request runs through the full :meth:`handle` pipeline —
-        validation, tracing, per-op metrics, SLO accounting — so a batch
+        validation, tracing, per-op metrics, error counts — so a batch
         of N requests is indistinguishable from N pipelined requests
         except for the single round trip.  A failing sub-request yields
         its error response in place; the rest of the batch still runs.
@@ -765,10 +729,6 @@ class QueryService:
             "delay_profiles": self.delay_summaries(),
             "memory": self.memory_stats(),
             "tracer": tracer.info(),
-            "event_log": (
-                self.event_log.info() if self.event_log is not None else None
-            ),
-            "slo": self.slo(),
         }
 
     def _op_latency_summary(self) -> dict:
@@ -850,53 +810,6 @@ class QueryService:
                 code=protocol.UNKNOWN_TRACE,
             )
         return {"trace": found, "rendered": render_trace_tree(found)}
-
-    # ------------------------------------------------------------------
-    # SLOs
-    # ------------------------------------------------------------------
-    def _slo_histogram_for(self, indicator: str) -> Optional[Histogram]:
-        """The merged histogram behind one SLO indicator (latency
-        indicators in ms; ``peak_mem`` in bytes)."""
-        if indicator in ("ttf", "delay", "peak_mem"):
-            family = {
-                "ttf": self._ttf_metric,
-                "delay": self._delay_metric,
-                "peak_mem": self._mem_metric,
-            }[indicator]
-            merged: Optional[Histogram] = None
-            for _labels, child in family.children():
-                clone = child.copy()
-                merged = clone if merged is None else merged.merge(clone)
-            return merged
-        for labels, child in self._op_latency.children():
-            if labels.get("op") == indicator:
-                return child.copy()
-        return None
-
-    def _requests_errors(self) -> tuple[int, int]:
-        with self._metrics_lock:
-            return (self._requests, self._errors)
-
-    def _slo_counts(self) -> list[tuple[int, int]]:
-        """Cumulative ``(total, bad)`` per configured spec (the SLO
-        engine's snapshot source)."""
-        return [
-            spec_counts(spec, self._slo_histogram_for, self._requests_errors)
-            for spec in self._slo_specs
-        ]
-
-    def slo(self) -> dict:
-        """Evaluate the configured SLOs (the ``slo`` op)."""
-        if self._slo_engine is None:
-            return {
-                "status": "ok",
-                "windows_s": [],
-                "slos": [],
-                "specs": [],
-            }
-        report = self._slo_engine.evaluate()
-        report["specs"] = [spec.raw for spec in self._slo_specs]
-        return report
 
     def _collect_samples(self):
         """Pull-time gauge samples for the registry (export-time only)."""
@@ -983,8 +896,6 @@ class QueryService:
         """Close every open cursor (their work still lands in stats)."""
         for cursor in self.cursors.close_all():
             self._retire(cursor)
-        if self.event_log is not None:
-            self.event_log.close()
 
     # ------------------------------------------------------------------
     # Protocol entry point
@@ -1037,13 +948,6 @@ class QueryService:
                 self._errors_metric.labels(
                     op=op, code=error.get("code", "internal")
                 ).inc()
-            if self.event_log is not None:
-                try:
-                    self.event_log.record_request(request, response, elapsed_ms)
-                except Exception:
-                    pass  # a full disk must not fail the request
-            if self._slo_engine is not None:
-                self._slo_engine.tick()
 
     def _dispatch(
         self,
@@ -1091,8 +995,6 @@ class QueryService:
                     trace_id=request.get("trace"),
                     request=request.get("request"),
                 )
-            elif op == "slo":
-                payload = self.slo()
             else:  # "stats" — validate_request admits nothing else
                 payload = self.stats()
         except protocol.ProtocolError as exc:

@@ -17,12 +17,12 @@ Percentiles come back as the *upper edge* of the bucket containing the
 requested rank, capped at the exact observed maximum (tracked alongside
 the buckets).  Upper edges make the estimate conservative — a reported
 p99 is never below the true p99 — and monotone in the quantile, the two
-properties an SLO check needs.
+properties a latency bound check needs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from math import ceil
 from typing import Optional, Sequence
 
@@ -136,27 +136,6 @@ class Histogram:
                 return min(self.bounds[i], self.max)
         return self.max  # pragma: no cover - ranks never exceed count
 
-    def count_le(self, threshold: float) -> int:
-        """Observations known to be ``<= threshold`` (conservative).
-
-        Only buckets whose *upper edge* is at or below the threshold
-        count — a bucket straddling the threshold is excluded whole, so
-        the "good events" count an SLO computes from this can never be
-        inflated.  The complement ``count - count_le(t)`` is therefore a
-        (possibly pessimistic) bad-event count.
-        """
-        return sum(self.buckets[: bisect_right(self.bounds, threshold)])
-
-    def copy(self) -> "Histogram":
-        """An independent clone (same bounds, same counts)."""
-        clone = Histogram(self.bounds)
-        clone.buckets = list(self.buckets)
-        clone.count = self.count
-        clone.total = self.total
-        clone.max = self.max
-        clone.min = self.min
-        return clone
-
     def to_dict(self) -> dict:
         """A picklable/JSON-ready snapshot (exact, merge-preserving).
 
@@ -190,7 +169,7 @@ class Histogram:
         return hist
 
     def summary(self) -> dict:
-        """The JSON-ready digest the SLO report embeds per op."""
+        """The JSON-ready digest the ``stats`` op embeds per op."""
         if self.count == 0:
             return {"count": 0}
         return {

@@ -133,3 +133,10 @@ def test_intermediates_scale_quadratically():
         costs[n] = c.intermediate_tuples
     # Doubling n should roughly quadruple the intermediate count.
     assert costs[32] > 3 * costs[16]
+    # A single atom runs no join: its output is no negative intermediate.
+    db = Database([Relation("E", ("x", "y"), [(1, 2), (2, 3)], [0.3, 0.4])])
+    c = Counters()
+    out = evaluate_left_deep(
+        db, ConjunctiveQuery([Atom("E", ("a", "b"))]), counters=c
+    )
+    assert (c.intermediate_tuples, c.output_tuples) == (0, len(out)) == (0, 2)

@@ -43,10 +43,8 @@ from repro.obs.memory import (
     tdp_tuple_bytes,
     tracker_of,
 )
-from repro.obs.slo import SloError, parse_slo, spec_counts
 from repro.server import QueryService
 from repro.util.counters import Counters
-from repro.util.histogram import Histogram
 
 PATH_SQL = (
     "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 JOIN R3 ON R2.A3 = R3.A3 "
@@ -418,52 +416,6 @@ def test_memory_metric_families_export(path_db):
     assert f"repro_mem_watermark_bytes {64 * 1024 * 1024}" in text
     assert "repro_mem_pressure_rejections_total 0" in text
     assert "repro_mem_pressure_evictions_total 0" in text
-    service.shutdown()
-
-
-# ----------------------------------------------------------------------
-# SLO grammar: peak_mem_mb<=
-# ----------------------------------------------------------------------
-def test_peak_mem_slo_spec_parses():
-    spec = parse_slo("peak_mem_mb<=64")
-    assert spec.kind == "memory"
-    assert spec.indicator == "peak_mem"
-    assert spec.percentile == 99.0
-    assert spec.threshold_ms == 64.0  # MB in the spec-unit slot
-    assert "64 MB" in spec.objective()
-    spec = parse_slo("peak_mem_p95_mb<=1.5")
-    assert spec.percentile == 95.0
-
-
-@pytest.mark.parametrize(
-    "raw",
-    ["peak_mem_mb>=64", "peak_mem_mb<=64%", "peak_mem_mb<=0",
-     "peak_mem_p200_mb<=64"],
-)
-def test_peak_mem_slo_spec_rejects(raw):
-    with pytest.raises(SloError):
-        parse_slo(raw)
-
-
-def test_peak_mem_spec_counts_converts_mb_to_bytes():
-    hist = Histogram(bounds=MEM_BOUNDS)
-    hist.record(512 * 1024)        # half a MB: good
-    hist.record(10 * 1024 * 1024)  # ten MB: bad under a 1 MB objective
-    spec = parse_slo("peak_mem_mb<=1")
-    total, bad = spec_counts(spec, lambda name: hist, lambda: (0, 0))
-    assert total == 2
-    assert bad == 1
-
-
-def test_service_evaluates_peak_mem_slo(path_db):
-    service = QueryService(path_db, slos=["peak_mem_mb<=4096"])
-    opened = service.query(PATH_SQL.format(k=60), fetch=0)
-    drain(service, opened["cursor"])
-    report = service.slo()
-    assert report["specs"] == ["peak_mem_mb<=4096"]
-    slo = report["slos"][0]
-    assert slo["objective"].endswith("4096 MB")
-    assert slo["status"] == "ok"
     service.shutdown()
 
 

@@ -126,14 +126,13 @@ def test_obs_smoke(capsys):
 
 
 @pytest.mark.slow
-def test_obs_smoke_layer2_propagation_log_slo(tmp_path, capsys):
+def test_obs_smoke_layer2_propagation(capsys):
     """Layer 2 over a real wire: a sharded (``--workers 4``) query whose
-    client, server, and per-worker spans join into ONE trace tree; a
-    rotating ``--query-log``; and a ``--slo`` verdict — all against a
-    ``repro-serve`` subprocess."""
+    client, server, and per-worker spans join into ONE trace tree, and
+    the clean ``unknown_trace`` answer for an id the ring never held —
+    against a ``repro-serve`` subprocess."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    log_path = tmp_path / "query.log"
 
     server = subprocess.Popen(
         [
@@ -147,16 +146,6 @@ def test_obs_smoke_layer2_propagation_log_slo(tmp_path, capsys):
             "0",
             "--workers",
             "4",
-            "--query-log",
-            str(log_path),
-            "--log-sample",
-            "1.0",
-            "--log-max-bytes",
-            "1024",
-            "--slo",
-            "query_p99_ms<=60000",
-            "--slo",
-            "error_rate<=50%",
         ],
         stdout=subprocess.PIPE,
         text=True,
@@ -172,7 +161,6 @@ def test_obs_smoke_layer2_propagation_log_slo(tmp_path, capsys):
         assert port, "repro-serve never printed its listening line"
 
         from repro.obs.cli import main as obs_main
-        from repro.obs.events import read_events
         from repro.obs.trace import tracer
         from repro.server import Client
 
@@ -218,38 +206,11 @@ def test_obs_smoke_layer2_propagation_log_slo(tmp_path, capsys):
                 with pytest.raises(ServerError) as excinfo:
                     client.trace("t-never-existed")
                 assert excinfo.value.code == "unknown_trace"
-
-                # -- enough traffic to rotate the 1 KiB query log ------
-                for _ in range(6):
-                    client.execute(SQL, batch=20).fetchall()
-
-                # -- the slo op over the wire --------------------------
-                report = client.slo()
-                assert report["status"] == "ok", report
-                assert {entry["spec"] for entry in report["slos"]} == {
-                    "query_p99_ms<=60000",
-                    "error_rate<=50%",
-                }
         finally:
             tracer.enabled = prev_enabled
 
-        # -- the rotated, readable query log ---------------------------
-        assert os.path.exists(str(log_path) + ".1"), "log never rotated"
-        events = list(read_events(str(log_path)))
-        assert any(event["op"] == "query" for event in events)
-        assert all(
-            event["sql_hash"] for event in events if event.get("sql")
-        )
-
-        # -- repro-obs: SLO verdicts and the log view ------------------
-        host_port = ["--port", str(port)]
-        assert obs_main(host_port + ["--slo"]) == 0
-        assert "slo status: ok" in capsys.readouterr().out
-
-        assert obs_main(["--log", str(log_path)]) == 0
-        assert "query" in capsys.readouterr().out
-
-        assert obs_main(host_port + ["--trace", "nope"]) == 1
+        # -- repro-obs renders the unknown id as a plain miss ----------
+        assert obs_main(["--port", str(port), "--trace", "nope"]) == 1
         assert "no buffered trace" in capsys.readouterr().out
     finally:
         server.send_signal(signal.SIGINT)

@@ -255,3 +255,44 @@ def test_cached_plan_hits_survive_threaded_lookups():
     # exactly this interleaving.
     assert entry.hits == lookups_per_thread * threads
     assert cache.info()["hits"] == lookups_per_thread * threads
+
+
+@pytest.mark.parametrize("landing", range(4))
+def test_recost_never_tears_a_warm_hit(db, landing):
+    """A concurrent recost landing before any of the warm path's reads
+    of a cache entry must not hand the request a plan costed on another
+    snapshot: a plan carrying a materialized working instance was
+    costed on the request's own generation."""
+    service = QueryService(db)
+    sql = LITERAL_SQL.format(v=2, k=10)
+    old = service.db
+    warmed, _ = service.plan(sql, db=old)
+    assert warmed.plan.working_db is not None
+    # Shrink R1 far past the recost drift so the racing request re-routes.
+    service.mutate("DELETE FROM R1 WHERE A1 > 4")
+    new = service.db
+    entry = service.plan_cache.lookup(
+        PlanCache.key(parameterize_sql(sql).template, None, 1)
+    )
+    racing = {"reads": 0}
+
+    class RacedEntry(type(entry)):
+        # Another thread recosts the entry just before this request's
+        # ``landing``-th read of the entry's costed state.
+        def __getattribute__(self, name):
+            costed_state = ("costed", "plan", "fingerprint", "costed_values")
+            if name in costed_state and "plan" not in racing:
+                if racing["reads"] == landing:
+                    racing["plan"] = None  # the racing request reads freely
+                    racing["plan"] = service.plan(sql, db=new)[0].plan
+                racing["reads"] += 1
+            return object.__getattribute__(self, name)
+
+    entry.__class__ = RacedEntry
+    bound, _ = service.plan(sql, db=old)
+    if racing.get("plan") is not None:
+        assert racing["plan"].snapshot_version == new.version
+        assert bound.plan is not racing["plan"]
+    assert bound.plan.working_db is None or (
+        bound.plan.snapshot_version == old.version
+    )

@@ -115,6 +115,10 @@ def test_yannakakis_intermediates_bounded_by_output():
     # with two atoms intermediates equal outputs exactly.
     assert c.intermediate_tuples == 0
     assert c.output_tuples == len(out)
+    # A single atom runs no join: its output is no negative intermediate.
+    c = Counters()
+    out = yannakakis_join(db, path_query(1), counters=c)
+    assert (c.intermediate_tuples, c.output_tuples) == (0, len(out)) == (0, 9)
 
 
 def test_yannakakis_boolean_fast_path():
