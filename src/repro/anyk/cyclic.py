@@ -3,11 +3,12 @@
 Cyclic queries are handled the way the tutorial describes for optimal join
 processing, lifted to ranked enumeration:
 
-- the **4-cycle** uses the heavy/light *union of trees*
-  (:mod:`repro.joins.heavylight`): O(n^1.5) materialization, then one T-DP
-  per tree and a global merge heap over the per-tree any-k streams.  The
-  trees partition the answer space, so the merge needs no deduplication,
-  and the whole pipeline achieves the submodular-width-style
+- the **4-cycle** (atoms in any order and orientation) uses the heavy/light
+  *union of trees* (:mod:`repro.joins.heavylight`): O(n^1.5) wedge pairs
+  visited, but only the wedge rows that close a cycle materialised, then
+  one T-DP per tree and a global merge heap over the per-tree any-k
+  streams.  The trees partition the answer space, so the merge needs no
+  deduplication, and the pipeline achieves the submodular-width-style
   O~(n^1.5 + k) the tutorial highlights for "top-k lightest 4-cycles";
 - **other cyclic queries** fall back to a single (fractional-hypertree)
   decomposition: materialize one derived relation per bag
@@ -38,7 +39,7 @@ EnumeratorFactory = Callable[[TDP], Iterator[tuple[tuple, Any]]]
 
 
 def is_fourcycle(query: ConjunctiveQuery) -> bool:
-    """True if the query matches the canonical 4-cycle chain pattern."""
+    """True if the query is a 4-cycle (:func:`fourcycle_pattern`)."""
     try:
         fourcycle_pattern(query)
     except QueryError:

@@ -9,29 +9,35 @@ implements that construction concretely for
     Q(x1,x2,x3,x4) :- R1(x1,x2), R2(x2,x3), R3(x3,x4), R4(x4,x1)
 
 (possibly a self-join, as in the "top-k lightest 4-cycles" query over a
-graph's edge relation).  With Δ = √n and degree deg1(b) = |σ_{x2=b} R1|,
-deg3(d) = |σ_{x4=d} R3|, the answer space is *partitioned* by the heaviness
-of the result's x2 and x4 values:
+graph's edge relation, and with the atoms in any order and orientation).
+With Δ = √n and degree deg1(b) = |σ_{x2=b} R1|, deg3(d) = |σ_{x4=d} R3|,
+the answer space is *partitioned* by the heaviness of the result's x2 and
+x4 values:
 
 - **x2 heavy** (deg1 > Δ — at most √n such values): one tree per heavy
   value b.  Fixing x2 = b reduces Q to the acyclic path query
   U1_b(x1) ⋈ U2_b(x3) ⋈ R3(x3,x4) ⋈ R4(x4,x1); each tree costs O~(n).
 - **x2 light, x4 heavy**: symmetric, one tree per heavy x4 value.
-- **x2 light, x4 light**: one tree joining the two materialized "wedges"
-  J12 = σ_{x2 light}(R1 ⋈ R2) and J34 = σ_{x4 light}(R3 ⋈ R4), each of size
-  at most nΔ = n^1.5; the tree J12(x1,x2,x3) ⋈ J34(x3,x4,x1) is acyclic.
+- **x2 light, x4 light**: one tree joining the two "wedges"
+  J12 = σ_{x2 light}(R1 ⋈ R2) and J34 = σ_{x4 light}(R3 ⋈ R4); the tree
+  J12(x1,x2,x3) ⋈ J34(x3,x4,x1) is acyclic.  Each wedge has at most
+  nΔ = n^1.5 pairs, and every pair is still visited, but only the rows
+  that some 4-cycle closes are materialised: the wedges are built already
+  reduced against each other on (x1, x3), so T-DP's reducer finds nothing
+  left to drop.
 
 Every original atom contributes its weight exactly once per tree, so ranked
 enumeration over the union (a merge of per-tree any-k streams —
 :mod:`repro.anyk.cyclic`) ranks identically to the original query, and the
-trees are answer-disjoint by construction.  Total materialization cost:
-O(n^1.5), matching the tutorial's claim.
+trees are answer-disjoint by construction.  Total cost: O(n^1.5), matching
+the tutorial's claim.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -60,27 +66,32 @@ class UnionTree:
 def fourcycle_pattern(query: ConjunctiveQuery) -> tuple[list[str], list[int]]:
     """Check that ``query`` is a 4-cycle and return (variables, atom order).
 
-    Expects four binary atoms forming x1—x2—x3—x4—x1 with four distinct
-    variables, in chain order (as produced by
-    :func:`repro.query.cq.cycle_query`).  Raises :class:`QueryError`
-    otherwise.
+    Expects four binary atoms closing a cycle on four distinct variables,
+    in any order and orientation.  Walking the cycle from the first atom
+    names the variables x1..x4; the order lists the atoms on x1—x2, x2—x3,
+    x3—x4 and x4—x1 (``[0, 1, 2, 3]`` for :func:`repro.query.cq.cycle_query`).
+    Raises :class:`QueryError` otherwise.
     """
     if len(query.atoms) != 4:
         raise QueryError("4-cycle decomposition needs exactly 4 atoms")
     for atom in query.atoms:
         if len(atom.variables) != 2 or len(atom.variable_set) != 2:
             raise QueryError(f"atom {atom} is not binary with distinct variables")
-    variables = [query.atoms[0].variables[0]]
-    for i in range(4):
-        first, second = query.atoms[i].variables
-        if first != variables[-1]:
-            raise QueryError(
-                f"atom {query.atoms[i]} does not chain from {variables[-1]!r}"
-            )
-        variables.append(second)
-    if variables[-1] != variables[0] or len(set(variables[:-1])) != 4:
+    variables, order = list(query.atoms[0].variables), [0]
+    while len(order) < 4:
+        step = [
+            i
+            for i, atom in enumerate(query.atoms)
+            if i not in order and variables[-1] in atom.variable_set
+        ]
+        if len(step) != 1:
+            raise QueryError(f"atoms do not chain from {variables[-1]!r}")
+        order.append(step[0])
+        (following,) = query.atoms[step[0]].variable_set - {variables[-1]}
+        variables.append(following)
+    if variables[-1] != variables[0] or len(set(variables)) != 4:
         raise QueryError("atoms do not close a 4-cycle on distinct variables")
-    return variables[:-1], [0, 1, 2, 3]
+    return variables[:-1], order
 
 
 def fourcycle_union_of_trees(
@@ -90,166 +101,164 @@ def fourcycle_union_of_trees(
     threshold: Optional[float] = None,
     counters: Optional[Counters] = None,
 ) -> list[UnionTree]:
-    """Build the disjoint union-of-trees decomposition described above."""
+    """Build the disjoint union-of-trees decomposition described above.
+
+    Every column is read by variable name, and each tree atom takes its
+    relation's schema, so a reversed atom needs no copy.
+    """
     query.validate(db)
-    (v1, v2, v3, v4), _ = fourcycle_pattern(query)
-
-    r1 = atom_relation(db, query, 0, counters=counters, name="R1")
-    r2 = atom_relation(db, query, 1, counters=counters, name="R2")
-    r3 = atom_relation(db, query, 2, counters=counters, name="R3")
-    r4 = atom_relation(db, query, 3, counters=counters, name="R4")
-
+    (v1, v2, v3, v4), order = fourcycle_pattern(query)
+    r1, r2, r3, r4 = (
+        atom_relation(db, query, atom, counters=counters, name=f"R{i}")
+        for i, atom in enumerate(order, 1)
+    )
     n = max(1, max(len(r1), len(r2), len(r3), len(r4)))
     delta = threshold if threshold is not None else math.sqrt(n)
 
-    index1 = r1.index_on((v2,))  # x2 value -> R1 rows (x1 partners)
-    index3 = r3.index_on((v4,))  # x4 value -> R3 rows (x3 partners)
-    heavy2 = {value[0] for value, rows in index1.items() if len(rows) > delta}
-    heavy4 = {value[0] for value, rows in index3.items() if len(rows) > delta}
+    # deg1 / deg3, the heavy trees' U1 / U3 and the wedges' inner sides
+    around2 = _groups(r1, v2, v1, counters)  # x2 -> [(x1, w1)]
+    around4 = _groups(r3, v4, v3, counters)  # x4 -> [(x3, w3)]
+    heavy2 = {b for b, pairs in around2.items() if len(pairs) > delta}
+    heavy4 = {d for d, pairs in around4.items() if len(pairs) > delta}
 
+    # One tree per heavy x2 value, then per heavy x4 value with x2 light.
+    # Every tree reads the same R3/R4 resp. R1L/R2L objects: relations
+    # are read-only to the engines, so there is nothing to copy.
     trees: list[UnionTree] = []
-
-    # ---- x2 heavy: one tree per heavy value -------------------------
-    # (every tree reads the same R3/R4 resp. R1L/R2L objects: relations
-    # are read-only to the engines, so there is nothing to copy)
+    if heavy2:
+        beside2 = _groups(r2, v2, v3, counters)  # x2 -> [(x3, w2)]
     for b in sorted(heavy2, key=repr):
-        u1 = _filtered_unary(r1, v2, b, keep=v1, name="U1", counters=counters)
-        u2 = _filtered_unary(r2, v2, b, keep=v3, name="U2", counters=counters)
-        if len(u1) == 0 or len(u2) == 0:
-            continue
-        tree_db = Database([u1, u2, r3, r4])
-        tree_query = ConjunctiveQuery(
-            [
-                Atom("U1", (v1,)),
-                Atom("U2", (v3,)),
-                Atom("R3", (v3, v4)),
-                Atom("R4", (v4, v1)),
-            ],
-            name=f"{query.name}_heavy_{v2}",
-        )
-        trees.append(
-            UnionTree(tree_db, tree_query, fixed={v2: b}, label=f"{v2}={b!r}")
-        )
-
-    # ---- x2 light restrictions shared by the remaining cases --------
-    r1_light = _light_restriction(r1, v2, heavy2, "R1L", counters)
-    r2_light = _light_restriction(r2, v2, heavy2, "R2L", counters)
-
-    # ---- x2 light, x4 heavy: one tree per heavy x4 value ------------
+        u1 = _unary(r1, around2.pop(b), v1, "U1", counters)
+        u2 = _unary(r2, beside2.get(b, []), v3, "U2", counters)
+        if len(u1) and len(u2):
+            trees.append(_tree([u1, u2, r3, r4], f"_heavy_{v2}", {v2: b}, query))
+    if heavy4:
+        r1_light = _light_restriction(r1, v2, heavy2, "R1L", counters)
+        r2_light = _light_restriction(r2, v2, heavy2, "R2L", counters)
+        beside4 = _groups(r4, v4, v1, counters)  # x4 -> [(x1, w4)]
     for d in sorted(heavy4, key=repr):
-        u3 = _filtered_unary(r3, v4, d, keep=v3, name="U3", counters=counters)
-        u4 = _filtered_unary(r4, v4, d, keep=v1, name="U4", counters=counters)
-        if len(u3) == 0 or len(u4) == 0:
-            continue
-        tree_db = Database([r1_light, r2_light, u3, u4])
-        tree_query = ConjunctiveQuery(
-            [
-                Atom("R1L", (v1, v2)),
-                Atom("R2L", (v2, v3)),
-                Atom("U3", (v3,)),
-                Atom("U4", (v1,)),
-            ],
-            name=f"{query.name}_heavy_{v4}",
-        )
-        trees.append(
-            UnionTree(tree_db, tree_query, fixed={v4: d}, label=f"{v4}={d!r}")
-        )
+        u3 = _unary(r3, around4.pop(d), v3, "U3", counters)
+        u4 = _unary(r4, beside4.get(d, []), v1, "U4", counters)
+        if len(u3) and len(u4):
+            relations = [r1_light, r2_light, u3, u4]
+            trees.append(_tree(relations, f"_heavy_{v4}", {v4: d}, query))
 
-    # ---- both light: join the two wedges -----------------------------
-    j12 = _wedge(r1_light, r2_light, v2, "J12", combine, counters)
-    j34 = _light_restriction(r3, v4, heavy4, "R3L", counters)
-    r4_light = _light_restriction(r4, v4, heavy4, "R4L", counters)
-    j34 = _wedge(j34, r4_light, v4, "J34", combine, counters)
-    if len(j12) and len(j34):
-        tree_db = Database([j12, j34])
-        tree_query = ConjunctiveQuery(
-            [Atom("J12", (v1, v2, v3)), Atom("J34", (v3, v4, v1))],
-            name=f"{query.name}_light",
-        )
-        trees.append(UnionTree(tree_db, tree_query, fixed={}, label="light"))
-
+    # Both light: the groups now hold light values only.
+    j12, j34 = _closed_wedges(
+        (r1, r2, r3, r4), (v1, v2, v3, v4), around2, around4, combine, counters
+    )
+    if len(j12):
+        trees.append(_tree([j12, j34], "_light", {}, query))
     return trees
 
 
-def _filtered_unary(
-    relation: Relation,
-    filter_var: str,
-    value: Any,
-    keep: str,
-    name: str,
-    counters: Optional[Counters],
-) -> Relation:
-    """σ_{filter_var = value}(relation) projected (with weights) to ``keep``."""
-    row_ids = relation.index_on((filter_var,)).get((value,), ())
-    keep_position = relation.positions((keep,))[0]
+def _tree(
+    relations: list[Relation], suffix: str, fixed: dict, query: ConjunctiveQuery
+) -> UnionTree:
+    """The tree joining ``relations``, one atom per relation over its schema."""
+    atoms = [Atom(relation.name, relation.schema) for relation in relations]
+    label = ", ".join(f"{v}={value!r}" for v, value in fixed.items()) or "light"
+    tree_query = ConjunctiveQuery(atoms, name=query.name + suffix)
+    return UnionTree(Database(relations), tree_query, fixed, label)
+
+
+def _groups(
+    relation: Relation, middle: str, keep: str, counters: Optional[Counters]
+) -> dict[Any, list[tuple[Any, float]]]:
+    """``middle`` value -> [(``keep`` value, weight)], in row order."""
+    middle_position, keep_position = relation.positions((middle, keep))
+    groups: dict[Any, list[tuple[Any, float]]] = defaultdict(list)
+    for row, weight in zip(relation.rows, relation.weights):
+        groups[row[middle_position]].append((row[keep_position], weight))
     if counters is not None:
-        counters.tuples_read += len(row_ids)
-    rows, weights = relation.rows, relation.weights
-    return relation.derive(
-        [(rows[i][keep_position],) for i in row_ids],
-        [weights[i] for i in row_ids],
-        name,
-        (keep,),
-    )
+        counters.tuples_read += len(relation)
+    return groups
+
+
+def _unary(
+    relation: Relation, pairs: list, keep: str, name: str, counters: Optional[Counters]
+) -> Relation:
+    """One group of :func:`_groups` as a unary relation over ``keep``."""
+    if counters is not None:
+        counters.tuples_read += len(pairs)
+    rows = [(value,) for value, _ in pairs]
+    return relation.derive(rows, [weight for _, weight in pairs], name, (keep,))
 
 
 def _light_restriction(
-    relation: Relation,
-    variable: str,
-    heavy_values: set,
-    name: str,
-    counters: Optional[Counters],
+    relation: Relation, middle: str, heavy: set, name: str, counters: Optional[Counters]
 ) -> Relation:
-    """Rows whose ``variable`` value is not heavy."""
-    position = relation.positions((variable,))[0]
+    """Rows whose ``middle`` value is not heavy."""
+    position = relation.positions((middle,))[0]
     if counters is not None:
         counters.tuples_read += len(relation)
     return relation.restrict(
-        [
-            i
-            for i, row in enumerate(relation.rows)
-            if row[position] not in heavy_values
-        ],
-        name,
+        [i for i, row in enumerate(relation.rows) if row[position] not in heavy], name
     )
 
 
-def _wedge(
-    left: Relation,
-    right: Relation,
-    join_var: str,
-    name: str,
+def _closed_wedges(
+    relations: tuple[Relation, Relation, Relation, Relation],
+    variables: tuple[str, str, str, str],
+    around2: dict,
+    around4: dict,
     combine: Callable[[float, float], float],
     counters: Optional[Counters],
-) -> Relation:
-    """Natural join of two relations sharing exactly ``join_var``.
+) -> tuple[Relation, Relation]:
+    """J12(x1,x2,x3) and J34(x3,x4,x1) over the light groups, each holding
+    only the rows whose (x1, x3) key the other wedge also has.
 
-    Used for J12 = R1L ⋈ R2L and J34 = R3L ⋈ R4L; sizes are bounded by
-    n·Δ because the shared variable is light on the side indexed.
+    Two passes over the wedge pairs.  The J34 pairs (R4 rows outer, the
+    x4 group of R3 inner) are indexed by their key; then each J12 pair
+    (R2 rows outer, the x2 group of R1 inner) probes that key and becomes
+    a row only on a hit, and J34 materialises the pairs of the keys hit.
+    Both keep their pair order, so they are exactly what T-DP's reducer
+    would leave of the unreduced wedges.  Weights are ``combine(w1, w2)``
+    and ``combine(w3, w4)``.
     """
-    shared = [a for a in left.schema if a in right.schema]
-    if shared != [join_var]:
-        raise QueryError(
-            f"wedge expects exactly one shared variable {join_var!r}, "
-            f"got {shared}"
-        )
-    left_index = left.index_on((join_var,))
-    right_position = right.positions((join_var,))[0]
-    extra = [a for a in right.schema if a != join_var]
-    extra_positions = right.positions(extra)
-    left_rows, left_weights = left.rows, left.weights
-    out_rows: list[tuple] = []
-    out_weights: list[float] = []
-    for row, weight in zip(right.rows, right.weights):
-        matches = left_index.get((row[right_position],))
-        if matches:
-            tail = tuple(row[p] for p in extra_positions)
-            out_rows.extend([left_rows[i] + tail for i in matches])
-            out_weights.extend(
-                [combine(left_weights[i], weight) for i in matches]
-            )
+    r1, r2, r3, r4 = relations
+    v1, v2, v3, v4 = variables
+    p4, p1 = r4.positions((v4, v1))
+    first: dict[tuple, int] = {}  # J34 key -> its first pair
+    later: dict[tuple, list[int]] = defaultdict(list)  # -> its other pairs
+    inner: list[tuple[Any, float]] = []  # per J34 pair: its (x3, w3)
+    outer: list[int] = []  # per J34 pair: its R4 row
+    for j, row in enumerate(r4.rows):
+        x1 = row[p1]
+        for pair in around4.get(row[p4], ()):
+            key, i = (pair[0], x1), len(inner)
+            if first.setdefault(key, i) != i:
+                later[key].append(i)
+            inner.append(pair)
+            outer.append(j)
+
+    p2, p3 = r2.positions((v2, v3))
+    rows12: list[tuple] = []
+    weights12: list[float] = []
+    hit: set[tuple] = set()
+    for row, w2 in zip(r2.rows, r2.weights):
+        x2, x3 = row[p2], row[p3]
+        for x1, w1 in around2.get(x2, ()):
+            if (x3, x1) in first:
+                hit.add((x3, x1))
+                rows12.append((x1, x2, x3))
+                weights12.append(combine(w1, w2))
+
+    ids = [first[key] for key in hit]
+    for key in hit & later.keys():
+        ids += later[key]
+    rows34: list[tuple] = []
+    weights34: list[float] = []
+    for i in sorted(ids):
+        (x3, w3), j = inner[i], outer[i]
+        rows34.append((x3, r4.rows[j][p4], r4.rows[j][p1]))
+        weights34.append(combine(w3, r4.weights[j]))
     if counters is not None:
-        counters.tuples_read += len(right)
-        counters.hash_probes += len(right)
-        counters.intermediate_tuples += len(out_rows)
-    return left.derive(out_rows, out_weights, name, left.schema + tuple(extra))
+        probes = sum(len(around2.get(row[p2], ())) for row in r2.rows)
+        counters.tuples_read += len(r4) + len(r2) + len(inner)
+        counters.hash_probes += len(r4) + len(r2) + probes
+        counters.intermediate_tuples += len(rows12) + len(rows34)
+    return (
+        r1.derive(rows12, weights12, "J12", (v1, v2, v3)),
+        r3.derive(rows34, weights34, "J34", (v3, v4, v1)),
+    )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -94,11 +95,31 @@ def test_fourcycle_preprocessing_stays_at_n_to_the_one_and_a_half():
     assert costs[-1] <= 4.5 * sizes[-1] ** 1.5
 
 
+def test_fourcycle_light_build_charges_every_wedge_pair():
+    """The light build visits every pair of both wedges (J12 pairs through
+    x2 = v are in(v)·out(v) on a graph, and so are J34's through x4 = v),
+    however few of them close a 4-cycle, and its counters say so: at least
+    one access per pair.  Charging once per outer row reported 32,000
+    accesses for 253k wedge pairs at n = 4000."""
+    for n in (1000, 4000):
+        db = random_graph_database(
+            num_edges=n, num_nodes=int(2 * math.sqrt(n)), seed=11
+        )
+        indegree = Counter(dst for _, dst in db["E"].rows)
+        outdegree = Counter(src for src, _ in db["E"].rows)
+        pairs = 2 * sum(indegree[v] * outdegree[v] for v in indegree)
+        counters = Counters()
+        trees = fourcycle_union_of_trees(db, cycle_query(4), counters=counters)
+        assert [tree.label for tree in trees] == ["light"]
+        assert _accesses(counters) >= pairs
+
+
 def test_heavy_value_trees_share_their_relations():
     """On the hub graph every 4-cycle runs through a heavy value: four
     heavy trees plus the light one, each an O(n) T-DP over the *same*
     R3/R4 (resp. R1L/R2L) objects.  Linear, and <= 45 accesses per edge
-    (36.5 measured; the per-tree copies it replaced cost 58.5)."""
+    (42.5 measured, wedge pairs included; the per-tree copies it replaced
+    cost 58.5)."""
     sizes = (250, 500, 1000, 2000, 4000)
     costs = []
     for n in sizes:
@@ -201,3 +222,38 @@ def test_benchmark_counter_series_are_pinned(engine, heap_ops, total_work):
     assert counters.comparisons == 9_624
     assert counters.heap_ops == heap_ops
     assert counters.total_work() == total_work
+
+
+CYCLE4_SQL = (
+    "SELECT * FROM E AS e1 JOIN E AS e2 ON e1.dst = e2.src "
+    "JOIN E AS e3 ON e2.dst = e3.src "
+    "JOIN E AS e4 ON e3.dst = e4.src AND e4.dst = e1.src "
+    "ORDER BY weight LIMIT 1000"
+)
+
+
+def test_cycle_topk_counter_series_are_pinned():
+    """The exact ``util.counters.*`` series of the benchmark's
+    ``cycle_topk`` operation (seed 1, k = 1000, the router's ``rec``)
+    through the SQL front-end.  The instance has no heavy value, so it is
+    one light tree, whose wedges come out of the build reduced: 2,876 rows
+    each of 14,829 pairs, and T-DP keeps every row it is given."""
+    db = random_graph_database(num_edges=2000, num_nodes=270, seed=1)
+    counters = Counters()
+    rows = repro.sql.query(db, CYCLE4_SQL, counters=counters).fetchall()
+    assert len(rows) == 1000
+    assert counters.tuples_read == 37_209
+    assert counters.hash_probes == 21_705
+    assert counters.intermediate_tuples == 5_752
+    assert counters.comparisons == 3_155
+    assert counters.heap_ops == 8_097
+    assert counters.total_work() == 76_918
+
+    (tree,) = fourcycle_union_of_trees(db, cycle_query(4), combine=SUM.float_combine())
+    given = {name: len(tree.database[name]) for name in tree.database.names()}
+    assert given == {"J12": 2_876, "J34": 2_876}
+    tdp = TDP(tree.database, tree.query)
+    assert {
+        tree.query.atoms[stage.atom_index].relation: len(stage.relation)
+        for stage in tdp.stages
+    } == given
