@@ -20,17 +20,20 @@ Resolve once, walk entries
 A :class:`_Stream` resolves the child streams of each bucket tuple once
 (``Stage.parent_key`` on the tuple's row, one probe of the child stage's
 bucket dict — :attr:`TDP.resolvers`) and memoizes them per bucket position.
-An :class:`_Entry` keeps the child entries it was composed from and its own
-rank, so a rank increment asks one child stream for ``rank + 1`` and folds
-the unchanged children's weights off the entry, and emitting an answer is a
-pre-order walk over entries — no stage is resolved or ``get``-ed a second
-time.
+A produced solution is a flat ``(weight, tuple_id, children, rank)`` entry:
+the child entries it was composed from and its own rank, so a rank
+increment asks one child stream for ``rank + 1`` and folds the unchanged
+children's weights off the entry, and emitting an answer is a pre-order
+walk over entries — no stage is resolved or ``get``-ed a second time.
 
-The memo is a reference cycle by design: ``Bucket.stream`` points at the
-stream and the stream at its bucket (and at the T-DP whose buckets hold it),
-which is what makes the suffix ranking shareable across parents and
-re-enterable across pulls.  A closed REC cursor's T-DP is therefore freed by
-the cycle collector, not by reference counting (unlike ANYK-PART's).
+Streams point down the join tree, never up
+------------------------------------------
+``Bucket.stream`` is the memo slot.  A stream reaches its child buckets
+(through its stage's :class:`_StageRecord`) and their streams, but never
+its own bucket, a parent stage or the T-DP, so the memo holds no reference
+cycle: a finished or closed REC query is freed by reference counting the
+moment its generator is dropped, like ANYK-PART's
+(``tests/test_refcount_free.py``).
 """
 
 from __future__ import annotations
@@ -42,27 +45,74 @@ from typing import Any, Iterator, Optional
 from repro.anyk.tdp import TDP, Bucket
 from repro.obs.memory import rec_entry_bytes, rec_solution_bytes, tracker_of
 
+#: A produced subtree solution: ``(weight, tuple_id, children, rank)`` —
+#: the DFS-fold subtree weight, the stage tuple it takes, the child
+#: streams' entries it was composed from (in child-stage order) and its
+#: index in its own stream.
+_Entry = tuple
 
-class _Entry:
-    """One produced subtree solution of a bucket.
 
-    ``weight`` is the DFS-fold subtree weight, ``tuple_id`` the stage tuple
-    it takes, ``children`` the child streams' entries it was composed from
-    (in child-stage order) and ``rank`` its index in its own stream — so an
-    entry *is* its subtree's solution: emission walks entries, pre-order,
-    and a rank increment asks the child stream for ``rank + 1``, neither
-    resolving a bucket nor re-``get``-ing a stage a second time.
+class _StageRecord:
+    """What the streams of one stage read, and nothing above the stage.
+
+    ``rows`` and ``lifted`` are the stage relation's rows and lifted
+    weights; ``children`` holds per child stage its record, its
+    ``Stage.parent_key`` and its bucket dict (from :attr:`TDP.resolvers`).
+    ``counters``, ``combine`` and the two space gauges are shared by every
+    stage of the T-DP.
     """
 
-    __slots__ = ("weight", "tuple_id", "children", "rank")
+    __slots__ = (
+        "rows", "lifted", "children", "counters", "combine",
+        "heap_gauge", "sol_gauge",
+    )
 
     def __init__(
-        self, weight: Any, tuple_id: int, children: tuple["_Entry", ...], rank: int
+        self,
+        rows: list[tuple],
+        lifted: list[Any],
+        children: tuple[tuple["_StageRecord", Any, dict], ...],
+        counters: Any,
+        combine: Any,
+        heap_gauge: Any,
+        sol_gauge: Any,
     ) -> None:
-        self.weight = weight
-        self.tuple_id = tuple_id
+        self.rows = rows
+        self.lifted = lifted
         self.children = children
-        self.rank = rank
+        self.counters = counters
+        self.combine = combine
+        self.heap_gauge = heap_gauge
+        self.sol_gauge = sol_gauge
+
+
+def _stage_records(tdp: TDP) -> list[_StageRecord]:
+    """One record per stage, built children first so that each record
+    can hold its children's."""
+    space = tracker_of(tdp.counters)
+    if space is None:
+        heap_gauge = sol_gauge = None
+    else:
+        # One gauge per category, sized by the root stage's fan-out.
+        fanout = len(tdp.stages[0].children)
+        heap_gauge = space.gauge("rec.pq", rec_entry_bytes(fanout))
+        sol_gauge = space.gauge("rec.solutions", rec_solution_bytes(fanout))
+    records: list[Any] = [None] * tdp.num_stages
+    for stage in reversed(tdp.stages):
+        children = []
+        for child in stage.children:
+            _, _, key_of, buckets = tdp.resolvers[child]
+            children.append((records[child], key_of, buckets))
+        records[stage.position] = _StageRecord(
+            stage.relation.rows,
+            tdp.lifted[stage.position],
+            tuple(children),
+            tdp.counters,
+            tdp.ranking.combine,
+            heap_gauge,
+            sol_gauge,
+        )
+    return records
 
 
 class _Stream:
@@ -75,15 +125,11 @@ class _Stream:
     candidates in push order and the payload out of comparisons.
     """
 
-    __slots__ = (
-        "tdp", "stage_position", "bucket", "solutions", "heap", "ticks",
-        "heap_gauge", "sol_gauge", "child_streams",
-    )
+    __slots__ = ("stage", "tuple_ids", "solutions", "heap", "ticks", "child_streams")
 
-    def __init__(self, tdp: TDP, stage_position: int, bucket: Bucket) -> None:
-        self.tdp = tdp
-        self.stage_position = stage_position
-        self.bucket = bucket
+    def __init__(self, stage: _StageRecord, bucket: Bucket) -> None:
+        self.stage = stage
+        self.tuple_ids = bucket.tuple_ids
         self.solutions: list[_Entry] = []
         #: per bucket position: its child streams, resolved on first use
         self.child_streams: list[Optional[tuple[_Stream, ...]]] = [None] * len(
@@ -97,29 +143,21 @@ class _Stream:
         ]
         heapify(self.heap)
         self.ticks = len(self.heap)
-        if tdp.counters is not None:
-            tdp.counters.heap_ops += self.ticks
-        space = tracker_of(tdp.counters)
-        if space is None:
-            self.heap_gauge = self.sol_gauge = None
-        else:
-            children = len(tdp.stages[stage_position].children)
-            self.heap_gauge = space.gauge("rec.pq", rec_entry_bytes(children))
-            self.heap_gauge.add(self.ticks)
-            self.sol_gauge = space.gauge(
-                "rec.solutions", rec_solution_bytes(children)
-            )
+        if stage.counters is not None:
+            stage.counters.heap_ops += self.ticks
+        if stage.heap_gauge is not None:
+            stage.heap_gauge.add(self.ticks)
 
     def _resolve(self, position: int) -> tuple["_Stream", ...]:
         """The child streams of the bucket tuple at ``position`` — one
         bucket resolution per child, ever."""
-        tdp = self.tdp
-        stage = tdp.stages[self.stage_position]
-        row = stage.relation.rows[self.bucket.tuple_ids[position]]
+        row = self.stage.rows[self.tuple_ids[position]]
         found = []
-        for child in stage.children:
-            _, _, key_of, buckets = tdp.resolvers[child]
-            found.append(stream_for(tdp, child, buckets[key_of(row)]))
+        for record, key_of, buckets in self.stage.children:
+            bucket = buckets[key_of(row)]
+            if bucket.stream is None:
+                bucket.stream = _Stream(record, bucket)
+            found.append(bucket.stream)
         self.child_streams[position] = streams = tuple(found)
         return streams
 
@@ -130,11 +168,13 @@ class _Stream:
         if rank < len(solutions):
             return solutions[rank]
         heap = self.heap
-        tdp = self.tdp
-        counters = tdp.counters
-        combine = tdp.ranking.combine
-        lifted = tdp.lifted[self.stage_position]
-        tuple_ids = self.bucket.tuple_ids
+        stage = self.stage
+        counters = stage.counters
+        combine = stage.combine
+        lifted = stage.lifted
+        heap_gauge = stage.heap_gauge
+        sol_gauge = stage.sol_gauge
+        tuple_ids = self.tuple_ids
         while len(solutions) <= rank:
             if not heap:
                 return None
@@ -145,36 +185,36 @@ class _Stream:
             if children is None:
                 children = tuple([stream.get(0) for stream in streams])
             tuple_id = tuple_ids[position]
-            solutions.append(_Entry(weight, tuple_id, children, len(solutions)))
+            solutions.append((weight, tuple_id, children, len(solutions)))
             # Push rank-increments at coordinates >= dev (Lawler-style
             # deviation index: no duplicates, full coverage); the bumped
             # weight re-folds lifted ⊗ child weights in child order.
             pushed = self.ticks
             for j in range(dev, len(children)):
-                bumped = streams[j].get(children[j].rank + 1)
+                bumped = streams[j].get(children[j][3] + 1)
                 if bumped is None:
                     continue  # that child stream is exhausted
                 composed = children[:j] + (bumped,) + children[j + 1 :]
                 bumped_weight = lifted[tuple_id]
                 for child in composed:
-                    bumped_weight = combine(bumped_weight, child.weight)
+                    bumped_weight = combine(bumped_weight, child[0])
                 heappush(
                     heap, (bumped_weight, position, self.ticks, composed, j)
                 )
                 self.ticks += 1
             if counters is not None:
                 counters.heap_ops += 1 + self.ticks - pushed
-            if self.sol_gauge is not None:
-                self.sol_gauge.add(1)
-                self.heap_gauge.remove(1)
-                self.heap_gauge.add(self.ticks - pushed)
+            if sol_gauge is not None:
+                sol_gauge.add(1)
+                heap_gauge.remove(1)
+                heap_gauge.add(self.ticks - pushed)
         return solutions[rank]
 
 
 def stream_for(tdp: TDP, stage_position: int, bucket: Bucket) -> _Stream:
     """The bucket's memoized stream, created on first use."""
     if bucket.stream is None:
-        bucket.stream = _Stream(tdp, stage_position, bucket)
+        bucket.stream = _Stream(_stage_records(tdp)[stage_position], bucket)
     return bucket.stream
 
 
@@ -192,9 +232,9 @@ def anyk_rec(tdp: TDP) -> Iterator[tuple[tuple, Any]]:
         solution: list[int] = []
         pending = [entry]
         while pending:
-            node = pending.pop()
-            solution.append(node.tuple_id)
-            pending.extend(reversed(node.children))
-        yield solution_row(solution), entry.weight
+            _, tuple_id, children, _ = pending.pop()
+            solution.append(tuple_id)
+            pending.extend(reversed(children))
+        yield solution_row(solution), entry[0]
         if tdp.counters is not None:
             tdp.counters.output_tuples += 1

@@ -118,7 +118,13 @@ def evaluate(
             for i, _ in children:
                 node_stack[i].pop()
 
-    recurse(0)
+    try:
+        recurse(0)
+    finally:
+        # ``recurse`` calls itself through its closure cell, a function
+        # <-> cell cycle that would hold every index until a full
+        # collection; clearing the cell leaves them to reference counting.
+        del recurse
     result.bulk_load(out_rows, out_weights)
     return result
 
@@ -176,4 +182,7 @@ def boolean(
                 return True
         return False
 
-    return recurse(0)
+    try:
+        return recurse(0)
+    finally:
+        del recurse  # the closure cycle, as in evaluate

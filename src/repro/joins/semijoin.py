@@ -111,10 +111,16 @@ def stage_layout(
     counters: Optional[Counters] = None,
 ) -> list[Stage]:
     """DFS pre-order serialization of the join tree over the (unreduced)
-    variable-schema relations of the atoms."""
-    stages: list[Stage] = []
+    variable-schema relations of the atoms.
 
-    def visit(atom_index: int, parent_position: Optional[int]) -> None:
+    An explicit stack, not a self-recursive closure: a closure that calls
+    itself is a function <-> cell reference cycle, which would hold every
+    stage (and ``db``, ``query``, ``counters``) until a full collection.
+    """
+    stages: list[Stage] = []
+    pending: list[tuple[int, Optional[int]]] = [(tree.root, None)]
+    while pending:
+        atom_index, parent_position = pending.pop()
         relation = atom_relation(db, query, atom_index, counters=counters)
         own_key: tuple[int, ...] = ()
         parent_key: tuple[int, ...] = ()
@@ -124,21 +130,27 @@ def stage_layout(
             own_key = relation.positions(join_vars)
             parent_key = parent_relation.positions(join_vars)
             stages[parent_position].children.append(len(stages))
-        stage = Stage(
-            position=len(stages),
-            atom_index=atom_index,
-            relation=relation,
-            parent=parent_position,
-            own_key_positions=own_key,
-            parent_key_positions=parent_key,
-            parent_key=key_getter(parent_key),
+        position = len(stages)
+        stages.append(
+            Stage(
+                position=position,
+                atom_index=atom_index,
+                relation=relation,
+                parent=parent_position,
+                own_key_positions=own_key,
+                parent_key_positions=parent_key,
+                parent_key=key_getter(parent_key),
+            )
         )
-        stages.append(stage)
-        for child_atom in tree.children[atom_index]:
-            visit(child_atom, stage.position)
-        stage.subtree_size = len(stages) - stage.position
-
-    visit(tree.root, None)
+        # Reversed, so the first child is popped (and numbered) first.
+        pending.extend(
+            (child_atom, position)
+            for child_atom in reversed(tree.children[atom_index])
+        )
+    # Pre-order numbers every subtree contiguously after its root, so
+    # children (higher positions) are complete before their parent.
+    for stage in reversed(stages[1:]):
+        stages[stage.parent].subtree_size += stage.subtree_size
     return stages
 
 

@@ -63,7 +63,6 @@ def _slots_bytes(n: int) -> int:
     return sys.getsizeof(probe())
 
 
-_ENTRY = _slots_bytes(4)  # shaped like ``rec._Entry``
 _BUCKET = _slots_bytes(7)  # shaped like ``tdp.Bucket``
 
 
@@ -115,10 +114,10 @@ def rec_entry_bytes(children: int) -> int:
 
 
 def rec_solution_bytes(children: int) -> int:
-    """One memoized ``_Entry`` in a REC stream's solution prefix: list
-    slot + the 4-slot entry + its weight float and rank int + the tuple
-    of the ``children`` child entries it keeps."""
-    return _PTR + _ENTRY + _FLOAT + _INT + _tuple_bytes(children)
+    """One memoized solution in a REC stream's prefix: list slot + the
+    flat ``(weight, tuple_id, children, rank)`` entry + its weight float
+    and rank int + the tuple of the ``children`` child entries it keeps."""
+    return _PTR + _tuple_bytes(4) + _FLOAT + _INT + _tuple_bytes(children)
 
 
 def tdp_tuple_bytes() -> int:
@@ -181,22 +180,35 @@ def q_error(estimated: float, actual: float) -> float:
 # ----------------------------------------------------------------------
 # Live/peak accounting
 # ----------------------------------------------------------------------
+class ByteTotals:
+    """A profile's concurrent live/peak byte totals.
+
+    Shared by the profile and its gauges, so a gauge updates the totals
+    without holding the profile (a ``profile <-> gauge`` reference cycle
+    would leave every profiled execution to the cycle collector).
+    """
+
+    __slots__ = ("live", "peak")
+
+    def __init__(self) -> None:
+        self.live = 0
+        self.peak = 0
+
+
 class SpaceGauge:
     """O(1) live/peak entry counter for one structure category.
 
     ``add``/``remove`` adjust this gauge's entry count and the owning
-    profile's concurrent byte total; the profile records the high-water
-    mark across *all* its gauges, so simultaneous growth in two
+    profile's concurrent byte totals; those record the high-water mark
+    across *all* the profile's gauges, so simultaneous growth in two
     structures peaks higher than either alone — exactly the concurrency
     ``tracemalloc`` sees.
     """
 
-    __slots__ = ("profile", "category", "unit_bytes", "entries", "peak_entries")
+    __slots__ = ("totals", "category", "unit_bytes", "entries", "peak_entries")
 
-    def __init__(
-        self, profile: "MemoryProfile", category: str, unit_bytes: int
-    ) -> None:
-        self.profile = profile
+    def __init__(self, totals: ByteTotals, category: str, unit_bytes: int) -> None:
+        self.totals = totals
         self.category = category
         self.unit_bytes = max(1, int(unit_bytes))
         self.entries = 0
@@ -207,15 +219,15 @@ class SpaceGauge:
         self.entries = entries
         if entries > self.peak_entries:
             self.peak_entries = entries
-        profile = self.profile
-        live = profile.live_bytes + n * self.unit_bytes
-        profile.live_bytes = live
-        if live > profile.peak_bytes:
-            profile.peak_bytes = live
+        totals = self.totals
+        live = totals.live + n * self.unit_bytes
+        totals.live = live
+        if live > totals.peak:
+            totals.peak = live
 
     def remove(self, n: int = 1) -> None:
         self.entries -= n
-        self.profile.live_bytes -= n * self.unit_bytes
+        self.totals.live -= n * self.unit_bytes
 
     @property
     def live_bytes(self) -> int:
@@ -237,20 +249,34 @@ class MemoryProfile:
 
     __slots__ = (
         "engine",
-        "live_bytes",
-        "peak_bytes",
         "streams",
         "shards",
+        "_totals",
         "_gauges",
     )
 
     def __init__(self, engine: str = "") -> None:
         self.engine = engine
-        self.live_bytes = 0
-        self.peak_bytes = 0
         self.streams = 0
         self.shards: list[dict] = []
+        self._totals = ByteTotals()
         self._gauges: dict[str, SpaceGauge] = {}
+
+    @property
+    def live_bytes(self) -> int:
+        return self._totals.live
+
+    @live_bytes.setter
+    def live_bytes(self, value: int) -> None:
+        self._totals.live = value
+
+    @property
+    def peak_bytes(self) -> int:
+        return self._totals.peak
+
+    @peak_bytes.setter
+    def peak_bytes(self, value: int) -> None:
+        self._totals.peak = value
 
     # -- accounting ----------------------------------------------------
     def gauge(self, category: str, unit_bytes: int) -> SpaceGauge:
@@ -258,7 +284,7 @@ class MemoryProfile:
         every structure of that category in this execution)."""
         gauge = self._gauges.get(category)
         if gauge is None:
-            gauge = SpaceGauge(self, category, unit_bytes)
+            gauge = SpaceGauge(self._totals, category, unit_bytes)
             self._gauges[category] = gauge
         return gauge
 

@@ -70,69 +70,6 @@ def test_install_shadows_instance_only():
     assert tdp.solution_row(full) == other.solution_row(full)
 
 
-def _tdp_is_freed_without_gc(build_and_close) -> bool:
-    """Run ``build_and_close`` (returns a weakref to the T-DP it used)
-    with the cycle collector off: only reference counting may free."""
-    import gc
-
-    gc.collect()
-    gc.disable()
-    try:
-        return build_and_close()() is None
-    finally:
-        gc.enable()
-
-
-def test_closed_part_stream_frees_its_tdp_without_gc():
-    """The compiled row is bound over the row lists, not over the T-DP:
-    no ``tdp -> closure -> tdp`` cycle keeps a closed cursor's program
-    (what ``--max-mem-mb`` eviction believes it freed) alive until the
-    next full collection."""
-    import weakref
-
-    from repro.anyk.part import anyk_part
-
-    db, query = small_instance()
-
-    def drained():
-        tdp = TDP(db, query)
-        install_kernels(tdp, engine="part:lazy")
-        stream = anyk_part(tdp, strategy="lazy")
-        assert len([next(stream) for _ in range(50)]) == 50
-        stream.close()
-        return weakref.ref(tdp)
-
-    assert _tdp_is_freed_without_gc(drained)
-
-
-def test_closed_pausable_stream_frees_its_tdp_without_gc():
-    """The same through the serving path: ``rank_enumerate`` (kernels on)
-    under a ``PausableStream`` that is closed with results pending."""
-    import gc
-    import weakref
-
-    from repro.anyk.api import PausableStream
-
-    db, query = small_instance()
-
-    def paused():
-        before = {id(o) for o in gc.get_objects() if isinstance(o, TDP)}
-        stream = PausableStream(rank_enumerate(db, query, method="part:lazy"))
-        results, done = stream.take(50)
-        assert len(results) == 50 and not done
-        (tdp,) = [
-            o for o in gc.get_objects()
-            if isinstance(o, TDP) and id(o) not in before
-        ]
-        assert "solution_row" in vars(tdp)  # the compiled path is the one under test
-        ref = weakref.ref(tdp)
-        del tdp
-        stream.close()
-        return ref
-
-    assert _tdp_is_freed_without_gc(paused)
-
-
 def test_template_cache_hit_on_same_shape():
     db, query = small_instance()
     install_kernels(TDP(db, query), engine="part:lazy")
