@@ -6,9 +6,10 @@ return them one by one.  Its time-to-first-result equals the full join plus
 an O(r log r) sort — the gap any-k algorithms close — while its time-to-last
 is hard to beat, which is exactly the trade-off experiment E8/E9 charts.
 
-Only float-carrier rankings are supported (the join engines pre-combine
-weights tuple-by-tuple); LEX needs the per-stage weight vector that only
-the T-DP retains.
+The join engines pre-combine raw weights tuple-by-tuple
+(:meth:`RankingFunction.float_combine`), and the sort lifts the result, so
+every ranking with a raw fold runs here, order duals included.  LEX has
+none: its vectors follow the T-DP's stage order.
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ processing, lifted to ranked enumeration:
 
 Weight bookkeeping: derived relations store *raw pre-combined* weights
 (each original atom contributing exactly once), so enumeration over the
-rewrite ranks identically to the original query.  Only float-carrier
-rankings are supported here (see :meth:`RankingFunction.float_combine`).
+rewrite ranks identically to the original query.  That takes a raw fold
+(:meth:`RankingFunction.float_combine`): every ranking and order dual
+has one except LEX, whose vectors follow the T-DP's stage order.
 """
 
 from __future__ import annotations

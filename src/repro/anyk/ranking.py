@@ -18,6 +18,9 @@ float tuple weights into the dioid's carrier.  Provided instances:
 - :data:`LEX` — lexicographic comparison of the per-stage weight vector
   (carrier: tuples of floats).
 
+Each has an *order dual* in :data:`DESC_RANKINGS`, which ``ORDER BY …
+DESC`` resolves to: heaviest-first is the dual's lightest-first.
+
 All carriers compare with ``<`` and support equality, which is all the
 enumeration machinery assumes.
 
@@ -55,16 +58,15 @@ class RankingFunction:
         ⊗'s identity element (the weight of an empty combination).
     lift:
         Maps a raw input-tuple weight (float) into the carrier.
-    float_based:
-        True when the carrier is ``float`` — required for cyclic-query
-        rewrites, which pre-combine weights inside derived relations.
+    raw_combine:
+        ⊗ in raw weight space (see :meth:`float_combine`); None when the
+        carrier is not ``float`` (LEX).
     """
 
     name: str
     combine: Callable[[Any, Any], Any]
     identity: Any
     lift: Callable[[float], Any]
-    float_based: bool = True
     raw_combine: Callable[[float, float], float] | None = None
 
     def combine_many(self, weights) -> Any:
@@ -86,7 +88,7 @@ class RankingFunction:
         non-float carriers (LEX), whose weights cannot be collapsed inside
         derived relations.
         """
-        if not self.float_based or self.raw_combine is None:
+        if self.raw_combine is None:
             raise TypeError(
                 f"ranking {self.name!r} has a non-float carrier and cannot "
                 "be pre-combined inside derived relations"
@@ -127,25 +129,40 @@ PRODUCT = RankingFunction(
 #: Lexicographic: compare per-stage weight vectors position by position.
 #: Carrier is tuples; all solutions of one query have equal-length vectors,
 #: which keeps concatenation strictly monotone.
-LEX = RankingFunction(
-    "lex",
-    operator.add,
-    (),
-    lambda w: (float(w),),
-    float_based=False,
-)
+LEX = RankingFunction("lex", operator.add, (), lambda w: (float(w),))
 
-#: Rankings usable by every engine including cyclic rewrites.
-FLOAT_RANKINGS = (SUM, MAX, PRODUCT)
-
-#: All provided rankings.
+#: All provided rankings (each ranks raw weights ascending).
 ALL_RANKINGS = (SUM, MAX, PRODUCT, LEX)
+
+#: Order duals, keyed by the name of the ranking each one reverses: the
+#: lift is negated (componentwise for LEX), so ascending dual order is
+#: heaviest-first original order.  ⊗ is unchanged except for MAX, whose
+#: dual folds with ``min`` from ``+inf``.  The raw fold is unchanged as
+#: well, since the dual lift of a raw fold is the dual fold of the lifts.
+#: The SQL executor flips the sign back once on output.
+DESC_RANKINGS: dict[str, RankingFunction] = {
+    "sum": RankingFunction(
+        "sum desc", operator.add, 0.0, lambda w: -float(w),
+        raw_combine=SUM.raw_combine,
+    ),
+    "max": RankingFunction(
+        "max desc", min, float("inf"), lambda w: -float(w),
+        raw_combine=MAX.raw_combine,
+    ),
+    "product": RankingFunction(
+        "product desc", operator.add, 0.0, lambda w: -_product_lift(w),
+        raw_combine=PRODUCT.raw_combine,
+    ),
+    "lex": RankingFunction("lex desc", operator.add, (), lambda w: (-float(w),)),
+}
 
 #: Name -> instance, the registry process-pool workers resolve against:
 #: a :class:`RankingFunction` holds lambdas and so cannot cross a pickle
-#: boundary — its *name* can (:mod:`repro.parallel.workers`).
+#: boundary — its *name* can (:mod:`repro.parallel.workers`).  The duals
+#: are registered but stay out of :data:`ALL_RANKINGS`.
 RANKINGS_BY_NAME: dict[str, RankingFunction] = {
-    ranking.name: ranking for ranking in ALL_RANKINGS
+    ranking.name: ranking
+    for ranking in (*ALL_RANKINGS, *DESC_RANKINGS.values())
 }
 
 

@@ -7,9 +7,8 @@ or the HRJN rank-join middleware).  Its own responsibilities:
 - apply constant filters by materializing filtered copies of the affected
   base relations (σ before ⋈, the one classical rewrite that is always
   safe and always pays off);
-- implement ``DESC`` by negating weights (ascending enumeration of the
-  negated instance is exactly heaviest-first of the original — SUM only,
-  enforced by the analyzer);
+- flip ``DESC`` weights back: the analyzer ranks DESC by the order-dual
+  ranking, whose carrier weights are negated (componentwise for LEX);
 - project full result rows onto the SELECT list (bag semantics: the
   ranked stream of full rows is mapped, never deduplicated);
 - truncate to LIMIT.
@@ -17,7 +16,8 @@ or the HRJN rank-join middleware).  Its own responsibilities:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional, TYPE_CHECKING
+import operator
+from typing import Any, Iterator, Optional, TYPE_CHECKING
 
 from repro.anyk.api import rank_enumerate
 from repro.data.database import Database
@@ -71,43 +71,15 @@ def apply_mutation(
     )
 
 
-def negated_database(
-    db: Database, only: Optional[Iterable[str]] = None
-) -> Database:
-    """Relations replaced by weight-negated copies (same names).
-
-    Ascending enumeration over the negated instance is exactly
-    heaviest-first enumeration of the original — the DESC implementation.
-
-    ``only`` restricts negation to the named relations (the ones a query
-    actually references): everything else is carried over *shared and
-    untouched* instead of copied, so a DESC query against a multi-tenant
-    catalog pays O(referenced tuples), not O(database).  Omitted, every
-    relation is negated (the standalone-helper behavior).
-    """
-    names = None if only is None else set(only)
-    negated = Database()
-    for relation in db:
-        if names is not None and relation.name not in names:
-            negated.add(relation)
-            continue
-        negated.add(
-            relation.derive(relation.rows, [-w for w in relation.weights])
-        )
-    return negated
-
-
 def filtered_database(
     db: Database, compiled: "CompiledQuery", negate: bool = True
 ) -> tuple[Database, ConjunctiveQuery]:
-    """The working database and query after filter pushdown and DESC.
+    """The working database and query after filter pushdown.
 
     Atoms whose FROM entry carries constant filters point at materialized
     filtered copies (named ``<relation>__sigma<i>``); untouched atoms keep
-    their base relations.  For ``DESC``, every participating relation is
-    replaced by a weight-negated copy under its original name —
-    ``negate=False`` skips that (size-preserving) step for callers that
-    only cost the plan and never enumerate (EXPLAIN).
+    their base relations.  ``negate`` is accepted and ignored, because
+    the benchmark harness still passes it.
     """
     cq = compiled.cq
     table_names = [t for t in compiled.alias_to_relation]
@@ -133,8 +105,6 @@ def filtered_database(
                 working.add(db[atom.relation])
             atoms.append(atom)
     working.version = db.version
-    if compiled.descending and negate:
-        working = negated_database(working, only={a.relation for a in atoms})
     rewritten = (
         cq
         if all(a.relation == b.relation for a, b in zip(atoms, cq.atoms))
@@ -154,8 +124,8 @@ def execute(
     """Run ``plan`` for ``compiled`` over ``db``.
 
     Yields ``(row, weight)`` with ``row`` following
-    ``compiled.output_columns`` and ``weight`` in the ranking's carrier
-    (sign-corrected for DESC).
+    ``compiled.output_columns`` and ``weight`` in the carrier of the
+    ranking ORDER BY names (for DESC, the order dual's sign flipped back).
 
     ``profile`` (a :class:`repro.obs.delay.DelayProfile`) measures the
     engine stream as it drains: per-result delay, TTF, TT(k), and — for
@@ -165,7 +135,7 @@ def execute(
     the execution's counters as a space tracker; the engines' structures
     report entry counts into it at O(1) cost, and parallel plans ship
     per-shard snapshots home in the worker done frames.  The setup work
-    (DESC negation, shard materialization) lands in a tracer span when
+    (shard materialization) lands in a tracer span when
     the process tracer is enabled, parented to whichever request span is
     current at the first pull.
     """
@@ -177,13 +147,8 @@ def execute(
     ):
         if plan.working_db is not None and plan.working_cq is not None:
             # plan_compiled already materialized the filtered instance (and
-            # costed the plan on it) — don't rebuild it.  It defers the DESC
-            # negation to us, since only enumeration needs it.
+            # costed the plan on it) — don't rebuild it.
             working, cq = plan.working_db, plan.working_cq
-            if compiled.descending:
-                working = negated_database(
-                    working, only={a.relation for a in cq.atoms}
-                )
         else:
             working, cq = filtered_database(db, compiled)
         k = compiled.k
@@ -218,7 +183,7 @@ def execute(
                 memory=memory,
             )
         elif plan.engine == "rank_join":
-            # The same lift+stabilize+truncate adapter shard workers run,
+            # The same stabilize+truncate adapter shard workers run,
             # in-process (one definition, serial and parallel can't drift).
             from repro.parallel.workers import shard_stream
 
@@ -254,6 +219,10 @@ def execute(
         # Nothing to re-pack: hand the engine's pairs through as they are.
         yield from stream
         return
+    flip = None
+    if compiled.descending:  # the order dual negated the lift: undo it once
+        vector = compiled.ranking.raw_combine is None  # LEX
+        flip = (lambda w: tuple(-x for x in w)) if vector else operator.neg
     for row, weight in stream:
         out = row if identity else tuple(row[p] for p in positions)
-        yield out, (-weight if compiled.descending else weight)
+        yield out, (weight if flip is None else flip(weight))

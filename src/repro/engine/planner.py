@@ -16,8 +16,8 @@ router picks the execution engine the paper's experiments argue for:
   binary join: two sorted scans and a corner bound usually terminate
   after shallow prefixes, with none of the T-DP setup cost (E6) — chosen
   only when the inputs cannot blow up the bound (no cyclic structure).
-- **LEX ranking** forces an any-k engine: batch and the middleware
-  pre-combine weights into floats, which loses the per-stage vectors.
+- **LEX ranking** forces an any-k engine: its weight vectors follow the
+  T-DP's stage order, which batch and the middleware do not keep.
 
 ``k`` is compared against the AGM bound of the query over the actual
 relation sizes (:mod:`repro.query.agm`) — the worst-case output size that
@@ -61,6 +61,13 @@ BATCH_FRACTION = 0.5
 #: offered.
 PARALLEL_MIN_TUPLES = 4096
 
+#: Why LEX and its dual, the rankings without a raw fold, need an any-k
+#: engine.
+_LEX_REASON = (
+    "its weight vectors follow the T-DP's stage order, which only an "
+    "any-k engine over an acyclic query keeps"
+)
+
 
 @dataclass(frozen=True)
 class PlanEstimates:
@@ -87,8 +94,8 @@ class Plan:
     """The routing decision for one query.
 
     For SQL plans, ``working_db``/``working_cq`` carry the
-    filter-pushed-down (and, for DESC, weight-negated) instance the plan
-    was costed on, so the executor reuses it instead of re-materializing.
+    filter-pushed-down instance the plan was costed on, so the executor
+    reuses it instead of re-materializing.
     """
 
     engine: str  # a rank_enumerate method, or "rank_join"
@@ -268,11 +275,8 @@ def _decide(plan: Plan, allow_middleware: bool) -> None:
     k = plan.k
     say = plan.rationale.append
 
-    if plan.ranking.name == "lex":
-        say(
-            "lex ranking keeps per-stage weight vectors, which only the "
-            "any-k T-DP retains (batch and middleware pre-combine floats)"
-        )
+    if plan.ranking.raw_combine is None:
+        say(f"lex ranking: {_LEX_REASON}")
         plan.engine = _anyk_engine(plan, say)
         return
 
@@ -386,10 +390,9 @@ def plan_compiled(
             "statement has unbound parameters (?); supply a params vector "
             "(the server's 'params' request field) or inline the values"
         )
-    # Plan on the filtered instance (filters change the stats the router
-    # reads) but skip the size-preserving DESC negation — it only matters
-    # at enumeration time, and EXPLAIN never enumerates.
-    working_db, working_cq = filtered_database(db, compiled, negate=False)
+    # Plan on the filtered instance: filters change the stats the router
+    # reads.
+    working_db, working_cq = filtered_database(db, compiled)
     stats = (
         stats_cache.gather(working_db, working_cq)
         if stats_cache is not None
@@ -417,25 +420,16 @@ def plan_compiled(
     # say exactly which data generation the costing read.
     plan.snapshot_version = db.version
     # Combinations that would die with a bare TypeError mid-stream
-    # (RankingFunction.float_combine on a non-float carrier) are rejected
-    # here with a proper SQL diagnostic instead: cyclic rewrites, batch,
-    # and the rank-join middleware all pre-combine weights into floats,
-    # which loses lex's per-stage weight vectors.
-    if compiled.ranking.name == "lex" and (
+    # (RankingFunction.float_combine on a vector carrier) are rejected
+    # here with a proper SQL diagnostic instead.
+    if compiled.ranking.raw_combine is None and (
         not plan.estimates.acyclic or plan.engine in ("batch", "rank_join")
     ):
         from repro.sql.errors import SqlError
 
         order = compiled.statement.order_by
-        reason = (
-            f"the {plan.engine} engine pre-combines weights into floats"
-            if plan.estimates.acyclic
-            else "cyclic rewrites pre-combine weights into floats"
-        )
         raise SqlError(
-            f"lex(weight) cannot run here: {reason}, which loses the "
-            "per-stage lex vectors (use an any-k engine on an acyclic "
-            "query)",
+            f"lex(weight) cannot run here: {_LEX_REASON}",
             compiled.sql,
             order.pos if order is not None else None,
         )
@@ -446,8 +440,8 @@ def plan_compiled(
         )
     if compiled.descending:
         plan.rationale.append(
-            "DESC: executed on weight-negated relations (heaviest-first "
-            "order via ascending enumeration of negated weights)"
+            f"DESC: ranked ascending by {compiled.ranking.name!r}, the "
+            "order dual (negated lift), and the sign flipped back on output"
         )
     if compiled.is_projection and plan.estimates.free_connex is False:
         plan.rationale.append(

@@ -54,7 +54,7 @@ def _scan_operators(
     if working_db is None or working_cq is None:
         from repro.engine.executor import filtered_database
 
-        working_db, working_cq = filtered_database(db, compiled, negate=False)
+        working_db, working_cq = filtered_database(db, compiled)
     aliases = list(compiled.alias_to_relation)
     operators = []
     for index, (base_atom, work_atom) in enumerate(

@@ -140,19 +140,30 @@ def shard_stream(
 
     The single enumeration entry point workers run.  Besides every
     :func:`~repro.anyk.rank_enumerate` method it accepts ``"rank_join"``
-    (the HRJN middleware), lifting its raw weights into the ranking
-    carrier exactly as the SQL executor does — which is what lets the
-    differential harness drive all four engine families through one
-    sharded code path.
+    (the HRJN middleware), as the SQL executor does — which is what lets
+    the differential harness drive all four engine families through one
+    sharded code path.  HRJN's sorted scans and corner bound must see
+    ranking order, so it scans *lifted* weights (copies, unless the lift
+    is ``float``) and folds them with ⊗.
     """
     if method == "rank_join":
         from repro.topk.rank_join import rank_join_stream
 
-        raw = rank_join_stream(
-            db, query, counters=counters, combine=ranking.float_combine()
-        )
+        if ranking.raw_combine is None:
+            raise TypeError(
+                f"rank_join cannot rank by {ranking.name!r}: HRJN's corner "
+                "bound needs a float carrier"
+            )
         lift = ranking.lift
-        stream = stabilize_ties((row, lift(weight)) for row, weight in raw)
+        if lift is not float:
+            names = dict.fromkeys(atom.relation for atom in query.atoms)
+            lifted = {name: list(map(lift, db[name].weights)) for name in names}
+            db = Database(db[n].derive(db[n].rows, lifted[n]) for n in names)
+        stream = stabilize_ties(
+            rank_join_stream(
+                db, query, counters=counters, combine=ranking.combine
+            )
+        )
         return stream if k is None else itertools.islice(stream, k)
     from repro.anyk.api import rank_enumerate
 

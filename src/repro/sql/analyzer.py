@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.anyk.ranking import MAX, LEX, PRODUCT, SUM, RankingFunction
+from repro.anyk.ranking import ALL_RANKINGS, DESC_RANKINGS, SUM, RankingFunction
 from repro.data.database import Database
 from repro.query.cq import Atom, ConjunctiveQuery
 from repro.sql.errors import SqlError
@@ -36,12 +36,8 @@ from repro.sql.nodes import (
 )
 from repro.sql.parser import Statement, parse, parse_any
 
-RANKINGS: dict[str, RankingFunction] = {
-    "sum": SUM,
-    "max": MAX,
-    "product": PRODUCT,
-    "lex": LEX,
-}
+#: ORDER BY aggregate -> ranking (ASC; DESC takes the DESC_RANKINGS dual).
+RANKINGS: dict[str, RankingFunction] = {r.name: r for r in ALL_RANKINGS}
 
 #: Filter predicates as plain functions, keyed by SQL operator.
 _FILTER_OPS: dict[str, Callable[[Any, Any], bool]] = {
@@ -108,8 +104,9 @@ class CompiledQuery:
 
     The executor enumerates ``cq`` (after applying ``filters``) under
     ``ranking`` and maps each full result row through
-    ``output_positions``; ``descending`` asks for heaviest-first order
-    (implemented by weight negation, SUM only).
+    ``output_positions``; ``descending`` asks for heaviest-first order,
+    for which ``ranking`` is the order dual (its weights are negated; the
+    executor flips them back).
     """
 
     sql: str
@@ -327,7 +324,7 @@ def analyze_statement(
     tables = _resolve_tables(db, sql, statement.tables)
     joins, filters = _classify_predicates(db, sql, tables, statement.predicates)
     cq = _build_cq(db, tables, joins)
-    ranking, descending = _resolve_ranking(sql, statement)
+    ranking, descending = _resolve_ranking(statement)
     columns, positions = _resolve_output(db, sql, tables, cq, statement.columns)
     return CompiledQuery(
         sql=sql,
@@ -516,21 +513,12 @@ def _build_cq(
 # ----------------------------------------------------------------------
 # Ranking and output schema
 # ----------------------------------------------------------------------
-def _resolve_ranking(
-    sql: str, statement: SelectStatement
-) -> tuple[RankingFunction, bool]:
+def _resolve_ranking(statement: SelectStatement) -> tuple[RankingFunction, bool]:
     order = statement.order_by
     if order is None:
         return SUM, False
-    ranking = RANKINGS[order.aggregate]
-    if order.descending and ranking is not SUM:
-        raise SqlError(
-            f"DESC is only supported with sum(weight); {order.aggregate} has "
-            "no exact heaviest-first enumeration in this engine",
-            sql,
-            order.pos,
-        )
-    return ranking, order.descending
+    table = DESC_RANKINGS if order.descending else RANKINGS
+    return table[order.aggregate], order.descending
 
 
 def _resolve_output(

@@ -18,16 +18,25 @@ tie groups, exercising the tuple-identity tie order.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from repro.anyk.api import rank_enumerate
-from repro.anyk.ranking import MAX, PRODUCT, SUM
+from repro.anyk.ranking import (
+    DESC_RANKINGS,
+    MAX,
+    PRODUCT,
+    SUM,
+    ranking_by_name,
+    solution_tie_key,
+)
 from repro.data.database import Database
+from repro.data.generators import path_database
 from repro.data.relation import Relation
 from repro.parallel import parallel_rank_enumerate, shard_stream
-from repro.query.cq import Atom, ConjunctiveQuery
+from repro.query.cq import Atom, ConjunctiveQuery, path_query
 
 #: How many random (query, database) instances the suite replays.
 NUM_INSTANCES = 50
@@ -77,14 +86,14 @@ def random_acyclic_instance(
     return db, query, k
 
 
-def _run(db, query, method: str, k: int, workers: int) -> list:
+def _run(db, query, method: str, k: int, workers: int, ranking=SUM) -> list:
     if workers == 1:
         # shard_stream is the exact code path a worker runs, in-process —
-        # it also covers the HRJN lift that rank_enumerate cannot reach.
-        return list(shard_stream(db, query, SUM, method=method, k=k))
+        # it also covers the HRJN middleware rank_enumerate cannot reach.
+        return list(shard_stream(db, query, ranking, method=method, k=k))
     return list(
         parallel_rank_enumerate(
-            db, query, ranking=SUM, method=method, k=k, workers=workers
+            db, query, ranking=ranking, method=method, k=k, workers=workers
         )
     )
 
@@ -246,6 +255,93 @@ def test_compiled_kernels_match_across_worker_processes(seed):
                         )
                     )
                 assert got == reference, (seed, ranking.name, method, workers)
+
+
+# ----------------------------------------------------------------------
+# DESC: the order duals against the ascending stream, reversed
+# ----------------------------------------------------------------------
+def _flip(weight):
+    """An order dual's weight back in the carrier of the ranking it
+    reverses (componentwise for LEX vectors)."""
+    return tuple(-x for x in weight) if isinstance(weight, tuple) else -weight
+
+
+@pytest.mark.parametrize("seed", range(NUM_INSTANCES))
+def test_desc_duals_agree_with_reversed_ascending(seed):
+    """Each order dual × every engine × workers {1, 4} equals the
+    ascending stream re-sorted by (negated weight, tie key).
+
+    The referee is ascending batch; for LEX, which batch and HRJN refuse,
+    it is ascending ``part:lazy``.  SUM, MAX and LEX must match exactly
+    (grid weights make every SUM fold exact).  PRODUCT folds logs in
+    engine-specific association orders, so the rows must match as a
+    multiset and the weights within 1e-12."""
+    db, query, k = random_acyclic_instance(seed)
+    methods = ANYK_ENGINES + ("batch",)
+    if len(query.atoms) == 2:
+        methods += ("rank_join",)
+    for name, dual in DESC_RANKINGS.items():
+        instance = _positive_weights(db) if name == "product" else db
+        lex = dual.raw_combine is None
+        ascending = rank_enumerate(
+            instance,
+            query,
+            ranking=ranking_by_name(name),
+            method="part:lazy" if lex else "batch",
+        )
+        referee = sorted(
+            ascending,
+            key=lambda pair: (_flip(pair[1]), solution_tie_key(pair[0])),
+        )[:k]
+        for method in methods:
+            if lex and method in ("batch", "rank_join"):
+                with pytest.raises(TypeError):
+                    _run(instance, query, method, k, 1, dual)
+                continue
+            for workers in WORKER_GRID:
+                got = [
+                    (row, _flip(weight))
+                    for row, weight in _run(
+                        instance, query, method, k, workers, dual
+                    )
+                ]
+                where = (seed, name, method, workers)
+                if name != "product":
+                    assert got == referee, where
+                    continue
+                # An ulp can split a tie the referee keeps, which reorders
+                # rows inside it: compare them as multisets.
+                assert sorted(r for r, _ in got) == sorted(
+                    r for r, _ in referee
+                ), where
+                assert [w for _, w in got] == pytest.approx(
+                    [w for _, w in referee], abs=1e-12
+                ), where
+
+
+def test_desc_sum_and_product_shards_agree_off_grid_within_ulps():
+    """Off the weight grid a sharded stream is *not* byte-identical.
+
+    PART reports its priority fold, whose association depends on the
+    shard's buckets, so on ``path_database(3, 3000, 200, seed=5)`` the
+    sharded DESC-SUM and PRODUCT weights differ from the serial ones in
+    the last ulp (ASC SUM happens to agree bitwise).  Rows stay
+    identical."""
+    db = path_database(length=3, size=3000, domain=200, seed=5)
+    query = path_query(3)
+    for ranking in (SUM, DESC_RANKINGS["sum"], PRODUCT):
+        serial, sharded = (
+            list(
+                rank_enumerate(
+                    db, query, ranking=ranking, method="part:lazy", k=300,
+                    workers=workers,
+                )
+            )
+            for workers in (1, 4)
+        )
+        assert [r for r, _ in sharded] == [r for r, _ in serial], ranking
+        for (_, got), (_, want) in zip(sharded, serial):
+            assert abs(got - want) <= 4 * math.ulp(want), ranking
 
 
 NUM_DYNAMIC_INSTANCES = 10

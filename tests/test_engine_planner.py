@@ -117,7 +117,7 @@ def test_lex_forced_onto_float_engines_rejected():
         "ORDER BY lex(weight) LIMIT 2"
     )
     for engine in ("batch", "rank_join"):
-        with pytest.raises(SqlError, match="pre-combines weights"):
+        with pytest.raises(SqlError, match="stage order"):
             repro_sql.query(db, sql_text, engine=engine)
     # The router itself never picks a float-only engine for lex.
     assert repro_sql.query(db, sql_text).plan.is_anyk

@@ -23,7 +23,7 @@ import pytest
 import repro.sql
 from repro.anyk.api import rank_enumerate
 from repro.data.generators import path_database, random_graph_database
-from repro.engine.executor import execute, filtered_database, negated_database
+from repro.engine.executor import execute, filtered_database
 from repro.engine.planner import plan_compiled
 from repro.obs import (
     DELAY_BOUNDS,
@@ -437,10 +437,6 @@ def test_tracing_disabled_overhead_on_part_enumeration(
         working, cq = plan.working_db, plan.working_cq
         if working is None or cq is None:
             working, cq = filtered_database(path_db, compiled)
-        elif compiled.descending:
-            working = negated_database(
-                working, only={a.relation for a in cq.atoms}
-            )
         stream = rank_enumerate(
             working,
             cq,

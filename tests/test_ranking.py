@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.anyk.ranking import ALL_RANKINGS, FLOAT_RANKINGS, LEX, MAX, PRODUCT, SUM
+from repro.anyk.ranking import (
+    ALL_RANKINGS,
+    DESC_RANKINGS,
+    LEX,
+    MAX,
+    PRODUCT,
+    SUM,
+    ranking_by_name,
+)
 
 positive = st.integers(min_value=1, max_value=1000).map(lambda i: i / 16.0)
 anyfloat = st.integers(min_value=-1000, max_value=1000).map(lambda i: i / 16.0)
@@ -43,6 +51,22 @@ def test_sum_max_raw_combine_consistent(a, b):
         assert lifted == pytest.approx(raw)
 
 
+@given(positive, positive)
+def test_order_duals_negate_the_lift_and_keep_the_raw_fold(a, b):
+    for name, dual in DESC_RANKINGS.items():
+        ranking = ranking_by_name(name)
+        assert dual.combine(dual.identity, dual.lift(a)) == dual.lift(a)
+        if dual.raw_combine is None:  # LEX: componentwise
+            assert dual.lift(a) == tuple(-x for x in ranking.lift(a))
+            assert dual.combine(dual.lift(a), dual.lift(b)) == (-a, -b)
+            continue
+        assert dual.lift(a) == -ranking.lift(a)
+        folded = dual.combine(dual.lift(a), dual.lift(b))
+        assert folded == pytest.approx(dual.lift(dual.float_combine()(a, b)))
+        ascending = ranking.combine(ranking.lift(a), ranking.lift(b))
+        assert folded == pytest.approx(-ascending)
+
+
 def test_product_rejects_nonpositive_weights():
     with pytest.raises(ValueError):
         PRODUCT.lift(0.0)
@@ -50,10 +74,11 @@ def test_product_rejects_nonpositive_weights():
         PRODUCT.lift(-1.0)
 
 
-def test_lex_is_not_float_based():
-    assert not LEX.float_based
-    with pytest.raises(TypeError):
-        LEX.float_combine()
+def test_lex_has_no_raw_fold():
+    for lex in (LEX, DESC_RANKINGS["lex"]):
+        assert lex.raw_combine is None
+        with pytest.raises(TypeError):
+            lex.float_combine()
 
 
 @given(
@@ -75,12 +100,6 @@ def test_combine_many_orders_left_to_right():
     assert SUM.combine_many([]) == SUM.identity
 
 
-def test_float_rankings_listed():
-    assert SUM in FLOAT_RANKINGS
-    assert LEX not in FLOAT_RANKINGS
-    assert set(FLOAT_RANKINGS) <= set(ALL_RANKINGS)
-
-
 def test_repr_contains_name():
     assert "sum" in repr(SUM)
 
@@ -89,11 +108,15 @@ def test_repr_contains_name():
 # Deterministic tie-breaking (tuple identity, never insertion order)
 # ----------------------------------------------------------------------
 def test_ranking_registry_round_trip():
-    from repro.anyk.ranking import RANKINGS_BY_NAME, ranking_by_name
+    from repro.anyk.ranking import RANKINGS_BY_NAME
 
-    for ranking in ALL_RANKINGS:
+    registered = ALL_RANKINGS + tuple(DESC_RANKINGS.values())
+    for ranking in registered:
         assert ranking_by_name(ranking.name) is ranking
-    assert set(RANKINGS_BY_NAME) == {r.name for r in ALL_RANKINGS}
+    assert set(RANKINGS_BY_NAME) == {r.name for r in registered}
+    # The duals resolve by name (shard workers) but stay out of
+    # ALL_RANKINGS, whose members rank raw weights ascending.
+    assert not set(DESC_RANKINGS.values()) & set(ALL_RANKINGS)
     with pytest.raises(ValueError):
         ranking_by_name("nope")
 

@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 
 from repro.anyk.api import PausableStream
 from repro.data.generators import path_database, random_graph_database
-from repro.data.relation import Relation
 from repro.engine.catalog import StatsCache, database_fingerprint
-from repro.engine.executor import negated_database
 from repro.server import QueryService, normalize_sql
 from repro.server.plancache import PlanCache
 
@@ -525,21 +523,39 @@ def test_admission_rejection_happens_before_planning(path_db):
 
 
 # ----------------------------------------------------------------------
-# DESC negation scoped to referenced relations (the executor satellite)
+# DESC is an order-dual ranking, not a copy of the data
 # ----------------------------------------------------------------------
-def test_negated_database_only_touches_referenced_relations(path_db):
-    db = path_db.copy()
-    bystander = Relation("Bystander", ("x",))
-    bystander.add((1,), 3.0)
-    db.add(bystander)
-    negated = negated_database(db, only={"R1"})
-    assert negated["Bystander"] is db["Bystander"]  # shared, not copied
-    assert negated["R2"] is db["R2"]
-    assert negated["R1"] is not db["R1"]
-    assert negated["R1"].weights == [-w for w in db["R1"].weights]
-    # Default (no restriction) still negates everything.
-    all_negated = negated_database(db)
-    assert all_negated["Bystander"].weights == [-3.0]
+def test_warm_desc_hit_hands_the_engine_the_snapshot_relations(monkeypatch):
+    """The benchmark's ``pair_desc`` template on its ``serve_churn``
+    instance: a warm plan-cache hit enumerates the snapshot's own R1/R2
+    objects — DESC ranks by the order dual, it copies no relation."""
+    from repro.engine import executor
+
+    service = QueryService(
+        path_database(length=3, size=400, domain=50, seed=1),
+        idle_evict_s=None,
+    )
+    sql = (
+        "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 "
+        "ORDER BY weight DESC LIMIT 100"
+    )
+    handed = []
+    enumerate_ranked = executor.rank_enumerate
+
+    def spy(db, *args, **kwargs):
+        handed.append(db)
+        return enumerate_ranked(db, *args, **kwargs)
+
+    monkeypatch.setattr(executor, "rank_enumerate", spy)
+    cold = service.query(sql, fetch=100)
+    warm = service.query(sql, fetch=100)
+    assert not cold["plan_cached"] and warm["plan_cached"]
+    assert warm["rows"] == cold["rows"]
+    weights = [weight for _, weight in warm["rows"]]
+    assert weights == sorted(weights, reverse=True)
+    snapshot = service.db
+    assert handed[-1]["R1"] is snapshot["R1"]
+    assert handed[-1]["R2"] is snapshot["R2"]
 
 
 def test_desc_query_still_correct_after_scoped_negation(graph_db):

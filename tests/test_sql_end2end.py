@@ -210,24 +210,48 @@ def test_projection_keeps_ranked_order_and_duplicates():
     assert len(rows) > len({row for row, _ in rows})
 
 
-def test_desc_is_exact_reverse_on_distinct_weights():
+@pytest.mark.parametrize("aggregate", ["sum", "max", "product", "lex"])
+def test_desc_is_exact_reverse_on_distinct_weights(aggregate):
+    # The order dual negates the lift and the executor negates back:
+    # both are exact, so the weights are the ascending ones bit for bit.
     db = path_database(length=2, size=30, domain=5, seed=8)
-    ascending = list(
-        repro_sql.query(
-            db,
-            "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 ORDER BY weight ASC",
-        )
+    sql_text = (
+        "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 "
+        f"ORDER BY {aggregate}(weight) {{}}"
     )
-    descending = list(
-        repro_sql.query(
-            db,
-            "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 ORDER BY weight DESC",
-        )
-    )
-    assert [w for _, w in descending] == [
-        pytest.approx(w) for _, w in reversed(ascending)
-    ]
+    ascending = list(repro_sql.query(db, sql_text.format("ASC")))
+    descending = list(repro_sql.query(db, sql_text.format("DESC")))
+    assert [w for _, w in descending] == [w for _, w in reversed(ascending)]
     assert {r for r, _ in descending} == {r for r, _ in ascending}
+
+
+@pytest.mark.parametrize("aggregate", ["max", "product", "lex"])
+def test_desc_is_served_for_every_aggregate(aggregate):
+    result = repro_sql.query(
+        _movie_db(), f"SELECT * FROM Follows ORDER BY {aggregate}(weight) DESC"
+    )
+    assert [row for row, _ in result] == [
+        ("eve", "dee"),
+        ("amy", "dee"),
+        ("bob", "cam"),
+        ("amy", "cam"),
+    ]
+
+
+@pytest.mark.parametrize("aggregate", ["sum", "max", "product"])
+def test_forced_rank_join_desc_scans_in_ranking_order(aggregate):
+    """HRJN's sorted scans must follow the dual's order, not raw weight
+    order, or DESC would return the lightest pairs."""
+    db = path_database(length=2, size=200, domain=20, seed=2)
+    sql_text = (
+        "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 "
+        f"ORDER BY {aggregate}(weight) DESC LIMIT 7"
+    )
+    hrjn = repro_sql.query(db, sql_text, engine="rank_join").fetchall()
+    assert hrjn == repro_sql.query(db, sql_text, engine="part:lazy").fetchall()
+    assert [w for _, w in hrjn] == sorted((w for _, w in hrjn), reverse=True)
+    if aggregate == "sum":
+        assert hrjn[0][1] == pytest.approx(1.9672, abs=1e-4)
 
 
 def test_no_limit_streams_everything():
@@ -275,10 +299,6 @@ def test_cross_join_is_supported():
             "theta-joins",
         ),
         ("SELECT * FROM Follows WHERE 1 = 2", "two literals"),
-        (
-            "SELECT * FROM Follows ORDER BY max(weight) DESC",
-            "DESC is only supported with sum",
-        ),
     ],
 )
 def test_semantic_errors_are_positioned(sql_text, needle):
