@@ -70,7 +70,7 @@ class Relation:
         #: relation.  0 means "static" (never mutated through the
         #: versioned layer); the engine catalog's fingerprints include it
         #: so equal-cardinality states with different contents (delete one
-        #: row, insert another) never collide in plan/stats caches.
+        #: row, insert another) never collide in the plan cache.
         self.version: int = 0
         self._indexes: dict[tuple[str, ...], dict] = {}
         # Memoized attribute-tuple -> column-position resolutions.  The
@@ -225,15 +225,6 @@ class Relation:
         """Distinct projection keys on ``attrs``."""
         return self.index_on(attrs).keys()
 
-    def distinct_count(self, attrs: Sequence[str]) -> int:
-        """Number of distinct projection keys on ``attrs``.
-
-        The basic cardinality statistic the engine router's catalog pulls
-        (average fan-out = size / distinct_count); shares the lazily built
-        hash index, so repeated planning over one relation is cheap.
-        """
-        return len(self.index_on(attrs))
-
     # ------------------------------------------------------------------
     # Relational operations (copying)
     # ------------------------------------------------------------------
@@ -250,8 +241,7 @@ class Relation:
         or re-validating them — they come out of relations whose tuples
         passed :meth:`add`/:meth:`bulk_load` at base insertion — and
         carries the data generation (``version``) over, so a derived
-        relation never aliases a static fingerprint in the plan/stats
-        caches.  Passing this relation's own lists makes an O(1) *view*
+        relation never aliases a static fingerprint in the plan cache.  Passing this relation's own lists makes an O(1) *view*
         (another name/schema over the same storage); a view is read-only,
         which is safe because published snapshots are never mutated in
         place (:mod:`repro.dynamic` is copy-on-write).

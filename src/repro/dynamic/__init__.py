@@ -9,8 +9,8 @@ with monotonically increasing version ids; mutations
 snapshot without touching the previous one, so every open cursor keeps
 enumerating the exact generation it was planned on while new queries see
 the newest data.  Version ids flow into the engine catalog's
-fingerprints, which is what keys the plan cache and
-:class:`~repro.engine.catalog.StatsCache` invalidation.
+fingerprints, which is what the plan cache validates its entries
+against.
 
 Quickstart::
 

@@ -9,12 +9,7 @@ front-end (:mod:`repro.sql`) routes every statement through here;
 ``method="auto"``.
 """
 
-from repro.engine.catalog import (
-    AtomStats,
-    CatalogStats,
-    StatsCache,
-    database_fingerprint,
-)
+from repro.engine.catalog import AtomStats, CatalogStats, database_fingerprint
 from repro.engine.executor import execute, filtered_database
 from repro.engine.planner import (
     Plan,
@@ -27,7 +22,6 @@ from repro.engine.planner import (
 __all__ = [
     "AtomStats",
     "CatalogStats",
-    "StatsCache",
     "database_fingerprint",
     "Plan",
     "PlanEstimates",

@@ -1,10 +1,10 @@
 """Relation statistics for cost-based routing.
 
-The planner's raw material: per-atom cardinalities and join-key fan-outs
-pulled from the :class:`~repro.data.database.Database`.  Statistics are
-computed on demand at planning time (the library's engines assume no
-precomputation — tutorial §1's setting), so gathering them is kept to
-single passes over the relations involved in the query.
+The planner's raw material: per-atom cardinalities pulled from the
+:class:`~repro.data.database.Database`.  Statistics are gathered on
+demand at planning time (the library's engines assume no precomputation
+— tutorial §1's setting), and the routing rules read only sizes, so
+gathering costs O(1) per atom.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.data.database import Database
 from repro.query.cq import ConjunctiveQuery
-from repro.util.lru import LruCache
 
 
 @dataclass(frozen=True)
@@ -22,13 +21,6 @@ class AtomStats:
 
     relation: str
     size: int
-    #: per-variable number of distinct values in the column(s) binding it
-    distinct: dict  # variable -> int
-
-    def max_fanout(self, variable: str) -> float:
-        """Upper bound on rows per distinct value of ``variable``."""
-        d = self.distinct.get(variable, 0)
-        return float(self.size) if d == 0 else self.size / d
 
 
 @dataclass(frozen=True)
@@ -40,37 +32,13 @@ class CatalogStats:
     total_tuples: int
 
     @classmethod
-    def gather(
-        cls,
-        db: Database,
-        query: ConjunctiveQuery,
-        with_fanouts: bool = False,
-    ) -> "CatalogStats":
-        """Gather stats for ``query``'s atoms.
-
-        ``with_fanouts`` additionally computes per-variable distinct
-        counts (an O(n) index build per bound column set).  The current
-        routing rules only read cardinalities, so the default keeps
-        planning O(1) per atom; pass ``True`` when fan-out estimates are
-        wanted.
-        """
+    def gather(cls, db: Database, query: ConjunctiveQuery) -> "CatalogStats":
+        """Gather the cardinality of each of ``query``'s atoms."""
         cardinalities = db.sizes()
-        atoms = []
-        for index, atom in enumerate(query.atoms):
-            relation = db[atom.relation]
-            distinct = {}
-            if with_fanouts:
-                positions = query.atom_variable_positions(index)
-                for variable, cols in positions.items():
-                    attrs = tuple(relation.schema[c] for c in cols)
-                    distinct[variable] = relation.distinct_count(attrs)
-            atoms.append(
-                AtomStats(
-                    relation=atom.relation,
-                    size=cardinalities[atom.relation],
-                    distinct=distinct,
-                )
-            )
+        atoms = [
+            AtomStats(relation=atom.relation, size=cardinalities[atom.relation])
+            for atom in query.atoms
+        ]
         sizes = [a.size for a in atoms]
         return cls(
             atoms=tuple(atoms),
@@ -97,9 +65,9 @@ def database_fingerprint(db: Database, only=None) -> tuple:
     registration (:meth:`Relation.copy` shares row storage on that
     basis); mutations go through :class:`repro.dynamic.VersionedDatabase`,
     which publishes *new* relation objects with bumped versions — so two
-    equal fingerprints mean cached plans and statistics still describe
-    the data.  O(#relations), not O(tuples): fingerprinting must stay far
-    cheaper than the planning it short-cuts.
+    equal fingerprints mean a cached plan still describes the data.
+    O(#relations), not O(tuples): fingerprinting must stay far cheaper
+    than the planning it short-cuts.
 
     ``only`` restricts the fingerprint to the named relations (the ones
     a statement's FROM list references), so mutating relation ``S`` does
@@ -119,54 +87,3 @@ def database_fingerprint(db: Database, only=None) -> tuple:
         (name, None, -1, -1) for name in names if name not in db
     )
     return tuple(sorted(items, key=lambda item: item[0]))
-
-
-class StatsCache:
-    """Memoized :meth:`CatalogStats.gather` keyed on catalog fingerprint.
-
-    Statistics gathering is a per-query scan of the catalog; a serving
-    workload replays the same query shapes against the same catalog.
-    Default (cardinality-only) stats are pure functions of the
-    fingerprint — it covers exactly what they read: names, schemas,
-    sizes.  *Fan-out* stats additionally read relation contents, which
-    the fingerprint deliberately does not hash (it must stay O(#relations)),
-    so ``with_fanouts=True`` bypasses the cache rather than risk serving
-    one filtered instance's distinct counts for another's.  Bounded LRU
-    (the same :class:`~repro.util.lru.LruCache` as the fractional-cover
-    LP memo and the plan cache), thread-safe for the concurrent server
-    regime.
-    """
-
-    def __init__(self, maxsize: int = 1024) -> None:
-        self._lru = LruCache(maxsize)
-
-    def gather(
-        self,
-        db: Database,
-        query: ConjunctiveQuery,
-        with_fanouts: bool = False,
-    ) -> CatalogStats:
-        """Cached equivalent of :meth:`CatalogStats.gather`."""
-        if with_fanouts:  # content-dependent: not soundly cacheable here
-            return CatalogStats.gather(db, query, with_fanouts=True)
-        key = (
-            database_fingerprint(db),
-            tuple(atom.relation for atom in query.atoms),
-            tuple(atom.variables for atom in query.atoms),
-        )
-        cached = self._lru.get(key)
-        if cached is not None:
-            return cached
-        stats = CatalogStats.gather(db, query)
-        self._lru.put(key, stats)
-        return stats
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    def clear(self) -> None:
-        self._lru.clear()
-
-    def info(self) -> dict:
-        """Hit/miss counters for the server's ``stats`` endpoint."""
-        return self._lru.info()

@@ -42,7 +42,7 @@ def apply_mutation(
     layer's :class:`~repro.dynamic.Insert`/:class:`~repro.dynamic.Delete`
     and applies it, publishing a new copy-on-write snapshot.  Open
     cursors keep draining the snapshot they were planned on; the new
-    version id makes stale plan/stats cache entries miss.
+    version id makes stale plan-cache entries miss.
     """
     from repro.dynamic import Delete, Insert
 

@@ -36,7 +36,7 @@ from typing import Any, Optional, TYPE_CHECKING
 from repro.anyk.cyclic import is_fourcycle
 from repro.anyk.ranking import RankingFunction, SUM
 from repro.data.database import Database
-from repro.engine.catalog import CatalogStats, StatsCache
+from repro.engine.catalog import CatalogStats
 from repro.query.agm import fractional_edge_cover
 from repro.query.cq import ConjunctiveQuery
 from repro.query.decomposition import min_fill_decomposition
@@ -175,7 +175,6 @@ def route(
     free_variables: Optional[tuple[str, ...]] = None,
     allow_middleware: bool = True,
     engine: Optional[str] = None,
-    stats: Optional[CatalogStats] = None,
     workers: Optional[int] = None,
     shard_policy: str = "hash",
 ) -> Plan:
@@ -184,9 +183,7 @@ def route(
     ``free_variables`` (when a projection is requested) only affects the
     free-connex annotation; execution always enumerates full rows.
     ``engine`` forces the choice (recorded as an override in the
-    rationale).  ``stats`` lets a caller with a
-    :class:`~repro.engine.catalog.StatsCache` supply pre-gathered
-    statistics instead of re-scanning the catalog.  ``workers`` offers a
+    rationale).  ``workers`` offers a
     process budget for partition-parallel execution; the router takes it
     only when the chosen engine shards soundly *and* the input is big
     enough to amortize fork+pickle overhead (see
@@ -194,8 +191,7 @@ def route(
     and the rationale either way.
     """
     query.validate(db)
-    if stats is None:
-        stats = CatalogStats.gather(db, query)
+    stats = CatalogStats.gather(db, query)
     tree = gyo_reduction(query)
     acyclic = tree is not None
     fourcycle = False if acyclic else is_fourcycle(query)
@@ -371,15 +367,12 @@ def plan_compiled(
     db: Database,
     compiled: "CompiledQuery",
     engine: Optional[str] = None,
-    stats_cache: Optional[StatsCache] = None,
     workers: Optional[int] = None,
 ) -> Plan:
     """Route a SQL :class:`~repro.sql.analyzer.CompiledQuery`.
 
-    ``stats_cache`` (the server's cached-stats catalog) short-cuts the
-    statistics scan over the filtered working instance.  ``workers``
-    offers a partition-parallelism budget (``repro-serve --workers``),
-    subject to the same routing rules as :func:`route`.
+    ``workers`` offers a partition-parallelism budget (``repro-serve
+    --workers``), subject to the same routing rules as :func:`route`.
     """
     from repro.engine.executor import filtered_database
 
@@ -393,11 +386,6 @@ def plan_compiled(
     # Plan on the filtered instance: filters change the stats the router
     # reads.
     working_db, working_cq = filtered_database(db, compiled)
-    stats = (
-        stats_cache.gather(working_db, working_cq)
-        if stats_cache is not None
-        else None
-    )
     plan = route(
         working_db,
         working_cq,
@@ -407,7 +395,6 @@ def plan_compiled(
             compiled.free_variables if compiled.is_projection else None
         ),
         engine=engine,
-        stats=stats,
         workers=workers,
     )
     plan.working_db = working_db

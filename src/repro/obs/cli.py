@@ -1,8 +1,8 @@
 """The ``repro-obs`` console script: observe a running ``repro-serve``.
 
-Snapshots (or tails) the server's observability surface over the same
-JSON-lines protocol every other client uses — no side channel, no extra
-port.
+Snapshots (or live-refreshes) the server's observability surface over
+the same JSON-lines protocol every other client uses — no side channel,
+no extra port.
 
 Examples::
 
@@ -12,8 +12,7 @@ Examples::
     repro-obs --stats                     # the stats op (latency, delay)
     repro-obs --trace t3f2a-1             # one buffered trace, rendered
     repro-obs --traces                    # the newest buffered traces
-    repro-obs --tail --interval 2         # refresh a summary every 2 s
-    repro-obs --watch 2                   # same live summary, via --watch
+    repro-obs --watch 2                   # refresh the summary every 2 s
     repro-obs --metrics --watch 5         # live Prometheus text every 5 s
 """
 
@@ -31,7 +30,7 @@ from repro.server.client import Client, ServerError
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-obs",
-        description="Snapshot or tail the observability surface of a "
+        description="Snapshot or live-refresh the observability surface of a "
         "running repro-serve: unified metrics, per-op latency, anytime-"
         "delay profiles, and request traces.",
     )
@@ -63,21 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list the newest buffered traces",
     )
-    what.add_argument(
-        "--tail",
-        action="store_true",
-        help="refresh a one-screen summary every --interval seconds",
-    )
     parser.add_argument(
         "--json",
         action="store_true",
         help="emit machine-readable JSON instead of rendered text",
-    )
-    parser.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        help="refresh period for --tail (seconds, default 2)",
     )
     parser.add_argument(
         "--watch",
@@ -152,7 +140,7 @@ def _print_traces(client: Client, as_json: bool) -> None:
 
 
 def render_summary(stats: dict) -> str:
-    """The one-screen digest --tail repaints (and --stats prints)."""
+    """The one-screen digest --watch repaints (and --stats prints)."""
     lines = [
         f"uptime {stats.get('uptime_s', 0):.0f}s  "
         f"queries={stats.get('queries', 0)}  "
@@ -231,9 +219,8 @@ def render_summary(stats: dict) -> str:
 def _watch(render, period: float, header: str) -> int:
     """Clear + redraw ``render()``'s output every ``period`` seconds.
 
-    The live-refresh loop behind ``--watch`` (and ``--tail``, which is
-    the summary view on the same loop).  ^C exits cleanly — watching is
-    how the loop is *meant* to end, not an error.
+    The live-refresh loop behind ``--watch``.  ^C exits cleanly —
+    watching is how the loop is *meant* to end, not an error.
     """
     try:
         while True:
@@ -278,12 +265,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             exit_code = _print_trace(client, args.trace, args.json)
         elif args.traces:
             _print_traces(client, args.json)
-        elif args.tail or args.watch is not None:
+        elif args.watch is not None:
             # --metrics --watch is handled above; every other surviving
             # combination watches the summary view.
             exit_code = _watch(
                 lambda: print(render_summary(client.stats())),
-                args.watch if args.watch is not None else args.interval,
+                args.watch,
                 header,
             )
         else:  # --stats, and the no-flag default snapshot

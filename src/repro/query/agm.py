@@ -59,7 +59,7 @@ class FractionalCover:
 #: decomposition candidate of an exhaustive `best_decomposition` search,
 #: every EXPLAIN of the same query shape), so caching turns the planner's
 #: and the width machinery's hot path into cache probes (the shared
-#: bounded LRU also backing the server's plan and stats caches).
+#: bounded LRU also backing the server's plan cache).
 _COVER_CACHE = LruCache(65536)
 
 #: Below this a tableau cell is rounding noise, not a sign.

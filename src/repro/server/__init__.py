@@ -20,14 +20,15 @@ Layers (transport-agnostic core first, wire last):
   dict-out request handler (usable in-process, no sockets);
 - :mod:`repro.server.protocol` — the wire protocol: JSON-lines by
   default, length-prefixed binary frames after a ``hello`` negotiation,
-  ``params`` vectors, multi-request ``batch`` envelopes, and a frame
+  ``params`` vectors, pipelined requests matched by id, and a frame
   size ceiling;
 - :mod:`repro.server.tcp` — an asyncio TCP server: pipelined requests
   per connection, a bounded executor for engine work, and a graceful
   drain that finishes in-flight responses whole;
 - :mod:`repro.server.client` — :class:`Client` (one request at a time,
-  strict timeouts) and :class:`PipelinedClient` (many in flight on one
-  socket, futures matched by id);
+  strict timeouts) and its subclass :class:`PipelinedClient` (the same
+  query surface over many requests in flight on one socket, futures
+  matched by id);
 - :mod:`repro.server.cli` — the ``repro-serve`` console script.
 
 Quickstart::

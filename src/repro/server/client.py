@@ -1,10 +1,13 @@
-"""The Python wire client: ``Client`` and its iterator-of-rows cursor.
+"""The Python wire clients and their iterator-of-rows cursor.
 
-One socket, synchronous request/response, a lock so the client object can
-be shared across threads (each call owns the socket for one round trip).
-Rows come back exactly as the library yields them — ``(row, weight)``
-with ``row`` a tuple and lex weights re-tupled — so swapping a direct
-:func:`repro.sql.query` call for a served one is a one-line change::
+:class:`Client` is one socket, synchronous request/response, with a lock
+so the client object can be shared across threads (each call owns the
+socket for one round trip).  :class:`PipelinedClient` inherits its whole
+query surface and swaps only the transport: many requests in flight on
+one socket, matched by id.  Rows come back exactly as the library yields
+them — ``(row, weight)`` with ``row`` a tuple and lex weights re-tupled —
+so swapping a direct :func:`repro.sql.query` call for a served one is a
+one-line change::
 
     with Client(port=port) as client:
         for row, weight in client.execute(sql, batch=50):
@@ -16,6 +19,7 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
+from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Iterator, Optional
@@ -67,6 +71,22 @@ class ClientTimeout(ServerError):
         super().__init__(protocol.CLIENT_TIMEOUT, message)
 
 
+def _unwrap(response: dict) -> dict:
+    """A response as-is, or its error raised as :class:`ServerError`."""
+    if not response.get("ok"):
+        error = response.get("error") or {}
+        raise ServerError(
+            error.get("code", protocol.INTERNAL),
+            error.get("message", "unspecified server error"),
+        )
+    return response
+
+
+def _payload(response: dict) -> dict:
+    """A response without its envelope (``id``/``ok``)."""
+    return {k: v for k, v in response.items() if k not in ("id", "ok")}
+
+
 class Client:
     """Context-manager client for one ``repro-serve`` endpoint.
 
@@ -74,6 +94,10 @@ class Client:
     ``timeout`` bounds each round trip's read — when it expires the call
     raises :class:`ClientTimeout` and the connection is closed (None,
     the default, waits indefinitely).
+
+    Every query method below goes through :meth:`call`, so a subclass
+    that swaps the transport overrides ``__init__``, :meth:`call` and
+    :meth:`close` and inherits the rest.
     """
 
     def __init__(
@@ -109,6 +133,14 @@ class Client:
     # ------------------------------------------------------------------
     # Round trips
     # ------------------------------------------------------------------
+    def _envelope(self, op: str, fields: dict) -> dict:
+        """A request: a fresh id, ``op``, the fields, the default deadline."""
+        if fields.get("deadline_ms") is None:
+            fields.pop("deadline_ms", None)
+            if self.deadline_ms is not None:
+                fields["deadline_ms"] = self.deadline_ms
+        return {"id": next(self._ids), "op": op, **fields}
+
     def call(self, op: str, **fields: Any) -> dict:
         """One raw protocol round trip (public for protocol tinkering).
 
@@ -118,11 +150,7 @@ class Client:
         via the ``trace_context`` field — the server adopts it, so
         :meth:`trace` can show one tree spanning both sides.
         """
-        if fields.get("deadline_ms") is None:
-            fields.pop("deadline_ms", None)
-            if self.deadline_ms is not None:
-                fields["deadline_ms"] = self.deadline_ms
-        request = {"id": next(self._ids), "op": op, **fields}
+        request = self._envelope(op, fields)
         root = (
             tracer.start_trace(f"client.{op}", request_id=request["id"])
             if tracer.enabled
@@ -151,14 +179,7 @@ class Client:
                     ) from exc
         if not line:
             raise ConnectionError("server closed the connection")
-        response = protocol.decode_line(line)
-        if not response.get("ok"):
-            error = response.get("error") or {}
-            raise ServerError(
-                error.get("code", protocol.INTERNAL),
-                error.get("message", "unspecified server error"),
-            )
-        return response
+        return _unwrap(protocol.decode_line(line))
 
     # ------------------------------------------------------------------
     # The public query API
@@ -209,10 +230,11 @@ class Client:
     ) -> dict:
         """EXPLAIN ANALYZE on the server: runs the statement, returns the
         report dict (``analyze``) with its text rendering (``explain``)."""
-        response = self.call(
-            "explain", sql=sql, engine=engine, analyze=True, params=params
+        return _payload(
+            self.call(
+                "explain", sql=sql, engine=engine, analyze=True, params=params
+            )
         )
-        return {k: v for k, v in response.items() if k not in ("id", "ok")}
 
     def metrics(self, format: str = "prometheus"):
         """The server's unified metrics registry.
@@ -236,8 +258,7 @@ class Client:
             fields["trace"] = trace_id
         if request is not None:
             fields["request"] = request
-        response = self.call("trace", **fields)
-        out = {k: v for k, v in response.items() if k not in ("id", "ok")}
+        out = _payload(self.call("trace", **fields))
         if trace_id is not None and tracer.enabled and "trace" in out:
             # This process may hold the client half of a propagated
             # trace (connect/serialize/wait spans); present one tree.
@@ -254,15 +275,11 @@ class Client:
         snapshot version the mutation published.  Cursors opened before
         the call keep streaming their own snapshot, untouched.
         """
-        response = self.call("mutate", sql=sql)
-        return {
-            k: v for k, v in response.items() if k not in ("id", "ok")
-        }
+        return _payload(self.call("mutate", sql=sql))
 
     def stats(self) -> dict:
         """Server stats: caches, cursors, metrics, RAM-model counters."""
-        response = self.call("stats")
-        return {k: v for k, v in response.items() if k not in ("id", "ok")}
+        return _payload(self.call("stats"))
 
     def close_cursor(self, cursor_id: str) -> None:
         self.call("close", cursor=cursor_id)
@@ -327,9 +344,11 @@ class ResultCursor:
         #: Cumulative results the server has emitted for this cursor
         #: (inline prefix included), updated on every round trip.
         self.results_emitted: int = int(response.get("results_emitted", 0))
-        self._pending: list[tuple[tuple, Any]] = [
+        #: The current page's unread rows, consumed from the left: a
+        #: paused iteration resumes at the next unread row.
+        self._pending: deque[tuple[tuple, Any]] = deque(
             _wire_pair(p) for p in response.get("rows", ())
-        ]
+        )
         self._done: bool = bool(response.get("done"))
         #: True when the *last* round trip was cut short by its
         #: ``deadline_ms`` (the partial rows are still delivered).
@@ -360,10 +379,10 @@ class ResultCursor:
     def __iter__(self) -> Iterator[tuple[tuple, Any]]:
         while True:
             while self._pending:
-                yield self._pending.pop(0)
+                yield self._pending.popleft()
             if self._done:
                 return
-            self._pending = self.fetch()
+            self._pending = deque(self.fetch())
             if not self._pending and not self._done:
                 # An empty page on an open cursor only happens when the
                 # request's deadline expired before the first row; each
@@ -397,27 +416,24 @@ class ResultCursor:
         )
 
 
-class PipelinedClient:
+class PipelinedClient(Client):
     """A pipelining client: many requests in flight on one socket.
 
+    The query surface is :class:`Client`'s; only the transport differs.
     A background reader thread drains responses and completes
     per-request futures matched by envelope id, so any number of
     threads can share one connection — :meth:`submit` returns a
-    :class:`concurrent.futures.Future` immediately, :meth:`call` is the
-    blocking convenience around it, and :meth:`batch` packs several
-    requests into a single ``batch`` round trip (the multi-cursor
-    fetch).  On connect the client negotiates framing with a ``hello``
-    op (``frames="binary"`` by default: length-prefixed frames skip the
+    :class:`concurrent.futures.Future` immediately, :meth:`result`
+    waits for one, and :meth:`call` is the blocking pair of both.  On
+    connect the client negotiates framing with a ``hello`` op
+    (``frames="binary"`` by default: length-prefixed frames skip the
     newline scan on both sides).
 
     Unlike :class:`Client`, a read ``timeout`` here does *not* poison
     the connection: the reader thread keeps consuming responses in
     arrival order, so a late answer completes its (abandoned) future
-    harmlessly instead of desynchronizing the stream.
-
-    The query surface mirrors :class:`Client` (``execute`` returns a
-    :class:`ResultCursor`, ``mutate``/``stats``/``close_cursor`` behave
-    identically), so a driver can treat either as a connection.
+    harmlessly instead of desynchronizing the stream.  Requests carry
+    no ``trace_context``; the server starts a fresh trace for each.
     """
 
     def __init__(
@@ -452,18 +468,10 @@ class PipelinedClient:
         line = self._rfile.readline()
         if not line:
             raise ConnectionError("server closed the connection during hello")
-        response = protocol.decode_line(line)
-        if not response.get("ok"):
-            error = response.get("error") or {}
-            raise ServerError(
-                error.get("code", protocol.INTERNAL),
-                error.get("message", "hello failed"),
-            )
+        response = _unwrap(protocol.decode_line(line))
         self.frames = frames
         #: The server's hello payload (protocol revision, frame limit).
-        self.server_info = {
-            k: v for k, v in response.items() if k not in ("id", "ok")
-        }
+        self.server_info = _payload(response)
         self._socket.settimeout(None)  # the reader blocks; calls bound waits
         self._reader = threading.Thread(
             target=self._read_loop, name="repro-client-reader", daemon=True
@@ -510,11 +518,7 @@ class PipelinedClient:
     # ------------------------------------------------------------------
     def submit(self, op: str, **fields: Any) -> "Future[dict]":
         """Send one request without waiting; returns a response future."""
-        if fields.get("deadline_ms") is None:
-            fields.pop("deadline_ms", None)
-            if self.deadline_ms is not None:
-                fields["deadline_ms"] = self.deadline_ms
-        request = {"id": next(self._ids), "op": op, **fields}
+        request = self._envelope(op, fields)
         future: "Future[dict]" = Future()
         with self._pending_lock:
             if self._closed:
@@ -543,64 +547,11 @@ class PipelinedClient:
                 f"no response within {self.timeout}s (the connection "
                 "stays usable; the response will be discarded on arrival)"
             ) from None
-        if not response.get("ok"):
-            error = response.get("error") or {}
-            raise ServerError(
-                error.get("code", protocol.INTERNAL),
-                error.get("message", "unspecified server error"),
-            )
-        return response
+        return _unwrap(response)
 
     def call(self, op: str, **fields: Any) -> dict:
         """One blocking round trip (over the pipelined machinery)."""
         return self.result(self.submit(op, **fields))
-
-    def batch(self, requests: list) -> list:
-        """One ``batch`` round trip: sub-requests dispatched in order.
-
-        Each element is a dict with at least ``op``; sub-ids are
-        assigned here.  Returns the per-sub-request response dicts
-        (errors inline, not raised — callers inspect ``ok``).
-        """
-        numbered = [
-            {"id": i, **request} for i, request in enumerate(requests)
-        ]
-        response = self.result(self.submit("batch", requests=numbered))
-        return response.get("responses", [])
-
-    # ------------------------------------------------------------------
-    # The Client-compatible query surface
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        sql: str,
-        engine: Optional[str] = None,
-        batch: int = 100,
-        prefetch: Optional[int] = None,
-        deadline_ms: Optional[int] = None,
-        params: Optional[list] = None,
-    ) -> "ResultCursor":
-        """Open a server-side cursor; returns an iterable cursor."""
-        response = self.call(
-            "query",
-            sql=sql,
-            engine=engine,
-            fetch=batch if prefetch is None else prefetch,
-            deadline_ms=deadline_ms,
-            params=params,
-        )
-        return ResultCursor(self, response, batch=batch, deadline_ms=deadline_ms)
-
-    def mutate(self, sql: str) -> dict:
-        response = self.call("mutate", sql=sql)
-        return {k: v for k, v in response.items() if k not in ("id", "ok")}
-
-    def stats(self) -> dict:
-        response = self.call("stats")
-        return {k: v for k, v in response.items() if k not in ("id", "ok")}
-
-    def close_cursor(self, cursor_id: str) -> None:
-        self.call("close", cursor=cursor_id)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -625,9 +576,3 @@ class PipelinedClient:
             pass
         finally:
             self._socket.close()
-
-    def __enter__(self) -> "PipelinedClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -303,9 +303,8 @@ class CachedPlan:
     ``compiled`` is the *template* compilation (filters and LIMIT may
     hold :class:`Parameter` sentinels); ``costed`` is the current
     :class:`CostedPlan`, replaced by one attribute store on
-    :meth:`recost` — read it once per request.  ``hits`` is bumped
-    atomically under the cache lock; ``recosts`` counts in-place
-    re-routings after large data drift.
+    :meth:`recost` — read it once per request.  Hit, miss and recost
+    counts live on the :class:`PlanCache`, not on the entry.
 
     For any-k engines the entry also carries the compiled enumeration
     kernel, via ``plan.kernel_slot`` (a
@@ -319,18 +318,11 @@ class CachedPlan:
 
     compiled: "CompiledQuery"
     costed: CostedPlan
-    hits: int = 0
-    recosts: int = 0
 
     def recost(self, costed: CostedPlan) -> None:
         """Swap in a freshly costed plan (the entry stays in place, so
-        the LRU order and per-entry hit history survive the re-route)."""
+        its LRU position survives the re-route)."""
         self.costed = costed
-        self.recosts += 1
-
-
-def _bump_hits(entry: CachedPlan) -> None:
-    entry.hits += 1
 
 
 class PlanCache:
@@ -355,9 +347,7 @@ class PlanCache:
         return (normalized_sql, engine, workers)
 
     def lookup(self, key: tuple) -> Optional[CachedPlan]:
-        # The per-entry hit bump runs under the LRU lock: concurrent
-        # lookups of a hot template must not lose increments.
-        return self._lru.get(key, on_hit=_bump_hits)
+        return self._lru.get(key)
 
     def note_recost(self) -> None:
         """Account a validated-then-recosted hit as a miss: the caller

@@ -12,13 +12,13 @@ one.  Either way a frame larger than the server's limit
 ``frame_too_large`` error and the connection stays usable.
 
 Requests may be **pipelined**: a client can write any number of requests
-without waiting for responses.  Responses carry the request ``id``
-precisely so pipelined clients can match them up; the async server may
-complete independent requests out of order.  All requests share the
-envelope::
+without waiting for responses.  Pipelining is the one way to put several
+requests on a round trip.  Responses carry the request ``id`` precisely
+so pipelined clients can match them up; the async server may complete
+independent requests out of order.  All requests share the envelope::
 
     {"id": <any>, "op": "query" | "fetch" | "explain" | "mutate" | "close"
-     | "batch" | "hello" | "stats" | "metrics" | "trace",
+     | "hello" | "stats" | "metrics" | "trace",
      ...op fields...,
      "deadline_ms": <optional int>,
      "trace_context": <optional W3C-traceparent-style string>}
@@ -40,6 +40,8 @@ Op fields (see :class:`repro.server.service.QueryService` for semantics):
     exactly that generation).
 ``fetch``
     ``cursor`` (required), ``n`` (optional int, default server batch).
+    The response carries ``rows``, ``done`` and ``results_emitted``, the
+    cursor's cumulative result count.
 ``explain``
     ``sql`` (required), ``engine`` (optional), ``params`` (optional, as
     for ``query``), ``analyze`` (optional bool: run the statement to
@@ -52,14 +54,8 @@ Op fields (see :class:`repro.server.service.QueryService` for semantics):
     snapshot they were planned on.  Responds with ``applied``,
     ``relation``, ``rows``, and the new ``version``.
 ``close``
-    ``cursor`` (required).
-``batch``
-    ``requests`` (required: a list of at most :data:`MAX_BATCH` request
-    objects, each a full envelope minus ``batch``/``hello`` nesting).
-    Dispatches every sub-request in order on one server turn and
-    responds with ``{"responses": [...]}`` — one response object per
-    sub-request, order preserved.  The canonical multi-cursor fetch:
-    one round trip advances any number of cursors.
+    ``cursor`` (required).  Responds with ``closed`` and
+    ``results_emitted``.
 ``hello``
     ``frames`` (optional: ``"json"`` — the default line framing — or
     ``"binary"``).  Negotiates the connection's framing; the response
@@ -108,7 +104,7 @@ import struct
 from typing import Any, Optional
 
 #: Protocol revision, echoed by the ``stats`` op.  2 added pipelining,
-#: ``params`` binding, and the ``batch``/``hello`` ops.
+#: ``params`` binding, and the ``hello`` op.
 PROTOCOL_VERSION = 2
 
 #: Default TCP port of ``repro-serve`` (overridable everywhere).
@@ -118,9 +114,6 @@ DEFAULT_PORT = 7632
 #: framings; ``repro-serve --max-frame-bytes`` overrides).  Oversized
 #: requests are answered with ``frame_too_large``, never a hangup.
 MAX_FRAME_BYTES = 1_000_000
-
-#: Most sub-requests one ``batch`` op may carry.
-MAX_BATCH = 128
 
 #: Most values one ``params`` vector may carry.
 MAX_PARAMS = 64
@@ -138,7 +131,6 @@ OPS: dict[str, tuple[str, ...]] = {
     "explain": ("sql",),
     "mutate": ("sql",),
     "close": ("cursor",),
-    "batch": ("requests",),
     "hello": (),
     "stats": (),
     "metrics": (),
@@ -241,25 +233,6 @@ def validate_request(request: dict) -> str:
         raise ProtocolError("'trace' must be a string (a trace id)")
     if op in ("query", "explain"):
         validate_params(request.get("params"))
-    if op == "batch":
-        requests = request["requests"]
-        if not isinstance(requests, list):
-            raise ProtocolError("'requests' must be a list of request objects")
-        if len(requests) > MAX_BATCH:
-            raise ProtocolError(
-                f"a batch carries at most {MAX_BATCH} requests, "
-                f"got {len(requests)}"
-            )
-        for i, sub in enumerate(requests):
-            if not isinstance(sub, dict):
-                raise ProtocolError(
-                    f"batch request {i} must be a JSON object, "
-                    f"got {type(sub).__name__}"
-                )
-            if sub.get("op") in ("batch", "hello"):
-                raise ProtocolError(
-                    f"batch request {i}: {sub['op']!r} cannot nest in a batch"
-                )
     if op == "hello":
         frames = request.get("frames", "json")
         if frames not in FRAMES:

@@ -20,7 +20,7 @@ from typing import Any, Optional, Sequence
 from repro.anyk.api import PausableStream, StreamClosed
 from repro.data.database import Database
 from repro.dynamic import MutationError, VersionedDatabase
-from repro.engine.catalog import StatsCache, database_fingerprint
+from repro.engine.catalog import database_fingerprint
 from repro.engine.executor import apply_mutation, execute
 from repro.engine.planner import plan_compiled
 from repro.obs.delay import DELAY_BOUNDS, DelayProfile
@@ -80,8 +80,8 @@ class QueryService:
         Mutations arrive through the ``mutate`` op and publish
         copy-on-write snapshots: open cursors keep draining the exact
         snapshot they were planned on, new queries see the newest
-        version, and per-version fingerprints invalidate stale plan and
-        statistics cache entries while untouched relations keep theirs.
+        version, and per-version fingerprints invalidate stale plan-cache
+        entries while untouched relations keep theirs.
     max_cursors:
         Admission limit on concurrently open cursors.
     max_mem_mb:
@@ -95,8 +95,8 @@ class QueryService:
     mem_evict_idle_s:
         Minimum idle age before memory pressure may evict a cursor
         (protects sessions a client is actively paging through).
-    plan_cache_size / stats_cache_size:
-        LRU capacities of the plan cache and the cached-stats catalog.
+    plan_cache_size:
+        LRU capacity of the plan cache.
     default_batch:
         Rows per ``fetch`` when the request does not say.
     idle_evict_s:
@@ -122,7 +122,6 @@ class QueryService:
         max_mem_mb: Optional[float] = None,
         mem_evict_idle_s: float = 1.0,
         plan_cache_size: int = 128,
-        stats_cache_size: int = 1024,
         default_batch: int = 100,
         idle_evict_s: Optional[float] = 600.0,
         workers: int = 1,
@@ -135,7 +134,6 @@ class QueryService:
         self.workers = workers
         self.readonly = readonly
         self.plan_cache = PlanCache(plan_cache_size)
-        self.stats_cache = StatsCache(stats_cache_size)
         self.cursors = CursorManager(
             max_cursors,
             idle_evict_s=idle_evict_s,
@@ -280,7 +278,6 @@ class QueryService:
                     snapshot,
                     bound,
                     engine=engine,
-                    stats_cache=self.stats_cache,
                     workers=self.workers,
                 )
             entry = CachedPlan(
@@ -303,7 +300,6 @@ class QueryService:
                     snapshot,
                     bound,
                     engine=engine,
-                    stats_cache=self.stats_cache,
                     workers=self.workers,
                 )
             entry.recost(CostedPlan(routed, fingerprint, values))
@@ -439,7 +435,6 @@ class QueryService:
                 "live_bytes": cursor.memory.live_bytes,
                 "peak_bytes": cursor.memory.peak_bytes,
             }
-        payload["emitted"] = cursor.emitted
         payload["results_emitted"] = cursor.emitted
         if payload["done"]:
             self._finish(cursor_id)
@@ -666,11 +661,7 @@ class QueryService:
         """Explicitly free a cursor's session state."""
         cursor = self.cursors.close(cursor_id)  # raises UnknownCursorError
         self._retire(cursor)
-        return {
-            "closed": cursor_id,
-            "emitted": cursor.emitted,
-            "results_emitted": cursor.emitted,
-        }
+        return {"closed": cursor_id, "results_emitted": cursor.emitted}
 
     def hello(self, frames: str = "json") -> dict:
         """Capability echo for the ``hello`` op.
@@ -685,19 +676,6 @@ class QueryService:
             "protocol": protocol.PROTOCOL_VERSION,
             "pipelining": True,
             "max_frame_bytes": None,
-        }
-
-    def batch(self, requests: list) -> dict:
-        """Dispatch a list of sub-requests in order, on one turn.
-
-        Each sub-request runs through the full :meth:`handle` pipeline —
-        validation, tracing, per-op metrics, error counts — so a batch
-        of N requests is indistinguishable from N pipelined requests
-        except for the single round trip.  A failing sub-request yields
-        its error response in place; the rest of the batch still runs.
-        """
-        return {
-            "responses": [self.handle(request) for request in requests]
         }
 
     def stats(self) -> dict:
@@ -722,7 +700,6 @@ class QueryService:
             "database": self.versioned.info(),
             **metrics,
             "plan_cache": self.plan_cache.info(),
-            "stats_cache": self.stats_cache.info(),
             "cursors": self.cursors.stats(),
             "counters": self.counters.snapshot(),
             "op_latency_ms": self._op_latency_summary(),
@@ -794,7 +771,7 @@ class QueryService:
         """Look up a buffered trace by trace id or by request id.
 
         With neither given, returns the newest buffered traces plus the
-        tracer's ring statistics (what ``repro-obs --tail`` polls).
+        tracer's ring statistics (what ``repro-obs --traces`` lists).
         """
         if trace_id is not None:
             found = tracer.get(trace_id)
@@ -849,17 +826,11 @@ class QueryService:
                     getattr(self.cursors, state),
                 )
             )
-        for cache_name, cache in (
-            ("plan", self.plan_cache),
-            ("stats", self.stats_cache),
-        ):
-            info = cache.info()
-            labels = {"cache": cache_name}
-            samples.append(("repro_cache_entries", labels, info["entries"]))
-            samples.append(("repro_cache_hits_total", labels, info["hits"]))
-            samples.append(
-                ("repro_cache_misses_total", labels, info["misses"])
-            )
+        info = self.plan_cache.info()
+        labels = {"cache": "plan"}
+        samples.append(("repro_cache_entries", labels, info["entries"]))
+        samples.append(("repro_cache_hits_total", labels, info["hits"]))
+        samples.append(("repro_cache_misses_total", labels, info["misses"]))
         # Compiled-kernel accounting: per-engine event counters plus the
         # process-wide template cache, labeled like the other caches.
         from repro.anyk.kernels import kernel_cache_info, kernel_stats
@@ -982,8 +953,6 @@ class QueryService:
                 payload = self.mutate(request["sql"])
             elif op == "close":
                 payload = self.close(request["cursor"])
-            elif op == "batch":
-                payload = self.batch(request["requests"])
             elif op == "hello":
                 payload = self.hello(request.get("frames", "json"))
             elif op == "metrics":

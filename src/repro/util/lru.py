@@ -1,7 +1,7 @@
 """A bounded, thread-safe LRU map with hit/miss accounting.
 
 The one cache shape this library keeps reaching for — the fractional-cover
-LP memo, the router's cached-stats catalog, the server's plan cache —
+LP memo, the compiled-kernel templates, the server's plan cache —
 extracted so eviction and accounting live in exactly one place.  Plain
 ``get``/``put`` (no ``__missing__`` magic): callers decide what a miss
 costs and whether to store the result.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Hashable, Optional
 
 
 class LruCache:
@@ -26,18 +26,8 @@ class LruCache:
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(
-        self,
-        key: Hashable,
-        on_hit: Optional[Callable[[Any], None]] = None,
-    ) -> Optional[Any]:
-        """The cached value (freshened to most-recent), or None.
-
-        ``on_hit`` runs on the value *under the cache lock*, so per-entry
-        accounting (e.g. a hit counter on the value itself) is atomic
-        with respect to concurrent lookups — a racy ``entry.hits += 1``
-        outside the lock loses increments.
-        """
+    def get(self, key: Hashable) -> Optional[Any]:
+        """The cached value (freshened to most-recent), or None."""
         with self._lock:
             value = self._entries.get(key)
             if value is None:
@@ -45,8 +35,6 @@ class LruCache:
                 return None
             self.hits += 1
             self._entries.move_to_end(key)
-            if on_hit is not None:
-                on_hit(value)
             return value
 
     def reclassify_hit_as_miss(self) -> None:

@@ -375,7 +375,7 @@ def _instance_sql(query: ConjunctiveQuery, k: int) -> str:
 def test_mutation_interleavings_match_fresh_recompute(seed):
     """Randomized mutation/query interleavings against a shadow model.
 
-    A :class:`~repro.server.service.QueryService` (plan + stats caches
+    A :class:`~repro.server.service.QueryService` (plan cache
     live) takes seeded random INSERT/DELETE mutations interleaved with
     ranked queries; after every step, the served ranked prefix must equal
     a from-scratch recompute over a *fresh* database rebuilt from a

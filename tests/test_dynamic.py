@@ -25,10 +25,8 @@ from repro.data.database import Database
 from repro.data.generators import path_database
 from repro.data.relation import Relation
 from repro.dynamic import Delete, Insert, MutationError, VersionedDatabase, insert
-from repro.engine.catalog import StatsCache, database_fingerprint
-from repro.engine.planner import plan_compiled
+from repro.engine.catalog import database_fingerprint
 from repro.server.service import QueryService
-from repro.sql.analyzer import analyze
 
 
 def small_db() -> Database:
@@ -266,33 +264,6 @@ class TestCacheStaleness:
         # ... while the statement over untouched T stays warm.
         assert service.query(UNAFFECTED_SQL, fetch=5)["plan_cached"]
         assert service.plan_cache.info()["hits"] == hits_before + 1
-
-    def test_stats_cache_refreshes_only_touched_relations(self):
-        vdb = VersionedDatabase(small_db())
-        stats_cache = StatsCache()
-        r_only = "SELECT * FROM R ORDER BY weight LIMIT 2"
-        s_only = "SELECT * FROM S ORDER BY weight LIMIT 2"
-
-        def plan(sql: str) -> None:
-            snapshot = vdb.snapshot()
-            plan_compiled(
-                snapshot, analyze(snapshot, sql), stats_cache=stats_cache
-            )
-
-        plan(r_only)
-        plan(s_only)
-        plan(r_only)
-        plan(s_only)
-        info = stats_cache.info()
-        assert (info["misses"], info["hits"]) == (2, 2)
-
-        vdb.insert("R", [(5, 5)])
-        plan(r_only)  # touched: must re-gather
-        info = stats_cache.info()
-        assert (info["misses"], info["hits"]) == (3, 2)
-        plan(s_only)  # untouched: must stay cached
-        info = stats_cache.info()
-        assert (info["misses"], info["hits"]) == (3, 3)
 
     def test_explain_reports_snapshot_version(self):
         service = _three_relation_service()

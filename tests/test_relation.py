@@ -149,7 +149,7 @@ def test_sorted_by_weight_mixed_types_still_orders_by_weight_first():
 def test_version_survives_all_three_copying_ops():
     """Regression: ``rename`` and ``sorted_by_weight`` reset ``version``
     to 0 while ``copy`` preserved it, so a derived relation could alias
-    a static (version-0) fingerprint in the plan/stats caches."""
+    a static (version-0) fingerprint in the plan cache."""
     r = Relation("R", ("a", "b"), [(1, 2), (3, 4)], [0.2, 0.1])
     r.version = 7
     assert r.copy().version == 7

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.anyk.api import PausableStream
 from repro.data.generators import path_database, random_graph_database
-from repro.engine.catalog import StatsCache, database_fingerprint
+from repro.engine.catalog import database_fingerprint
 from repro.server import QueryService, normalize_sql
 from repro.server.plancache import PlanCache
 
@@ -202,7 +202,7 @@ def test_fetch_rejects_nonpositive_page_sizes(path_db):
 
 
 # ----------------------------------------------------------------------
-# Plan cache and cached-stats catalog
+# Plan cache
 # ----------------------------------------------------------------------
 def test_plan_cache_hits_across_formatting(path_db):
     service = QueryService(path_db)
@@ -321,17 +321,6 @@ def test_normalize_sql_canonicalizes():
     assert a == b
 
 
-def test_stats_cache_hits(path_db):
-    from repro.sql.analyzer import analyze
-
-    compiled = analyze(path_db, PATH_SQL.format(k=10))
-    cache = StatsCache()
-    first = cache.gather(path_db, compiled.cq)
-    second = cache.gather(path_db, compiled.cq)
-    assert first is second
-    assert cache.info()["hits"] == 1 and cache.info()["misses"] == 1
-
-
 # ----------------------------------------------------------------------
 # Deadlines
 # ----------------------------------------------------------------------
@@ -375,14 +364,35 @@ def test_error_responses(path_db):
     assert not bad_type["ok"] and bad_type["error"]["code"] == "bad_request"
 
 
+def test_batch_is_an_unknown_op(path_db):
+    service = QueryService(path_db)
+    response = service.handle(
+        {"id": 1, "op": "batch", "requests": [{"op": "stats"}]}
+    )
+    assert not response["ok"] and response["error"]["code"] == "bad_request"
+    known = response["error"]["message"].split("known ops:")[1]
+    assert "batch" not in known and "fetch" in known
+
+
 def test_stats_endpoint_shape(path_db):
     service = QueryService(path_db)
     service.handle(
         {"id": 1, "op": "query", "sql": PATH_SQL.format(k=5), "fetch": 10}
     )
+    # fetch/close report the cumulative count once, as results_emitted.
+    opened = service.handle(
+        {"id": 3, "op": "query", "sql": PATH_SQL.format(k=5), "fetch": 1}
+    )
+    page = service.handle(
+        {"id": 4, "op": "fetch", "cursor": opened["cursor"], "n": 2}
+    )
+    closed = service.handle({"id": 5, "op": "close", "cursor": opened["cursor"]})
+    for payload in (page, closed):
+        assert payload["ok"] and payload["results_emitted"] == 3
+        assert "emitted" not in payload
     stats = service.handle({"id": 2, "op": "stats"})
     assert stats["ok"]
-    assert stats["queries"] == 1 and stats["rows_served"] == 5
+    assert stats["queries"] == 2 and stats["rows_served"] == 8
     assert stats["plan_cache"]["misses"] == 1
     assert stats["cursors"]["open"] == 0  # drained cursor auto-closed
     assert stats["counters"]["total_work"] > 0

@@ -2,9 +2,10 @@
 
 Everything here exercises behaviour the old thread-per-connection
 server could not provide (or silently got wrong): many requests in
-flight on one socket, binary length-prefixed frames, the frame-size
-ceiling in both framings, client-side timeouts that do not corrupt the
-stream, and a graceful drain that never truncates a frame mid-write.
+flight on one socket, binary length-prefixed frames, the pipelined
+client's inherited query surface, the frame-size ceiling in both
+framings, client-side timeouts that do not corrupt the stream, and a
+graceful drain that never truncates a frame mid-write.
 """
 
 from __future__ import annotations
@@ -134,30 +135,45 @@ def test_pipelined_params_and_cursor_surface(served, graph_db):
     assert bound == literal and len(bound) == 15
 
 
-def test_batch_op_packs_multiple_requests(served):
+@pytest.mark.parametrize("frames", ["json", "binary"])
+def test_batch_is_an_unknown_op_in_both_framings(served, frames):
+    # Pipelining is the one way to put several requests on a round trip.
     _, port = served
-    with PipelinedClient(port=port) as client:
-        responses = client.batch(
-            [
-                {"op": "query", "sql": GRAPH_SQL.format(k=5), "fetch": 5},
-                {"op": "stats"},
-                {"op": "fetch", "cursor": "c999999"},
-            ]
-        )
-    assert len(responses) == 3
-    assert responses[0]["ok"] and len(responses[0]["rows"]) == 5
-    assert responses[1]["ok"] and "queries" in responses[1]
-    assert not responses[2]["ok"]
-    assert responses[2]["error"]["code"] == "unknown_cursor"
-
-
-def test_batch_refuses_nesting(served):
-    # Rejected at the envelope: the whole batch bounces, nothing runs.
-    _, port = served
-    with PipelinedClient(port=port) as client:
+    with PipelinedClient(port=port, frames=frames) as client:
         with pytest.raises(ServerError) as excinfo:
-            client.batch([{"op": "batch", "requests": []}])
-    assert excinfo.value.code == "bad_request"
+            client.call("batch", requests=[{"op": "stats"}])
+        assert excinfo.value.code == "bad_request"
+        assert "batch" not in excinfo.value.message.split("known ops:")[1]
+        assert "queries" in client.stats()  # the connection stays usable
+
+
+@pytest.mark.parametrize("frames", ["json", "binary"])
+def test_pipelined_client_answers_like_client(served, frames):
+    """PipelinedClient inherits Client's query surface: on one server the
+    two answer explain, explain_analyze, metrics and trace alike."""
+    server, port = served
+    sql = GRAPH_SQL.format(k=12)
+    traced = server.service.handle({"id": "t", "op": "stats"})["trace_id"]
+    with Client(port=port) as plain, PipelinedClient(
+        port=port, frames=frames
+    ) as pipelined:
+        plain.explain(sql)  # warm the plan cache: both calls below hit
+        assert pipelined.explain(sql) == plain.explain(sql)
+        one, two = plain.explain_analyze(sql), pipelined.explain_analyze(sql)
+        assert one.keys() == two.keys() >= {"explain", "analyze", "engine"}
+        assert (one["engine"], one["plan_cached"]) == (
+            two["engine"],
+            two["plan_cached"],
+        )
+        assert one["analyze"]["rows"] == two["analyze"]["rows"] == 12
+        assert (
+            plain.metrics(format="json").keys()
+            == pipelined.metrics(format="json").keys()
+        )
+        one, two = plain.trace(traced), pipelined.trace(traced)
+        assert one["trace"]["trace_id"] == traced
+        assert (one["trace"], one["rendered"]) == (two["trace"], two["rendered"])
+    assert issubclass(PipelinedClient, Client)
 
 
 # ----------------------------------------------------------------------
