@@ -127,7 +127,9 @@ def rank_enumerate_ghd(
     counters: Optional[Counters] = None,
 ) -> Iterator[tuple[tuple, Any]]:
     """Any-k over an arbitrary cyclic query via a single GHD rewrite."""
-    rewrite = decompose_to_acyclic(db, query, combine=ranking.float_combine())
+    rewrite = decompose_to_acyclic(
+        db, query, combine=ranking.float_combine(), counters=counters
+    )
     tdp = TDP(rewrite.database, rewrite.query, ranking=ranking, counters=counters)
     rewrite_vars = rewrite.query.variables
     positions = [rewrite_vars.index(v) for v in query.variables]

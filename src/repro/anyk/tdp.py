@@ -16,21 +16,23 @@ Key objects:
   achievable completion of its whole subtree) and the bucket minimum
   (weight and tuple, stored).  Buckets are the unit on which the ANYK-PART
   successor strategies operate.
-- :class:`TDP` — builds stages and buckets in O(n), inside the reducer's
-  two passes (:func:`repro.joins.semijoin.reduce_stages` folds the subtree
-  weights bottom-up while it drops dangling tuples), and provides the
-  weight/row algebra shared by ANYK-PART and ANYK-REC: canonical
-  solution weights fold in DFS pre-order, so partial
-  (prefix) priorities and full solution weights are always comparable —
-  this is what makes non-float rankings such as LEX safe on trees.
+- :class:`TDP` — builds stages in O(n) inside the reducer's two passes
+  (:func:`repro.joins.semijoin.reduce_stages` folds the subtree weights
+  and groups the tuples by key bottom-up while it drops dangling tuples),
+  and provides the weight/row algebra shared by ANYK-PART and ANYK-REC:
+  canonical solution weights fold in DFS pre-order, so partial (prefix)
+  priorities and full solution weights are always comparable — this is
+  what makes non-float rankings such as LEX safe on trees.
 
-``TDP.buckets`` is one dict per stage, keyed by the reducer's join key
-(:func:`repro.joins.semijoin.key_getter`: the bare value for a single join
-attribute, a tuple otherwise, ``()`` at the root), and ``TDP.resolvers``
-holds per stage what finding a bucket from a chosen parent tuple takes —
-parent position, parent rows, ``Stage.parent_key`` and that dict — so the
-enumeration loops resolve a bucket lazily with two index operations, one
-C-level key read and one dict probe, allocating nothing.
+``TDP.buckets`` is one lazy :class:`Buckets` dict per stage, keyed by the
+reducer's join key (:func:`repro.joins.semijoin.key_getter`: the bare value
+for a single join attribute, a tuple otherwise, ``()`` at the root): only
+a subscript builds a bucket, from the reducer's group of its key (``get``,
+``in``, ``len`` and iteration see the built ones), and
+``TDP.resolvers`` holds per stage what finding a bucket from a chosen
+parent tuple takes — parent position, parent rows, ``Stage.parent_key``
+and that dict — so the enumeration loops resolve a bucket lazily with two
+index operations, one C-level key read and one dict probe.
 
 A *solution prefix* is a choice of tuples for stages ``0..L-1`` (DFS order
 guarantees each stage's parent is chosen before it).  Its *priority* — the
@@ -82,17 +84,27 @@ class Bucket:
     structure: Any = None
     stream: Any = None
 
-    @classmethod
-    def of(cls, tuple_ids: list[int], subtree: list[Any]) -> "Bucket":
-        """The bucket of ``tuple_ids``, weights read off the stage's
-        ``subtree`` list; the best is the first minimum."""
-        weights = [subtree[i] for i in tuple_ids]
-        best = min(weights)
-        position = weights.index(best)
-        return cls(tuple_ids, weights, position, best, tuple_ids[position])
-
     def __len__(self) -> int:
         return len(self.tuple_ids)
+
+
+class Buckets(dict):
+    """Parent join key -> :class:`Bucket`, built on the key's first
+    subscript from the reducer's ``groups`` (``Survivors.groups``, every
+    key); ``get``, ``in``, ``len`` and iteration build no bucket."""
+
+    __slots__ = ("groups", "subtree")
+
+    def __init__(self, groups: dict, subtree: list) -> None:
+        self.groups, self.subtree = groups, subtree
+
+    def __missing__(self, key: Any) -> Bucket:
+        best, position, ids = self.groups[key]
+        subtree = self.subtree
+        # A lone tuple's subtree weight is the minimum: no lookup to copy.
+        weights = [subtree[i] for i in ids] if len(ids) > 1 else [best]
+        self[key] = bucket = Bucket(ids, weights, position, best, ids[position])
+        return bucket
 
 
 class TDP:
@@ -140,18 +152,13 @@ class TDP:
         #: Lifted tuple weights per stage (parallel to relation rows).
         self.lifted: list[list[Any]] = []
         #: per stage: parent join key (``Stage.parent_key``) -> Bucket
-        self.buckets: list[dict[Any, Bucket]] = []
+        self.buckets: list[Buckets] = []
         for stage, alive, weights in zip(self.stages, survivors, lifted):
             if len(alive.ids) != len(weights):
                 weights = [weights[i] for i in alive.ids]
             self.lifted.append(weights)
             stage.relation = alive.relation(stage.relation)
-            self.buckets.append(
-                {
-                    key: Bucket.of(tuple_ids, alive.subtree)
-                    for key, tuple_ids in alive.buckets(counters).items()
-                }
-            )
+            self.buckets.append(Buckets(alive.groups, alive.subtree))
         #: per non-root stage ``(parent position, parent rows, parent row
         #: -> key, bucket dict)``: the stage's bucket for a solution is
         #: ``buckets[key(rows[solution[parent]])]``
@@ -164,11 +171,10 @@ class TDP:
             )
             for stage in self.stages[1:]
         ]
+        num_buckets = sum(len(stage.groups) for stage in self.buckets)
         if counters is not None:
             # One comparison per non-first tuple of a bucket for its minimum.
-            counters.comparisons += self.total_tuples() - sum(
-                len(stage_buckets) for stage_buckets in self.buckets
-            )
+            counters.comparisons += self.total_tuples() - num_buckets
 
         self._writers = output_writers(self.stages, query.variables)
 
@@ -180,21 +186,18 @@ class TDP:
             space.gauge("tdp.tuples", tdp_tuple_bytes()).add(
                 self.total_tuples()
             )
-            space.gauge("tdp.buckets", tdp_bucket_bytes()).add(
-                sum(len(stage_buckets) for stage_buckets in self.buckets)
-            )
+            space.gauge("tdp.buckets", tdp_bucket_bytes()).add(num_buckets)
 
     # ------------------------------------------------------------------
     # Accessors used by the enumeration algorithms
     # ------------------------------------------------------------------
     def is_empty(self) -> bool:
-        """True iff the query has no answers (root bucket empty/absent)."""
-        root = self.buckets[0].get(())
-        return root is None or len(root) == 0
+        """True iff the query has no answers (no root bucket)."""
+        return () not in self.buckets[0].groups
 
     def root_bucket(self) -> Optional[Bucket]:
         """The single bucket of the root stage (key ``()``), or None."""
-        return self.buckets[0].get(())
+        return None if self.is_empty() else self.buckets[0][()]
 
     def bucket_for(self, position: int, choices: Sequence[int]) -> Bucket:
         """The stage's bucket selected by the parent's chosen tuple.

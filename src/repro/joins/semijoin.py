@@ -13,13 +13,14 @@ stage the surviving *row ids* in two passes, with position-resolved join
 keys and no intermediate relation.  Its three consumers differ only in
 what they build from the ids: :func:`full_reducer` materializes relations
 (Yannakakis joins them),
-:class:`repro.factorized.frep.FactorizedRepresentation` buckets them, and
-:class:`repro.anyk.tdp.TDP` additionally has the bottom-up pass fold the
-subtree weights of its dynamic program.
+:class:`repro.factorized.frep.FactorizedRepresentation` buckets them in a
+pass of its own (:meth:`Survivors.buckets`), and :class:`repro.anyk.tdp.TDP`
+has the bottom-up pass fold its subtree weights and group its tuples by
+key (``Survivors.groups``), a T-DP bucket being built on its first probe.
 
 One key convention everywhere: a join key is what :func:`key_getter`
 reads off a row — the *bare value* for a single join attribute, a tuple
-for several, ``()`` for none.  The reducer's summaries,
+for several, ``()`` for none.  The reducer's summaries and groups,
 :meth:`Survivors.buckets`, ``TDP.buckets`` and the factorized unions are
 all keyed by it, and ``Stage.parent_key`` is the resolver that reads a
 stage's bucket key off a parent row, so no lookup allocates or re-wraps
@@ -31,6 +32,7 @@ from __future__ import annotations
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.data.database import Database
@@ -179,6 +181,9 @@ class Survivors(NamedTuple):
     rows: list[tuple]
     keys: list  # join key with the parent (see join_keys)
     subtree: Optional[list]  # subtree weights, when lifted weights were given
+    #: with ``subtree``: join key -> ``[minimum subtree weight, position
+    #: of its first occurrence in the group, dense tuple ids in order]``
+    groups: Optional[dict]
 
     def relation(self, source: Relation) -> Relation:
         """The reduced relation — ``source`` itself when nothing dangled."""
@@ -217,6 +222,8 @@ def reduce_stages(
     in ``stage.children`` order — a row with no child bucket *is* a
     dangling row, so the semijoin costs nothing extra.  The top-down pass
     drops whole buckets only, so subtree weights and bucket minima stand.
+    The visit that finds a key's minimum records the key's group (its
+    tuple ids and where the minimum sits); top-down, kept ids renumber.
     """
     reads = probes = 0
     #: per stage: parent join key -> bucket minimum (True when unweighted)
@@ -239,14 +246,21 @@ def reduce_stages(
             if weights is not None:
                 weights = list(map(combine, weights, found))
         keys = join_keys(stage.own_key_positions, rows)
+        groups = None
         if weights is None:
             summary[stage.position] = dict.fromkeys(keys, True)
-        elif stage.parent is not None:
-            lowest = summary[stage.position]
-            for key, weight in zip(keys, weights):
-                if key not in lowest or weight < lowest[key]:
-                    lowest[key] = weight
-        alive[stage.position] = Survivors(ids, rows, keys, weights)
+        else:
+            groups = {}
+            for tuple_id, key, weight in zip(count(), keys, weights):
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [weight, 0, [tuple_id]]
+                else:
+                    if weight < group[0]:
+                        group[0], group[1] = weight, len(group[2])
+                    group[2].append(tuple_id)
+            summary[stage.position] = {key: low for key, (low, _, _) in groups.items()}
+        alive[stage.position] = Survivors(ids, rows, keys, weights, groups)
 
     for stage in stages[1:]:
         parent_rows = alive[stage.parent].rows
@@ -256,12 +270,20 @@ def reduce_stages(
         # the parent's keys are a subset of this stage's bucket keys.
         if len(parent_keys) == len(summary[stage.position]):
             continue
-        keys = alive[stage.position].keys
+        *columns, groups = alive[stage.position]
+        keys = columns[2]
         reads += len(keys)
         probes += len(keys)
         keep = [j for j, key in enumerate(keys) if key in parent_keys]
+        if groups is not None:
+            renumber = dict(zip(keep, count()))
+            groups = {
+                key: [low, best, [renumber[j] for j in group]]
+                for key, (low, best, group) in groups.items()
+                if key in parent_keys
+            }
         alive[stage.position] = Survivors(
-            *(_pick(values, keep) for values in alive[stage.position])
+            *(_pick(values, keep) for values in columns), groups
         )
     if counters is not None:
         counters.tuples_read += reads

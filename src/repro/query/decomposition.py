@@ -33,6 +33,7 @@ from repro.data.relation import Relation
 from repro.query.agm import fractional_edge_cover
 from repro.query.cq import Atom, ConjunctiveQuery, QueryError
 from repro.query.hypergraph import Hypergraph, JoinTree, gyo_reduction
+from repro.util.counters import Counters
 
 
 @dataclass
@@ -288,6 +289,7 @@ def decompose_to_acyclic(
     query: ConjunctiveQuery,
     decomposition: Optional[TreeDecomposition] = None,
     combine: Callable[[float, float], float] = lambda a, b: a + b,
+    counters: Optional[Counters] = None,
 ) -> AcyclicRewrite:
     """Rewrite a (cyclic) query into an equivalent acyclic one.
 
@@ -297,7 +299,8 @@ def decompose_to_acyclic(
     accumulation operator; defaults to sum).  Because every original atom is
     assigned to exactly one bag, every output weight is combined exactly
     once per atom, so ranked enumeration over the rewrite ranks identically
-    to the original query.
+    to the original query.  ``counters`` are charged the bags'
+    Generic-Join materialisation.
     """
     query.validate(db)
     if decomposition is None:
@@ -309,7 +312,7 @@ def decompose_to_acyclic(
         if not bag.atom_indexes:
             continue
         name = f"bag{i}"
-        relation, variables = _materialize_bag(db, query, bag, name, combine)
+        relation, variables = _materialize_bag(db, query, bag, name, combine, counters)
         derived_db.add(relation)
         derived_atoms.append(Atom(name, tuple(variables)))
     derived_query = ConjunctiveQuery(derived_atoms, name=f"{query.name}_acyclic")
@@ -323,7 +326,9 @@ def decompose_to_acyclic(
             variables=frozenset(query.variables),
             atom_indexes=list(range(len(query.atoms))),
         )
-        relation, variables = _materialize_bag(db, query, whole, "bag_all", combine)
+        relation, variables = _materialize_bag(
+            db, query, whole, "bag_all", combine, counters
+        )
         derived_db = Database([relation])
         derived_query = ConjunctiveQuery(
             [Atom("bag_all", tuple(variables))], name=f"{query.name}_acyclic"
@@ -347,6 +352,7 @@ def _materialize_bag(
     bag: Bag,
     name: str,
     combine: Callable[[float, float], float],
+    counters: Optional[Counters],
 ) -> tuple[Relation, list[str]]:
     """Materialize the full join of the bag's atoms, combining weights.
 
@@ -360,6 +366,6 @@ def _materialize_bag(
     sub = ConjunctiveQuery(
         [query.atoms[i] for i in bag.atom_indexes], name=name
     )
-    relation = generic_join(db, sub, combine=combine)
+    relation = generic_join(db, sub, combine=combine, counters=counters)
     relation.name = name
     return relation, list(sub.variables)

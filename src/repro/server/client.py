@@ -460,15 +460,20 @@ class PipelinedClient(Client):
         self.frames = "json"
         # Negotiate framing synchronously, before the reader thread and
         # before any pipelined traffic: the hello response is the last
-        # frame in the old framing.
-        self._wfile.write(
-            protocol.encode({"id": 0, "op": "hello", "frames": frames})
-        )
-        self._wfile.flush()
-        line = self._rfile.readline()
-        if not line:
-            raise ConnectionError("server closed the connection during hello")
-        response = _unwrap(protocol.decode_line(line))
+        # frame in the old framing.  A refused or cut-off hello closes the
+        # socket and both files before it propagates.
+        try:
+            self._wfile.write(
+                protocol.encode({"id": 0, "op": "hello", "frames": frames})
+            )
+            self._wfile.flush()
+            line = self._rfile.readline()
+            if not line:
+                raise ConnectionError("server closed the connection during hello")
+            response = _unwrap(protocol.decode_line(line))
+        except BaseException:
+            self._close_transport()
+            raise
         self.frames = frames
         #: The server's hello payload (protocol revision, frame limit).
         self.server_info = _payload(response)
@@ -569,10 +574,12 @@ class PipelinedClient(Client):
         except OSError:
             pass
         self._reader.join(timeout=5.0)
-        try:
-            self._wfile.close()
-            self._rfile.close()
-        except OSError:
-            pass
-        finally:
-            self._socket.close()
+        self._close_transport()
+
+    def _close_transport(self) -> None:
+        for stream in (self._wfile, self._rfile):
+            try:
+                stream.close()
+            except OSError:
+                pass
+        self._socket.close()

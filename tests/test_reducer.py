@@ -143,15 +143,24 @@ def check_against_reference(db, query):
             _, pairs = expected[stage.atom_index]
             assert list(zip(stage.relation.rows, stage.relation.weights)) == pairs
             assert lifted == [ranking.lift(w) for _, w in pairs]
+        # Every recorded key, forced through the lazy dict's subscript.
         got = [
             {
                 oracle_key(stage, key): (
-                    b.tuple_ids, b.subtree_weights, b.best_position
+                    stage_buckets[key].tuple_ids,
+                    stage_buckets[key].subtree_weights,
+                    stage_buckets[key].best_position,
                 )
-                for key, b in stage_buckets.items()
+                for key in stage_buckets.groups
             }
             for stage, stage_buckets in zip(tdp.stages, tdp.buckets)
         ]
+        for stage_buckets in tdp.buckets:
+            assert list(stage_buckets) == list(stage_buckets.groups)
+            for bucket in stage_buckets.values():
+                position = bucket.best_position
+                assert bucket.best_weight is bucket.subtree_weights[position]
+                assert bucket.best_tuple == bucket.tuple_ids[position]
         wanted = reference_buckets(tdp, expected)
         assert got == wanted
         # bucket order too: first appearance in relation order

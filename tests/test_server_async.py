@@ -10,11 +10,13 @@ graceful drain that never truncates a frame mid-write.
 
 from __future__ import annotations
 
+import gc
 import json
 import socket
 import struct
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -243,6 +245,51 @@ def test_frame_ceiling_has_a_floor():
 
     with pytest.raises(ValueError):
         AnykTCPServer(db, port=0, max_frame_bytes=512)
+
+
+class _HangUpServer:
+    """Accepts connections and closes each at once, before any answer."""
+
+    def __init__(self) -> None:
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.port = self._sock.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return
+            conn.close()
+
+    def close(self) -> None:
+        self._sock.close()
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.parametrize("failure", ["refused", "hung_up"])
+def test_failed_hello_leaves_no_socket_open(served, failure):
+    """A ``PipelinedClient`` whose hello fails closes its socket and both
+    files before raising: no ``unclosed socket`` ResourceWarning when the
+    half-built client is collected (run with ``python -X dev``)."""
+    _, port = served
+    hang_up = _HangUpServer() if failure == "hung_up" else None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            if hang_up is None:
+                with pytest.raises(ServerError):
+                    PipelinedClient(port=port, frames="msgpack")
+            else:
+                with pytest.raises(ConnectionError):
+                    PipelinedClient(port=hang_up.port)
+            gc.collect()
+    finally:
+        if hang_up is not None:
+            hang_up.close()
+    assert [str(w.message) for w in caught] == []
 
 
 # ----------------------------------------------------------------------

@@ -127,5 +127,9 @@ def test_total_tuples_counts_survivors():
 def test_buckets_keyed_by_parent_join_value():
     tdp = TDP(_tiny_path_db(), path_query(2))
     child_position = 1
-    keys = set(tdp.buckets[child_position].keys())
-    assert keys == {1, 3}  # bare values: one join attribute
+    buckets = tdp.buckets[child_position]
+    assert set(buckets.groups) == {1, 3}  # bare values: one join attribute
+    # Recorded by the reducer, built on first subscript only.
+    assert len(buckets) == 0 and buckets.get(1) is None and 1 not in buckets
+    assert buckets[1].tuple_ids is buckets.groups[1][2]
+    assert list(buckets) == [1]
