@@ -20,10 +20,13 @@ Modules:
   Jiménez–Marzal / Hoffman–Pavley k-shortest paths, with memoized
   per-bucket solution streams;
 - :mod:`repro.anyk.batch` — the batch baseline (full join, then sort);
-- :mod:`repro.anyk.cyclic` — ranked enumeration for cyclic queries via
-  disjoint union-of-trees decompositions with a global merge heap;
-- :mod:`repro.anyk.api` — the :func:`~repro.anyk.api.rank_enumerate`
-  façade dispatching on query shape and method name.
+- :mod:`repro.anyk.api` — the one compile seam
+  (:func:`~repro.anyk.api.compile_program`: a T-DP for an acyclic query,
+  one per heavy/light union tree for the 4-cycle, a GHD rewrite
+  otherwise), the :func:`~repro.anyk.api.rank_enumerate` façade over it,
+  and the Boolean :func:`~repro.anyk.api.has_any_result`;
+- :mod:`repro.anyk.cyclic` — two older names over the seam for the
+  4-cycle's union of trees.
 """
 
 from repro.anyk.api import (

@@ -1,32 +1,36 @@
-"""Public façade: ranked enumeration for any full conjunctive query.
+"""The compile seam and the public façade: ranked enumeration for any full CQ.
 
-:func:`rank_enumerate` picks the pipeline by query shape:
+Every full conjunctive query runs one plan: compile it to a union of
+acyclic trees, then run an any-k algorithm over the union.
+:func:`query_shape` classifies the query without reading data — acyclic
+(with its GYO join tree), a 4-cycle in any atom order and orientation
+(with its ``fourcycle_pattern``), or any other cyclic query.
+:func:`compile_program` builds the :class:`Program`: one T-DP per acyclic
+part, each with the row assembler that puts its rows in query order — one
+identity part for an acyclic query, one column-reordering part over the
+materialised bags of a GHD rewrite (O~(n^fhw)), one part per heavy/light
+union tree for the 4-cycle (O~(n^1.5)), whose answer-disjoint streams one
+heap merges.  :func:`rank_enumerate`, :func:`has_any_result`, the router
+and the sharder all read the seam.  Derived relations store raw
+pre-combined weights, each atom counted once, so they rank like the
+original query; LEX has no raw fold, so LEX on a cyclic query raises
+:class:`TypeError` when it is compiled.  With the process tracer enabled,
+the seam opens the spans ``anyk.tdp.build``, ``anyk.kernels.install``,
+``joins.heavylight.build`` and ``anyk.ghd.build``, and times the stream's
+first pull and the rest as ``anyk.enum.first``/``drain`` (``anyk.cyclic.*``
+on cyclic queries).
 
-- acyclic  → full reducer + T-DP + the chosen any-k algorithm;
-- 4-cycle  → heavy/light union of trees, one T-DP per tree, global merge;
-- other cyclic → single GHD rewrite, then the acyclic pipeline.
+Methods (``method``, listed in :data:`METHODS`): ``part:eager``,
+``part:lazy``, ``part:quick``, ``part:take2``, ``part:all`` (ANYK-PART with
+that bucket successor strategy); ``rec`` (ANYK-REC, memoized streams);
+``batch`` (full join then sort; not anytime); ``lawler`` (naive
+Lawler–Murty with from-scratch subproblems, polynomial delay, the E10
+strawman; acyclic only); ``auto`` (the cost-based router of
+:mod:`repro.engine`, the rules the SQL front-end applies to every
+statement).
 
-Methods (the ``method`` argument, also listed in :data:`METHODS`):
-
-``part:eager | part:lazy | part:quick | part:take2 | part:all``
-    ANYK-PART with the respective bucket successor strategy.
-``rec``
-    ANYK-REC (recursive enumeration with memoized streams).
-``batch``
-    Full join then sort (baseline; not anytime).
-``lawler``
-    Naive Lawler–Murty with from-scratch subproblem solving (polynomial
-    delay; the strawman of experiment E10).  Acyclic queries only.
-``auto``
-    Defer the choice to the cost-based router (:mod:`repro.engine`),
-    which weighs query shape, ``k``, and the AGM bound — the same rules
-    the SQL front-end (:mod:`repro.sql`) applies to every statement.
-
-Example
--------
 >>> from repro.data.generators import path_database
 >>> from repro.query.cq import path_query
->>> from repro.anyk import rank_enumerate
 >>> db = path_database(length=3, size=50, domain=10, seed=7)
 >>> for row, weight in rank_enumerate(db, path_query(3), k=3):
 ...     print(weight, row)      # three lightest 3-paths   # doctest: +SKIP
@@ -37,22 +41,28 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Iterator, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Optional
 
 from repro.anyk.batch import batch_enumerate
-from repro.anyk.cyclic import (
-    is_fourcycle,
-    rank_enumerate_fourcycle,
-    rank_enumerate_ghd,
-)
 from repro.anyk.part import STRATEGIES, anyk_part, naive_lawler
 from repro.anyk.ranking import RankingFunction, SUM, stabilize_ties
 from repro.anyk.rec import anyk_rec
 from repro.anyk.tdp import TDP
 from repro.data.database import Database
+from repro.joins.generic_join import boolean as generic_join_boolean
+from repro.joins.heavylight import (
+    UnionTree,
+    fourcycle_pattern,
+    fourcycle_union_of_trees,
+)
+from repro.joins.yannakakis import boolean as yannakakis_boolean
+from repro.obs.trace import NOOP_SPAN, tracer
 from repro.query.cq import ConjunctiveQuery, QueryError
-from repro.query.hypergraph import gyo_reduction
+from repro.query.decomposition import decompose_to_acyclic
+from repro.query.hypergraph import JoinTree, gyo_reduction
 from repro.util.counters import Counters
+from repro.util.heaps import BinaryHeap
 
 #: All anytime-capable methods accepted by :func:`rank_enumerate`.
 #: ``method="auto"`` additionally defers the choice to the router.
@@ -60,8 +70,14 @@ METHODS: tuple[str, ...] = tuple(
     f"part:{name}" for name in sorted(STRATEGIES)
 ) + ("rec", "batch", "lawler")
 
+#: One any-k method: a T-DP -> iterator of ``(row, weight)``.
+EnumeratorFactory = Callable[[TDP], Iterator[tuple[tuple, Any]]]
 
-def _enumerator_factory(method: str):
+#: A T-DP and its row assembler (None: rows already in query order).
+Part = tuple[TDP, Optional[Callable[[tuple], tuple]]]
+
+
+def _enumerator_factory(method: str) -> EnumeratorFactory:
     """Map a method name to a TDP -> iterator factory."""
     if method.startswith("part:"):
         strategy = method.split(":", 1)[1]
@@ -77,6 +93,180 @@ def _enumerator_factory(method: str):
     raise ValueError(f"unknown any-k method {method!r}; known: {METHODS}")
 
 
+# ----------------------------------------------------------------------
+# The compile seam
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class QueryShape:
+    """``kind`` is ``"acyclic"`` (``tree`` set), ``"4-cycle"`` (``pattern``
+    set: the cycle's variables and atom order) or ``"ghd"``."""
+
+    kind: str
+    tree: Optional[JoinTree] = None
+    pattern: Optional[tuple[list[str], list[int]]] = None
+
+
+def query_shape(query: ConjunctiveQuery) -> QueryShape:
+    """Classify ``query`` for :func:`compile_program` (no data is read)."""
+    tree = gyo_reduction(query)
+    if tree is not None:
+        return QueryShape("acyclic", tree=tree)
+    try:
+        return QueryShape("4-cycle", pattern=fourcycle_pattern(query))
+    except QueryError:
+        return QueryShape("ghd")
+
+
+@dataclass
+class Program:
+    """A full CQ compiled to its parts (see the module doc)."""
+
+    shape: QueryShape
+    parts: list[Part]
+    counters: Optional[Counters] = None
+
+    def enumerate(self, method: str) -> Iterator[tuple[tuple, Any]]:
+        """The ranked ``(row, weight)`` stream of ``method``, rows in the
+        query's variable order, ties as the engine emits them."""
+        enumerator = _enumerator_factory(method)
+        if method == "lawler" and self.shape.kind != "acyclic":
+            raise QueryError("the naive-Lawler baseline supports acyclic queries only")
+        if self.shape.kind == "4-cycle":
+            # A union merges through the heap even when the data left one
+            # tree, so its counted heap operations do not depend on that.
+            return merge_parts(self.parts, enumerator, self.counters)
+        ((tdp, assemble),) = self.parts
+        stream = enumerator(tdp)
+        if assemble is None:
+            return stream
+        return ((assemble(row), weight) for row, weight in stream)
+
+
+def compile_program(
+    db: Database,
+    query: ConjunctiveQuery,
+    ranking: RankingFunction = SUM,
+    counters: Optional[Counters] = None,
+) -> Program:
+    """Compile ``query`` over ``db``: all preprocessing, and so every
+    refusal, happens here.  ``counters`` are charged the preprocessing and
+    ride along for the enumeration."""
+    span = tracer.span if tracer.enabled else lambda name: NOOP_SPAN
+    shape = query_shape(query)
+    if shape.tree is not None:
+        with span("anyk.tdp.build"):
+            tdp = TDP(db, query, ranking=ranking, tree=shape.tree, counters=counters)
+        return Program(shape, [(tdp, None)], counters)
+    combine = ranking.float_combine()
+    if shape.kind == "4-cycle":
+        with span("joins.heavylight.build"):
+            trees = fourcycle_union_of_trees(
+                db, query, combine=combine, counters=counters
+            )
+    else:
+        with span("anyk.ghd.build"):
+            rewrite = decompose_to_acyclic(
+                db, query, combine=combine, counters=counters
+            )
+        trees = [UnionTree(rewrite.database, rewrite.query, {}, "ghd")]
+    with span("anyk.tdp.build"):
+        parts = tree_parts(trees, query.variables, ranking, counters)
+    return Program(shape, parts, counters)
+
+
+def tree_parts(
+    trees: list[UnionTree],
+    variables: tuple[str, ...],
+    ranking: RankingFunction,
+    counters: Optional[Counters] = None,
+) -> list[Part]:
+    """One part per tree: its T-DP, and the assembler that puts its rows,
+    fixed variables re-attached, in ``variables`` order."""
+    parts: list[Part] = []
+    for tree in trees:
+        tdp = TDP(tree.database, tree.query, ranking=ranking, counters=counters)
+        source, fixed = tree.query.variables, tree.fixed
+        if not fixed and source == variables:
+            parts.append((tdp, None))
+            continue
+        positions = [(v, source.index(v) if v in source else None) for v in variables]
+
+        def assemble(row: tuple, positions=positions, fixed=fixed) -> tuple:
+            return tuple(row[p] if p is not None else fixed[v] for v, p in positions)
+
+        parts.append((tdp, assemble))
+    return parts
+
+
+def merge_parts(
+    parts: list[Part],
+    enumerator: EnumeratorFactory,
+    counters: Optional[Counters] = None,
+) -> Iterator[tuple[tuple, Any]]:
+    """One ranked stream from answer-disjoint parts: each part's stream is
+    nondecreasing, so a heap holding one head per stream yields the global
+    order.  No stream starts before the first pull."""
+    streams = [enumerator(tdp) for tdp, _ in parts]
+    heap = BinaryHeap(counters)
+    for index, stream in enumerate(streams):
+        head = next(stream, None)
+        if head is not None:
+            heap.push((head[1], index), (index, head[0]))
+    while heap:
+        (weight, _), (index, row) = heap.pop()
+        assemble = parts[index][1]
+        yield (row if assemble is None else assemble(row)), weight
+        head = next(streams[index], None)
+        if head is not None:
+            heap.push((head[1], index), (index, head[0]))
+
+
+def _spanned(
+    stream: Iterator[tuple[tuple, Any]], first: str, drain: str
+) -> Iterator[tuple[tuple, Any]]:
+    """``stream`` with its first pull timed by span ``first`` and the rest,
+    to exhaustion or close, by ``drain``; neither stays current across a
+    ``yield``, so the consumer's own spans do not nest under them."""
+    span = tracer.span(first).detach()
+    try:
+        head = next(stream, None)
+    finally:
+        span.finish()
+    if head is None:
+        return
+    yield head
+    span = tracer.span(drain).detach()
+    try:
+        yield from stream
+    finally:
+        span.finish()
+
+
+def has_any_result(
+    db: Database,
+    query: ConjunctiveQuery,
+    counters: Optional[Counters] = None,
+) -> bool:
+    """The Boolean query, by :func:`query_shape`: the bottom-up semijoin
+    pass for an acyclic query (O~(n)); that pass per heavy/light union
+    tree for a 4-cycle, stopping at the first non-empty one (O~(n^1.5),
+    where a worst-case-optimal join pays O~(n^2)); else Generic-Join with
+    early exit (O~(n^ρ*))."""
+    query.validate(db)
+    shape = query_shape(query)
+    if shape.tree is not None:
+        return yannakakis_boolean(db, query, counters=counters, tree=shape.tree)
+    if shape.kind == "4-cycle":
+        return any(
+            yannakakis_boolean(tree.database, tree.query, counters=counters)
+            for tree in fourcycle_union_of_trees(db, query, counters=counters)
+        )
+    return generic_join_boolean(db, query, counters=counters)
+
+
+# ----------------------------------------------------------------------
+# The façade
+# ----------------------------------------------------------------------
 def rank_enumerate(
     db: Database,
     query: ConjunctiveQuery,
@@ -170,29 +360,26 @@ def rank_enumerate(
         stream = batch_enumerate(db, query, ranking=ranking, counters=counters)
         return stream if k is None else itertools.islice(stream, k)
 
-    tree = gyo_reduction(query)
-    if tree is not None:
-        tdp = TDP(db, query, ranking=ranking, tree=tree, counters=counters)
-        if compile_kernels and method != "lawler":
-            # The naive-Lawler strawman stays on the reference accessors
-            # on purpose: its whole point is the from-scratch cost.
-            from repro.anyk.kernels import install_kernels
+    traced = tracer.enabled
+    program = compile_program(db, query, ranking, counters)
+    acyclic = program.shape.tree is not None
+    if acyclic and compile_kernels and method != "lawler":
+        # The naive-Lawler strawman stays on the reference accessors
+        # on purpose: its whole point is the from-scratch cost.
+        from repro.anyk.kernels import install_kernels
 
+        ((tdp, _),) = program.parts
+        with tracer.span("anyk.kernels.install") if traced else NOOP_SPAN:
             install_kernels(tdp, slot=kernel_slot, engine=method)
-        stream = _enumerator_factory(method)(tdp)
-    elif method == "lawler":
-        raise QueryError("the naive-Lawler baseline supports acyclic queries only")
-    elif is_fourcycle(query):
-        stream = rank_enumerate_fourcycle(
-            db, query, ranking, _enumerator_factory(method), counters=counters
-        )
-    else:
-        stream = rank_enumerate_ghd(
-            db, query, ranking, _enumerator_factory(method), counters=counters
-        )
+    stream = program.enumerate(method)
     if deterministic:
         stream = stabilize_ties(stream)
-    return stream if k is None else itertools.islice(stream, k)
+    if k is not None:
+        stream = itertools.islice(stream, k)
+    if traced:
+        layer = "anyk.enum" if acyclic else "anyk.cyclic"
+        stream = _spanned(stream, f"{layer}.first", f"{layer}.drain")
+    return stream
 
 
 class StreamClosed(RuntimeError):

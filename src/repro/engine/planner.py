@@ -33,14 +33,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, TYPE_CHECKING
 
-from repro.anyk.cyclic import is_fourcycle
+from repro.anyk.api import query_shape
 from repro.anyk.ranking import RankingFunction, SUM
 from repro.data.database import Database
 from repro.engine.catalog import CatalogStats
 from repro.query.agm import fractional_edge_cover
 from repro.query.cq import ConjunctiveQuery
 from repro.query.decomposition import min_fill_decomposition
-from repro.query.hypergraph import gyo_reduction, is_free_connex
+from repro.query.hypergraph import is_free_connex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.sql.analyzer import CompiledQuery
@@ -192,19 +192,17 @@ def route(
     """
     query.validate(db)
     stats = CatalogStats.gather(db, query)
-    tree = gyo_reduction(query)
-    acyclic = tree is not None
-    fourcycle = False if acyclic else is_fourcycle(query)
+    shape = query_shape(query)
     cover = fractional_edge_cover(query, stats.sizes)
     fhw = None
-    if not acyclic and not fourcycle:
+    if shape.kind == "ghd":
         fhw = min_fill_decomposition(query).fractional_hypertree_width()
     free_connex = None
     if free_variables is not None and set(free_variables) != set(query.variables):
         free_connex = is_free_connex(query, free_variables)
     estimates = PlanEstimates(
-        acyclic=acyclic,
-        fourcycle=fourcycle,
+        acyclic=shape.kind == "acyclic",
+        fourcycle=shape.kind == "4-cycle",
         agm_bound=cover.bound if not stats.any_empty() else 0.0,
         cover_number=cover.cover_number,
         fhw=fhw,

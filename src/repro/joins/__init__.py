@@ -20,8 +20,10 @@ Implemented engines, in the order the tutorial discusses them:
   (matches the AGM bound).
 - :mod:`repro.joins.trie` / :mod:`repro.joins.leapfrog` — Leapfrog
   Triejoin, the other WCO algorithm the tutorial cites.
-- :mod:`repro.joins.boolean` — Boolean query evaluation, including the
-  O~(n^1.5) heavy/light 4-cycle detection behind the introduction's claim.
+- :mod:`repro.joins.heavylight` — the 4-cycle's heavy/light union of
+  trees.  The compile seam (:mod:`repro.anyk.api`) runs it for ranked
+  enumeration and for the O~(n^1.5) Boolean 4-cycle query
+  (:func:`repro.anyk.api.has_any_result`) behind the introduction's claim.
 """
 
 from repro.joins.base import atom_relation, multiset

@@ -10,7 +10,7 @@ join in the library is a plain natural join on attribute names.
 from __future__ import annotations
 
 from collections import Counter as Multiset
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -75,11 +75,6 @@ def multiset(relation: Relation, round_digits: int = 9) -> Multiset:
     )
 
 
-def weights_sorted(relation: Relation) -> list[float]:
-    """Sorted weights of a relation (rank-order test oracle)."""
-    return sorted(relation.weights)
-
-
 def output_relation(query: ConjunctiveQuery, name: Optional[str] = None) -> Relation:
     """Empty result relation with the query's output schema."""
     return Relation(name or f"{query.name}_result", query.variables)
@@ -92,8 +87,3 @@ def reorder_to_query_schema(
     if relation.schema == query.variables:
         return relation
     return relation.project(query.variables, relation.name)
-
-
-def iter_weighted(relation: Relation) -> Iterable[tuple[tuple, float]]:
-    """Iterate ``(row, weight)`` pairs."""
-    return zip(relation.rows, relation.weights)

@@ -27,10 +27,9 @@ x4 values:
   left to drop.
 
 Every original atom contributes its weight exactly once per tree, so ranked
-enumeration over the union (a merge of per-tree any-k streams —
-:mod:`repro.anyk.cyclic`) ranks identically to the original query, and the
-trees are answer-disjoint by construction.  Total cost: O(n^1.5), matching
-the tutorial's claim.
+enumeration over the union (:func:`repro.anyk.api.compile_program`) ranks
+like the original query, and the trees are answer-disjoint by construction.
+Total cost: O(n^1.5), matching the tutorial's claim.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.data.database import Database
@@ -59,8 +58,8 @@ class UnionTree:
 
     database: Database
     query: ConjunctiveQuery
-    fixed: dict[str, Any] = field(default_factory=dict)
-    label: str = ""
+    fixed: dict[str, Any]
+    label: str
 
 
 def fourcycle_pattern(query: ConjunctiveQuery) -> tuple[list[str], list[int]]:

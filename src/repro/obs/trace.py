@@ -107,20 +107,17 @@ class Span:
         "duration_ms",
         "attrs",
         "error",
-        "_tracer",
         "_token",
     )
 
     def __init__(
         self,
-        tracer: "Tracer",
         trace_id: str,
         span_id: str,
         parent_id: Optional[str],
         name: str,
         attrs: dict,
     ) -> None:
-        self._tracer = tracer
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -139,7 +136,14 @@ class Span:
     def finish(self) -> None:
         if self.duration_ms is None:
             self.duration_ms = (time.perf_counter() - self.start_s) * 1000.0
-            self._tracer._finish_span(self)
+
+    def detach(self) -> "Span":
+        """Stop being the context's current span but stay open (a span
+        around a generator's pulls must not stay current over a yield)."""
+        if self._token is not None:
+            _current_span.reset(self._token)
+            self._token = None
+        return self
 
     def __enter__(self) -> "Span":
         return self
@@ -147,9 +151,7 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc is not None and self.error is None:
             self.error = f"{exc_type.__name__}: {exc}"
-        if self._token is not None:
-            _current_span.reset(self._token)
-            self._token = None
+        self.detach()
         self.finish()
 
     def to_dict(self) -> dict:
@@ -179,6 +181,9 @@ class _NoopSpan:
 
     def finish(self) -> None:
         pass
+
+    def detach(self) -> "_NoopSpan":
+        return self
 
     def __enter__(self) -> "_NoopSpan":
         return self
@@ -311,7 +316,7 @@ class Tracer:
                 self._by_request[str(request_id)] = tid
             while len(self._ring) > self.capacity:
                 self._evict_oldest_locked()
-        span = Span(self, tid, self._new_span_id(), parent_id, name, attrs)
+        span = Span(tid, self._new_span_id(), parent_id, name, attrs)
         span._token = _current_span.set(span)
         record.spans.append(span)
         return span
@@ -328,7 +333,6 @@ class Tracer:
         if parent is None:
             return NOOP_SPAN
         span = Span(
-            self,
             parent.trace_id,
             self._new_span_id(),
             parent.span_id,
@@ -388,7 +392,6 @@ class Tracer:
             if parent_id not in shipped_ids:
                 parent_id = anchor.span_id
             span = Span(
-                self,
                 anchor.trace_id,
                 span_id,
                 parent_id,
@@ -401,12 +404,6 @@ class Tracer:
             record.spans.append(span)
             grafted += 1
         return grafted
-
-    def _finish_span(self, span: Span) -> None:
-        # Spans are already threaded into their record; finishing is just
-        # the duration stamp done in Span.finish.  Hook kept for future
-        # sinks (export-on-finish).
-        pass
 
     # ------------------------------------------------------------------
     # Reading

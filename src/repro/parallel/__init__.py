@@ -20,6 +20,7 @@ argument, the cost-based router decides *whether* sharding pays off
 serves merged streams through the same resumable cursors as serial ones.
 """
 
+from repro.anyk.api import query_shape
 from repro.anyk.ranking import RANKINGS_BY_NAME, RankingFunction
 from repro.parallel.merge import merge_ranked_streams
 from repro.parallel.sharding import (
@@ -36,7 +37,6 @@ from repro.parallel.workers import (
     shard_stream,
 )
 from repro.query.cq import ConjunctiveQuery
-from repro.query.hypergraph import gyo_reduction
 
 #: rank_enumerate methods (plus the HRJN middleware) the pool can run.
 SHARDABLE_METHODS_EXTRA = ("rec", "batch", "lawler", "rank_join")
@@ -63,7 +63,7 @@ def is_shardable(
         return False
     if not (method.startswith("part:") or method in SHARDABLE_METHODS_EXTRA):
         return False
-    return gyo_reduction(query) is not None
+    return query_shape(query).kind == "acyclic"
 
 
 __all__ = [

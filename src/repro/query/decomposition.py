@@ -18,8 +18,9 @@ derived relations.  This module implements that recipe:
 
 The *union of multiple trees* idea behind submodular width (PANDA; the
 tutorial's O~(n^1.5 + r) 4-cycle claim) needs data-dependent heavy/light
-splits and lives in :mod:`repro.anyk.cyclic` and :mod:`repro.joins.boolean`,
-which reuse this module's machinery per tree.
+splits and lives in :mod:`repro.joins.heavylight`.  The compile seam,
+:func:`repro.anyk.api.compile_program`, picks between it and this module's
+single-tree rewrite.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.query.agm import fractional_edge_cover
 from repro.query.cq import Atom, ConjunctiveQuery, QueryError
-from repro.query.hypergraph import Hypergraph, JoinTree, gyo_reduction
+from repro.query.hypergraph import Hypergraph, gyo_reduction
 from repro.util.counters import Counters
 
 
@@ -280,8 +281,6 @@ class AcyclicRewrite:
 
     database: Database
     query: ConjunctiveQuery
-    join_tree: JoinTree
-    decomposition: TreeDecomposition
 
 
 def decompose_to_acyclic(
@@ -317,8 +316,7 @@ def decompose_to_acyclic(
         derived_atoms.append(Atom(name, tuple(variables)))
     derived_query = ConjunctiveQuery(derived_atoms, name=f"{query.name}_acyclic")
 
-    tree = gyo_reduction(derived_query)
-    if tree is None:
+    if gyo_reduction(derived_query) is None:
         # Rare: derived schemas can lose the running-intersection property
         # relative to the bags.  Collapse the whole query into one bag —
         # always acyclic, still correct, just wider (documented fallback).
@@ -333,17 +331,7 @@ def decompose_to_acyclic(
         derived_query = ConjunctiveQuery(
             [Atom("bag_all", tuple(variables))], name=f"{query.name}_acyclic"
         )
-        tree = gyo_reduction(derived_query)
-        assert tree is not None
-        decomposition = TreeDecomposition(
-            query=query, bags=[whole], parent=[None]
-        )
-    return AcyclicRewrite(
-        database=derived_db,
-        query=derived_query,
-        join_tree=tree,
-        decomposition=decomposition,
-    )
+    return AcyclicRewrite(database=derived_db, query=derived_query)
 
 
 def _materialize_bag(

@@ -8,6 +8,7 @@ from repro.anyk.part import STRATEGIES, anyk_part, naive_lawler
 from repro.anyk.ranking import LEX, MAX, SUM
 from repro.anyk.tdp import TDP
 from repro.data.generators import path_database, star_database
+from repro.joins.generic_join import evaluate as generic_join
 from repro.joins.naive import evaluate as naive_join
 from repro.query.cq import path_query, star_query
 from repro.util.counters import Counters
@@ -135,3 +136,14 @@ def test_take2_heap_growth_bounded():
     tdpa = TDP(db, q, counters=c_all)
     list(itertools.islice(anyk_part(tdpa, strategy="all"), 25))
     assert c_take2.heap_ops < c_all.heap_ops
+
+
+def test_tdp_counters_accumulate_during_enumeration():
+    db = path_database(2, 20, 3, seed=8)
+    c = Counters()
+    tdp = TDP(db, path_query(2), counters=c)
+    preprocessing = c.total_work()
+    assert preprocessing > 0
+    list(anyk_part(tdp, strategy="lazy"))
+    assert c.total_work() > preprocessing
+    assert c.output_tuples == len(generic_join(db, path_query(2)))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.generators import rank_join_database, scored_lists
+from repro.data.generators import path_database, rank_join_database, scored_lists
 from repro.joins.naive import evaluate as naive_join
 from repro.query.cq import path_query, star_query
 from repro.topk.access import VerticalSource
@@ -115,6 +115,14 @@ def test_jstar_topk_prefix_and_validation():
     assert ranked_weights(jstar_topk(db, q, 3)) == full[:3]
     with pytest.raises(ValueError):
         jstar_topk(db, q, 0)
+
+
+def test_jstar_respects_custom_order():
+    db = path_database(2, 25, 4, seed=7)
+    q = path_query(2)
+    default = ranked_weights(jstar_stream(db, q))
+    reordered = ranked_weights(jstar_stream(db, q, order=[1, 0]))
+    assert default == reordered
 
 
 def test_jstar_with_max_combine():

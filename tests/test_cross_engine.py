@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from repro import METHODS, rank_enumerate
 from repro.joins.base import multiset
 from repro.joins.binary_plan import evaluate_left_deep
-from repro.joins.boolean import has_any_result
+from repro.anyk.api import has_any_result
 from repro.joins.generic_join import evaluate as generic_join
 from repro.joins.leapfrog import evaluate as leapfrog_join
 from repro.joins.naive import evaluate as naive_join

@@ -4,7 +4,9 @@ ties, and extreme parameters."""
 import pytest
 
 from repro import rank_enumerate, top_k
+from repro.anyk.part import anyk_part
 from repro.anyk.ranking import MAX, SUM
+from repro.anyk.tdp import TDP
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.joins.generic_join import evaluate as generic_join
@@ -81,6 +83,15 @@ def test_unary_relation_queries():
         row for row, _ in got
     ] == [(2,), (3,)]
     assert [round(float(w), 9) for _, w in got] == [0.1, 1.2]
+
+
+def test_single_atom_query_enumeration():
+    db = Database(
+        [Relation("R", ("a", "b"), [(1, 2), (3, 4)], [0.9, 0.1])]
+    )
+    q = ConjunctiveQuery([Atom("R", ("x", "y"))])
+    got = list(anyk_part(TDP(db, q), strategy="eager"))
+    assert [row for row, _ in got] == [(3, 4), (1, 2)]
 
 
 def test_long_chain_query():

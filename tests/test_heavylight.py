@@ -10,7 +10,8 @@ from hypothesis import given, settings
 
 import repro.sql
 from repro import rank_enumerate
-from repro.anyk.cyclic import is_fourcycle, rank_enumerate_fourcycle
+from repro.anyk.api import has_any_result
+from repro.anyk.cyclic import enumerate_union_of_trees, is_fourcycle
 from repro.anyk.part import anyk_part
 from repro.anyk.ranking import ranking_by_name
 from repro.anyk.rec import anyk_rec
@@ -18,7 +19,6 @@ from repro.data.database import Database
 from repro.data.generators import fourcycle_hub_database, random_graph_database
 from repro.data.relation import Relation
 from repro.joins.base import multiset
-from repro.joins.boolean import fourcycle_boolean, has_any_result
 from repro.joins.generic_join import evaluate as generic_join
 from repro.joins.heavylight import fourcycle_pattern, fourcycle_union_of_trees
 from repro.joins.yannakakis import evaluate as yannakakis_join
@@ -120,21 +120,22 @@ def test_union_with_max_combine():
     assert Multiset(got) == exp
 
 
-def test_fourcycle_boolean_agrees_with_general():
+def test_fourcycle_exists_agrees_with_the_full_join():
+    """The heavy/light Boolean 4-cycle query against the full join."""
     for seed in range(6):
         db = random_graph_database(40, 14, seed=seed)
         q = cycle_query(4)
-        assert fourcycle_boolean(db, q) == has_any_result(db, q)
+        assert has_any_result(db, q) == (len(generic_join(db, q)) > 0)
 
 
-def test_fourcycle_boolean_positive_on_hub():
+def test_fourcycle_exists_on_hub():
     db = fourcycle_hub_database(32, seed=0)
-    assert fourcycle_boolean(db, cycle_query(4)) is True
+    assert has_any_result(db, cycle_query(4)) is True
 
 
 def test_empty_graph_has_no_cycles():
     db = random_graph_database(0, 5, seed=0)
-    assert fourcycle_boolean(db, cycle_query(4)) is False
+    assert has_any_result(db, cycle_query(4)) is False
     assert _union_results(db, cycle_query(4)) == Multiset()
 
 
@@ -255,13 +256,14 @@ def test_fourcycle_streams_match_their_golden_hashes(instance, ranking, engine):
     enumerator = anyk_rec if engine == "rec" else (
         lambda tdp: anyk_part(tdp, strategy="lazy")
     )
-    stream = rank_enumerate_fourcycle(
+    query, dioid = cycle_query(4), ranking_by_name(ranking)
+    trees = fourcycle_union_of_trees(
         _golden_database(instance),
-        cycle_query(4),
-        ranking_by_name(ranking),
-        enumerator,
+        query,
+        combine=dioid.float_combine(),
         threshold=threshold,
     )
+    stream = enumerate_union_of_trees(trees, query.variables, dioid, enumerator)
     rows = list(itertools.islice(stream, k))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
     assert digest == GOLDEN_STREAMS[instance, ranking][engine == "rec"]

@@ -9,14 +9,13 @@ import math
 
 import pytest
 
-from repro.anyk.api import rank_enumerate
+from repro.anyk.api import has_any_result, rank_enumerate
 from repro.data.generators import (
     fourcycle_hub_database,
     random_graph_database,
     triangle_worstcase_database,
 )
 from repro.joins.binary_plan import best_left_deep
-from repro.joins.boolean import fourcycle_boolean
 from repro.joins.generic_join import evaluate as generic_join
 from repro.joins.heavylight import fourcycle_union_of_trees
 from repro.query.agm import agm_bound, fractional_cover_number
@@ -78,7 +77,7 @@ def test_claim_boolean_fourcycle_subquadratic():
     for n in (200, 800):
         db = random_graph_database(n, max(8, int((8 * n) ** 0.5)), seed=13)
         c_bool, c_full = Counters(), Counters()
-        fourcycle_boolean(db, cycle_query(4), counters=c_bool)
+        has_any_result(db, cycle_query(4), counters=c_bool)
         generic_join(db, cycle_query(4), counters=c_full)
         work[n] = (c_bool.total_work(), c_full.total_work())
     bool_growth = work[800][0] / work[200][0]
@@ -93,7 +92,7 @@ def test_claim_topk_cost_close_to_boolean():
     db = random_graph_database(800, int((8 * 800) ** 0.5), seed=17)
     c_topk, c_bool = Counters(), Counters()
     list(rank_enumerate(db, cycle_query(4), k=10, counters=c_topk))
-    fourcycle_boolean(db, cycle_query(4), counters=c_bool)
+    has_any_result(db, cycle_query(4), counters=c_bool)
     assert c_topk.total_work() < 5 * c_bool.total_work()
 
 
