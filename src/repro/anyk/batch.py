@@ -20,7 +20,7 @@ from repro.anyk.ranking import RankingFunction, SUM, solution_tie_key
 from repro.data.database import Database
 from repro.joins.generic_join import evaluate as generic_join
 from repro.joins.yannakakis import evaluate as yannakakis_join
-from repro.obs.memory import batch_sort_bytes, row_bytes, tracker_of
+from repro.obs.memory import tracker_of
 from repro.query.cq import ConjunctiveQuery
 from repro.query.hypergraph import gyo_reduction
 from repro.util.counters import Counters
@@ -56,9 +56,9 @@ def batch_enumerate(
         counters.comparisons += max(0, len(order) - 1)
     space = tracker_of(counters)
     if space is not None:
-        space.gauge("batch.sort", batch_sort_bytes()).add(len(order))
+        space.gauge("batch.sort").add(len(order))
         # The materialized join stays alive for the whole emission: the
         # joined row tuples and the raw weight vector they carry.
-        space.gauge("batch.rows", row_bytes(len(result.schema))).add(len(rows))
+        space.gauge("batch.rows").add(len(rows))
     for i in order:
         yield rows[i], lifted[i]

@@ -61,7 +61,7 @@ from heapq import heappop, heappush
 from typing import Any, Iterator, Sequence
 
 from repro.anyk.tdp import TDP, Bucket
-from repro.obs.memory import pq_entry_bytes, tracker_of
+from repro.obs.memory import tracker_of
 from repro.util.heaps import (
     BinaryHeap,
     IncrementalQuickSelect,
@@ -78,7 +78,7 @@ def _pq_gauge(tdp: TDP):
     space = tracker_of(tdp.counters)
     if space is None:
         return None
-    return space.gauge("part.pq", pq_entry_bytes(tdp.num_stages))
+    return space.gauge("part.pq")
 
 
 class SuccessorStrategy:

@@ -43,7 +43,7 @@ from itertools import count
 from typing import Any, Iterator, Optional
 
 from repro.anyk.tdp import TDP, Bucket
-from repro.obs.memory import rec_entry_bytes, rec_solution_bytes, tracker_of
+from repro.obs.memory import tracker_of
 
 #: A produced subtree solution: ``(weight, tuple_id, children, rank)`` —
 #: the DFS-fold subtree weight, the stage tuple it takes, the child
@@ -93,10 +93,8 @@ def _stage_records(tdp: TDP) -> list[_StageRecord]:
     if space is None:
         heap_gauge = sol_gauge = None
     else:
-        # One gauge per category, sized by the root stage's fan-out.
-        fanout = len(tdp.stages[0].children)
-        heap_gauge = space.gauge("rec.pq", rec_entry_bytes(fanout))
-        sol_gauge = space.gauge("rec.solutions", rec_solution_bytes(fanout))
+        heap_gauge = space.gauge("rec.pq")
+        sol_gauge = space.gauge("rec.solutions")
     records: list[Any] = [None] * tdp.num_stages
     for stage in reversed(tdp.stages):
         children = []

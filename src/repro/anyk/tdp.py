@@ -57,7 +57,7 @@ from repro.joins.semijoin import (
     reduce_stages,
     stage_layout,
 )
-from repro.obs.memory import tdp_bucket_bytes, tdp_tuple_bytes, tracker_of
+from repro.obs.memory import tracker_of
 from repro.query.cq import ConjunctiveQuery
 from repro.query.hypergraph import JoinTree, join_tree_or_raise
 from repro.util.counters import Counters
@@ -183,10 +183,8 @@ class TDP:
         # for it once here rather than on any hot path.
         space = tracker_of(counters)
         if space is not None:
-            space.gauge("tdp.tuples", tdp_tuple_bytes()).add(
-                self.total_tuples()
-            )
-            space.gauge("tdp.buckets", tdp_bucket_bytes()).add(num_buckets)
+            space.gauge("tdp.tuples").add(self.total_tuples())
+            space.gauge("tdp.buckets").add(num_buckets)
 
     # ------------------------------------------------------------------
     # Accessors used by the enumeration algorithms

@@ -134,7 +134,9 @@ def execute(
     cost.  ``memory`` (a :class:`repro.obs.memory.MemoryProfile`) rides
     the execution's counters as a space tracker; the engines' structures
     report entry counts into it at O(1) cost, and parallel plans ship
-    per-shard snapshots home in the worker done frames.  The setup work
+    per-shard snapshots home in the worker done frames.  Its live entries
+    return to zero when the stream is drained, closed or evicted (the
+    peaks stay, for the per-engine aggregates).  The setup work
     (shard materialization) lands in a tracer span when
     the process tracer is enabled, parented to whichever request span is
     current at the first pull.
@@ -142,87 +144,93 @@ def execute(
     from repro.obs.memory import attach_tracker
     from repro.obs.trace import tracer
 
-    with tracer.span(
-        "execute.setup", engine=plan.engine, workers=plan.workers
-    ):
-        if plan.working_db is not None and plan.working_cq is not None:
-            # plan_compiled already materialized the filtered instance (and
-            # costed the plan on it) — don't rebuild it.
-            working, cq = plan.working_db, plan.working_cq
-        else:
-            working, cq = filtered_database(db, compiled)
-        k = compiled.k
+    try:
+        with tracer.span(
+            "execute.setup", engine=plan.engine, workers=plan.workers
+        ):
+            if plan.working_db is not None and plan.working_cq is not None:
+                # plan_compiled already materialized the filtered instance (and
+                # costed the plan on it) — don't rebuild it.
+                working, cq = plan.working_db, plan.working_cq
+            else:
+                working, cq = filtered_database(db, compiled)
+            k = compiled.k
 
-        if profile is not None and not profile.engine:
-            profile.engine = plan.engine
+            if profile is not None and not profile.engine:
+                profile.engine = plan.engine
+            if memory is not None:
+                if not memory.engine:
+                    memory.engine = plan.engine
+                memory.streams += 1
+                if counters is None:
+                    counters = Counters()
+                attach_tracker(counters, memory)
+
+            if plan.workers > 1:
+                # The router already vetted shardability and picked the shard
+                # attribute; honor its decision verbatim (covers the HRJN
+                # middleware too — workers run it per shard like any engine).
+                from repro.parallel import parallel_rank_enumerate
+
+                stream: Iterator[tuple[tuple, Any]] = parallel_rank_enumerate(
+                    working,
+                    cq,
+                    ranking=compiled.ranking,
+                    method=plan.engine,
+                    k=k,
+                    counters=counters,
+                    workers=plan.workers,
+                    shard_variable=plan.shard_variable,
+                    policy=plan.shard_policy,
+                    profile=profile,
+                    memory=memory,
+                )
+            elif plan.engine == "rank_join":
+                # The same stabilize+truncate adapter shard workers run,
+                # in-process (one definition, serial and parallel can't drift).
+                from repro.parallel.workers import shard_stream
+
+                stream = shard_stream(
+                    working,
+                    cq,
+                    ranking=compiled.ranking,
+                    method="rank_join",
+                    k=k,
+                    counters=counters,
+                )
+                if profile is not None:
+                    stream = profile.wrap(stream)
+            else:
+                stream = rank_enumerate(
+                    working,
+                    cq,
+                    ranking=compiled.ranking,
+                    method=plan.engine,
+                    k=k,
+                    counters=counters,
+                    # The plan's kernel slot pins the compiled enumeration
+                    # template across executions of a cached plan (None for
+                    # non-any-k engines: rank_enumerate ignores it then).
+                    kernel_slot=plan.kernel_slot,
+                )
+                if profile is not None:
+                    stream = profile.wrap(stream)
+
+        positions = compiled.output_positions
+        identity = positions == tuple(range(len(cq.variables)))
+        if identity and not compiled.descending:
+            # Nothing to re-pack: hand the engine's pairs through as they are.
+            yield from stream
+            return
+        flip = None
+        if compiled.descending:  # the order dual negated the lift: undo it once
+            vector = compiled.ranking.raw_combine is None  # LEX
+            flip = (lambda w: tuple(-x for x in w)) if vector else operator.neg
+        for row, weight in stream:
+            out = row if identity else tuple(row[p] for p in positions)
+            yield out, (weight if flip is None else flip(weight))
+    finally:
         if memory is not None:
-            if not memory.engine:
-                memory.engine = plan.engine
-            memory.streams += 1
-            if counters is None:
-                counters = Counters()
-            attach_tracker(counters, memory)
-
-        if plan.workers > 1:
-            # The router already vetted shardability and picked the shard
-            # attribute; honor its decision verbatim (covers the HRJN
-            # middleware too — workers run it per shard like any engine).
-            from repro.parallel import parallel_rank_enumerate
-
-            stream: Iterator[tuple[tuple, Any]] = parallel_rank_enumerate(
-                working,
-                cq,
-                ranking=compiled.ranking,
-                method=plan.engine,
-                k=k,
-                counters=counters,
-                workers=plan.workers,
-                shard_variable=plan.shard_variable,
-                policy=plan.shard_policy,
-                profile=profile,
-                memory=memory,
-            )
-        elif plan.engine == "rank_join":
-            # The same stabilize+truncate adapter shard workers run,
-            # in-process (one definition, serial and parallel can't drift).
-            from repro.parallel.workers import shard_stream
-
-            stream = shard_stream(
-                working,
-                cq,
-                ranking=compiled.ranking,
-                method="rank_join",
-                k=k,
-                counters=counters,
-            )
-            if profile is not None:
-                stream = profile.wrap(stream)
-        else:
-            stream = rank_enumerate(
-                working,
-                cq,
-                ranking=compiled.ranking,
-                method=plan.engine,
-                k=k,
-                counters=counters,
-                # The plan's kernel slot pins the compiled enumeration
-                # template across executions of a cached plan (None for
-                # non-any-k engines: rank_enumerate ignores it then).
-                kernel_slot=plan.kernel_slot,
-            )
-            if profile is not None:
-                stream = profile.wrap(stream)
-
-    positions = compiled.output_positions
-    identity = positions == tuple(range(len(cq.variables)))
-    if identity and not compiled.descending:
-        # Nothing to re-pack: hand the engine's pairs through as they are.
-        yield from stream
-        return
-    flip = None
-    if compiled.descending:  # the order dual negated the lift: undo it once
-        vector = compiled.ranking.raw_combine is None  # LEX
-        flip = (lambda w: tuple(-x for x in w)) if vector else operator.neg
-    for row, weight in stream:
-        out = row if identity else tuple(row[p] for p in positions)
-        yield out, (weight if flip is None else flip(weight))
+            # A drain, close() and eviction all end here: the structures
+            # are freed, so the profile's live figures return to zero.
+            memory.release()

@@ -15,7 +15,7 @@ import operator
 from typing import Callable, Optional
 
 from repro.data.relation import Relation
-from repro.obs.memory import join_build_entry_bytes, row_bytes, tracker_of
+from repro.obs.memory import tracker_of
 from repro.util.counters import Counters
 
 
@@ -43,7 +43,7 @@ def hash_join(
     build_gauge = None
     build_entries = 0
     if space is not None:
-        build_gauge = space.gauge("join.build", join_build_entry_bytes())
+        build_gauge = space.gauge("join.build")
         build_entries = sum(len(ids) for ids in build_index.values())
         build_gauge.add(build_entries)
 
@@ -96,6 +96,6 @@ def hash_join(
     if counters is not None:
         counters.intermediate_tuples += len(out_rows)
     if space is not None:
-        space.gauge("join.rows", row_bytes(len(out_schema))).add(len(out_rows))
+        space.gauge("join.rows").add(len(out_rows))
         build_gauge.remove(build_entries)
     return out

@@ -18,13 +18,12 @@ Five pieces, one per module:
   snapshots folded back across process boundaries.
 - :mod:`repro.obs.analyze` — ``EXPLAIN ANALYZE``: run the statement and
   report per-stage/per-operator wall time, tuples produced, cache and
-  shard attribution, and the delay profile.
-- :mod:`repro.obs.memory` — the space profiler: calibrated
-  bytes-per-entry models over the engines' load-bearing structures
-  (priority queues, REC solution lists, T-DP state, HRJN buffers, hash
-  buckets, batch rows) folded into live/peak per-cursor profiles
-  at O(1) hot-path cost, feeding the admission watermark
-  (``repro-serve --max-mem-mb``) and EXPLAIN ANALYZE's Q-error line.
+  shard attribution, the delay profile and the planner's Q-error.
+- :mod:`repro.obs.memory` — the space profiler: live/peak entry counts
+  of the engines' load-bearing structures (priority queues, REC
+  solution lists, T-DP state, HRJN buffers, hash buckets, batch rows)
+  at O(1) hot-path cost, priced in bytes by one factor per engine
+  family for the admission watermark (``repro-serve --max-mem-mb``).
 
 The server (:mod:`repro.server`) exposes all of it on the wire:
 ``metrics`` and ``trace`` ops, ``trace_id`` echoed on every
@@ -35,14 +34,13 @@ response, ``trace_context`` adoption on every request, and the
 
 from __future__ import annotations
 
-from repro.obs.analyze import build_report, render_analyze, run_analyze
+from repro.obs.analyze import build_report, q_error, render_analyze, run_analyze
 from repro.obs.delay import DELAY_BOUNDS, TTK_CHECKPOINTS, DelayProfile
 from repro.obs.memory import (
-    MEM_BOUNDS,
+    ENTRY_BOUNDS,
     MemoryProfile,
     SpaceGauge,
     attach_tracker,
-    q_error,
     tracker_of,
 )
 from repro.obs.registry import MetricsRegistry
@@ -61,7 +59,7 @@ from repro.obs.trace import (
 __all__ = [
     "DELAY_BOUNDS",
     "DelayProfile",
-    "MEM_BOUNDS",
+    "ENTRY_BOUNDS",
     "MemoryProfile",
     "MetricsRegistry",
     "NOOP_SPAN",

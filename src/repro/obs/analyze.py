@@ -12,7 +12,7 @@ completion (honoring its LIMIT) and reports what actually happened:
   inter-result delay percentiles measured inside the engine, with
   per-shard worker attribution for parallel plans;
 - the space profile (:mod:`repro.obs.memory`): per-category live/peak
-  accounted bytes of the engine structures the run built;
+  entry counts of the engine structures the run built;
 - planner feedback: the routing-time cardinality estimate (the AGM
   bound) next to the rows actually produced, with the Q-error between
   them (flagged ``truncated`` when LIMIT cut the run short — a
@@ -122,8 +122,18 @@ def build_report(
         "estimates": _estimate_report(compiled, plan, rows),
     }
     if memory is not None and memory.touched:
-        report["memory"] = memory.summary()
+        report["memory"] = memory.snapshot()
     return report
+
+
+def q_error(estimated: float, actual: float) -> float:
+    """The planner's Q-error: ``max(est/actual, actual/est)`` with both
+    sides floored at one row (Moerkotte et al.'s convention, so empty
+    results and zero estimates compare as 1 row instead of dividing by
+    zero)."""
+    est = max(float(estimated), 1.0)
+    act = max(float(actual), 1.0)
+    return est / act if est >= act else act / est
 
 
 def _estimate_report(compiled: "CompiledQuery", plan: "Plan", rows: int) -> dict:
@@ -136,8 +146,6 @@ def _estimate_report(compiled: "CompiledQuery", plan: "Plan", rows: int) -> dict
     LIMIT fired — their row count bounds the true cardinality from
     below, so the Q-error is only a lower-bound misestimate signal.
     """
-    from repro.obs.memory import q_error
-
     k = compiled.k
     truncated = k is not None and rows >= k
     return {
@@ -335,23 +343,21 @@ def render_analyze(report: dict) -> str:
     if memory:
         lines.append(
             "memory:   "
-            f"peak={memory.get('peak_bytes', 0)} B"
-            f" ({memory.get('peak_mb', 0.0):.3f} MB)"
-            f"  live={memory.get('live_bytes', 0)} B"
+            f"peak_entries={memory.get('peak_entries', 0)}"
+            f"  live_entries={memory.get('live_entries', 0)}"
         )
         for category, detail in sorted(
             memory.get("categories", {}).items(),
-            key=lambda kv: -kv[1].get("peak_bytes", 0),
+            key=lambda kv: -kv[1].get("peak_entries", 0),
         ):
             lines.append(
                 f"          {category:<16}"
                 f"peak_entries={detail.get('peak_entries', 0)}"
-                f"  peak={detail.get('peak_bytes', 0)} B"
             )
         for shard in memory.get("shards", ()):
             lines.append(
                 f"          shard[{shard.get('shard', '?')}]"
-                f" peak={shard.get('peak_bytes', 0)} B"
+                f" peak_entries={shard.get('peak_entries', 0)}"
             )
     estimates = report.get("estimates")
     if estimates:

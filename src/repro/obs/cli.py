@@ -202,8 +202,7 @@ def render_summary(stats: dict) -> str:
             for engine in sorted(mem_profiles):
                 p = mem_profiles[engine]
                 lines.append(
-                    f"  {engine:<10} peak={p.get('peak_bytes', 0):>10} B "
-                    f"({p.get('peak_mb', 0.0):.3f} MB)  "
+                    f"  {engine:<10} peak_entries={p.get('peak_entries', 0):>10}  "
                     f"streams={p.get('streams', 0)}"
                 )
     tracer_info = stats.get("tracer", {})

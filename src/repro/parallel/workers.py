@@ -29,10 +29,10 @@ attribution, not aggregation, so the parent's own measurement of the
 merged stream is never double counted.  A
 :class:`~repro.obs.memory.MemoryProfile` travels the same way: each
 worker space-accounts its own engine structures and ships the snapshot
-in the done frame; the parent files it under ``memory.shards``.  Worker
-bytes live in the worker *process*, so they are deliberately kept out
-of the parent's own live/peak totals (which feed the server's
-admission watermark for the server process).
+in the done frame; the parent files its peak entries under
+``memory.shards``.  Worker entries live in the worker *process*, so they
+are deliberately kept out of the parent's own live/peak totals (which
+feed the server's admission watermark for the server process).
 
 Trace propagation: when :func:`parallel_rank_enumerate` is called while
 a span is open on the process-wide tracer (the executor's
@@ -332,9 +332,10 @@ class _ShardFeed:
         mem = payload.get("memory")
         if self._memory is not None and mem is not None:
             # Same attribution-only contract as the delay snapshots; the
-            # bytes also live in the worker process, not this one.
-            mem["shard"] = self._shard_index
-            self._memory.shards.append(mem)
+            # entries also live in the worker process, not this one.
+            self._memory.shards.append(
+                {"shard": self._shard_index, "peak_entries": mem["peak_entries"]}
+            )
         spans = payload.get("spans")
         if self._anchor is not None and spans:
             # Graft the worker's subtree under the coordinator's execute

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 from typing import TYPE_CHECKING
 
 from repro.anyk.api import PausableStream
+from repro.obs.memory import admission_bytes
 from repro.util.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -32,10 +33,10 @@ class CursorLimitError(Exception):
 class MemoryPressureError(Exception):
     """Admission control: the server is over its memory watermark.
 
-    Raised *before* planning/stream construction when the accounted live
-    bytes of all open cursors exceed ``--max-mem-mb`` and evicting idle
-    cursors could not free enough — the clean refusal that replaces an
-    eventual OOM.  Maps to the ``mem_pressure`` wire error code, never
+    Raised *before* planning/stream construction when the live bytes of
+    all open cursors (:func:`repro.obs.memory.admission_bytes`) exceed
+    ``--max-mem-mb`` and evicting idle cursors could not free enough —
+    the clean refusal that replaces an eventual OOM.  Maps to the ``mem_pressure`` wire error code, never
     ``internal``.
     """
 
@@ -68,7 +69,7 @@ class Cursor:
         #: stream by the service); folded into per-engine aggregates when
         #: the cursor retires.
         self.profile = profile
-        #: The session's space profile — live/peak bytes of the engine
+        #: The session's space profile — live/peak entries of the engine
         #: structures this cursor pins; read by the admission watermark
         #: and folded like ``profile`` at retirement.
         self.memory = memory
@@ -98,8 +99,8 @@ class Cursor:
             "idle_s": round(now - self.last_used, 3),
         }
         if self.memory is not None:
-            out["live_bytes"] = self.memory.live_bytes
-            out["peak_bytes"] = self.memory.peak_bytes
+            out["live_entries"] = self.memory.live_entries
+            out["peak_entries"] = self.memory.peak_entries
         return out
 
 
@@ -220,20 +221,25 @@ class CursorManager:
         return victims
 
     def live_mem_bytes(self) -> int:
-        """Accounted live bytes across every open cursor's engine
-        structures (0 for cursors opened without a memory profile)."""
+        """Live bytes across every open cursor's engine structures, each
+        cursor's live entries priced by its engine family's factor (0
+        for cursors opened without a memory profile)."""
         with self._lock:
-            return sum(
-                c.memory.live_bytes
-                for c in self._cursors.values()
-                if c.memory is not None
-            )
+            return self._live_mem_bytes_locked()
+
+    def _live_mem_bytes_locked(self) -> int:
+        return sum(
+            admission_bytes(c.memory)
+            for c in self._cursors.values()
+            if c.memory is not None
+        )
 
     def evict_for_memory(
         self, watermark_bytes: int, min_idle_s: float = 1.0
     ) -> int:
-        """Evict oldest-idle cursors until accounted live bytes drop
-        below ``watermark_bytes``; returns how many were evicted.
+        """Evict oldest-idle cursors until live bytes
+        (:meth:`live_mem_bytes`) drop below ``watermark_bytes``; returns
+        how many were evicted.
 
         Cursors idle for less than ``min_idle_s`` are protected: memory
         pressure sheds abandoned sessions, it must not cancel a cursor a
@@ -243,11 +249,7 @@ class CursorManager:
         victims: list[Cursor] = []
         try:
             with self._lock:
-                live = sum(
-                    c.memory.live_bytes
-                    for c in self._cursors.values()
-                    if c.memory is not None
-                )
+                live = self._live_mem_bytes_locked()
                 if live < watermark_bytes:
                     return 0
                 now = time.monotonic()
@@ -264,7 +266,7 @@ class CursorManager:
                     self.evicted += 1
                     victims.append(cursor)
                     if cursor.memory is not None:
-                        live -= cursor.memory.live_bytes
+                        live -= admission_bytes(cursor.memory)
         finally:
             for victim in victims:
                 victim.stream.close()

@@ -89,12 +89,15 @@ latency SLO).  Rows travel as ``[row_values..., weight]``-shaped pairs in
 ``"rows": [[row, weight], ...]`` with tuples rendered as JSON arrays.
 
 ``query``/``fetch`` responses additionally carry a ``mem`` object
-(``{"live_bytes": ..., "peak_bytes": ...}``) when the server runs with
-memory accounting — the cursor's accounted engine-state footprint so
-far.  A server started with ``--max-mem-mb`` refuses new queries with a
-``mem_pressure`` error once the summed live bytes of all open cursors
-exceed the watermark and evicting idle cursors cannot free enough; the
-refusal is deliberate admission control, never an ``internal`` failure.
+(``{"live_entries": ..., "peak_entries": ...}``): the entries the
+cursor's engine structures (priority queues, memoized solutions, T-DP
+state, materialized rows) hold now and have held at most.  Live entries
+read 0 once the stream is drained.  A server started with
+``--max-mem-mb`` prices each open cursor's live entries in bytes, one
+factor per engine family, and refuses new queries with a
+``mem_pressure`` error once the sum exceeds the watermark and evicting
+idle cursors cannot free enough; the refusal is deliberate admission
+control, never an ``internal`` failure.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from repro.engine.catalog import database_fingerprint
 from repro.engine.executor import apply_mutation, execute
 from repro.engine.planner import plan_compiled
 from repro.obs.delay import DELAY_BOUNDS, DelayProfile
-from repro.obs.memory import MEM_BOUNDS, MemoryProfile
+from repro.obs.memory import ENTRY_BOUNDS, MemoryProfile
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import parse_traceparent, render_trace_tree, tracer
 from repro.query.cq import QueryError
@@ -86,11 +86,12 @@ class QueryService:
         Admission limit on concurrently open cursors.
     max_mem_mb:
         Server-wide memory watermark in MB (``repro-serve
-        --max-mem-mb``): once the accounted live bytes of all open
-        cursors' engine structures reach it, new queries first trigger
-        idle-cursor eviction and are then refused with a clean
-        ``mem_pressure`` error while still over — admission control
-        replacing an eventual OOM.  None (the default) disables the
+        --max-mem-mb``): once the live bytes of all open cursors'
+        engine structures (live entries times the engine family's
+        :data:`~repro.obs.memory.BYTES_PER_ENTRY` factor) reach it, new
+        queries first trigger idle-cursor eviction and are then refused
+        with a clean ``mem_pressure`` error while still over — admission
+        control replacing an eventual OOM.  None (the default) disables the
         watermark; per-cursor accounting still runs.
     mem_evict_idle_s:
         Minimum idle age before memory pressure may evict a cursor
@@ -188,14 +189,14 @@ class QueryService:
             "In-engine wall time to the first result in ms, by engine",
             labelnames=("engine",),
         )
-        #: Per-cursor peak accounted bytes, by engine.  Observed exactly once
-        #: per retiring cursor (peaks are maxima, not sums: folding them
-        #: into a live gauge would erase the distribution).
+        #: Per-cursor peak engine-structure entries, by engine.  Observed
+        #: exactly once per retiring cursor (peaks are maxima, not sums:
+        #: folding them into a live gauge would erase the distribution).
         self._mem_metric = self.registry.histogram(
-            "repro_mem_peak_bytes",
-            "Per-cursor peak accounted engine memory in bytes, by engine",
+            "repro_mem_peak_entries",
+            "Per-cursor peak engine-structure entries, by engine",
             labelnames=("engine",),
-            bounds=MEM_BOUNDS,
+            bounds=ENTRY_BOUNDS,
         )
         self._errors_metric = self.registry.counter(
             "repro_errors_total",
@@ -359,9 +360,9 @@ class QueryService:
         # _retire folds it into the per-engine aggregate on close/evict.
         profile = DelayProfile()
         # ... and its own space profile: the engines' structures report
-        # entry counts into it at O(1) cost, the admission watermark sums
-        # its live bytes, and _retire folds the peak into the per-engine
-        # aggregate + histogram.
+        # entry counts into it at O(1) cost, the admission watermark prices
+        # its live entries in bytes, and _retire folds the peak into the
+        # per-engine aggregate + histogram.
         memory = MemoryProfile()
         stream = PausableStream(
             execute(
@@ -410,8 +411,8 @@ class QueryService:
                 payload["cursor"] = None
         # After any inline prefetch, so the peak covers it.
         payload["mem"] = {
-            "live_bytes": memory.live_bytes,
-            "peak_bytes": memory.peak_bytes,
+            "live_entries": memory.live_entries,
+            "peak_entries": memory.peak_entries,
         }
         payload["results_emitted"] = cursor.emitted
         return payload
@@ -432,8 +433,8 @@ class QueryService:
         )
         if cursor.memory is not None:
             payload["mem"] = {
-                "live_bytes": cursor.memory.live_bytes,
-                "peak_bytes": cursor.memory.peak_bytes,
+                "live_entries": cursor.memory.live_entries,
+                "peak_entries": cursor.memory.peak_entries,
             }
         payload["results_emitted"] = cursor.emitted
         if payload["done"]:
@@ -504,7 +505,7 @@ class QueryService:
         with self._metrics_lock:
             self._mem_rejected += 1
         raise MemoryPressureError(
-            f"server memory watermark reached ({live} accounted bytes live "
+            f"server memory watermark reached ({live} bytes live "
             f">= {self.max_mem_bytes}); close or drain a cursor first"
         )
 
@@ -535,11 +536,11 @@ class QueryService:
         self, memory: Optional[MemoryProfile], engine: str
     ) -> None:
         """Fold one retiring cursor's space profile into the per-engine
-        aggregate and observe its peak in the byte histogram.
+        aggregate and observe its peak in the entry histogram.
 
         Unlike time, memory is not additive across cursors: the aggregate
-        keeps *maxima* of live/peak (the profile's own merge semantics),
-        and the peak *distribution* lives in ``repro_mem_peak_bytes`` —
+        keeps *maxima* of the peaks (the profile's own merge semantics),
+        and the peak *distribution* lives in ``repro_mem_peak_entries`` —
         one observation per retired cursor."""
         if memory is None or not memory.touched:
             return
@@ -549,7 +550,7 @@ class QueryService:
             if aggregate is None:
                 aggregate = self.memory_profiles[name] = MemoryProfile(name)
             aggregate.merge(memory)
-        self._mem_metric.labels(engine=name).observe(float(memory.peak_bytes))
+        self._mem_metric.labels(engine=name).observe(float(memory.peak_entries))
 
     def explain(
         self,
@@ -744,7 +745,7 @@ class QueryService:
             rejected, evicted = self._mem_rejected, self._mem_evicted
         with self._delay_lock:
             profiles = {
-                engine: profile.summary()
+                engine: profile.snapshot()
                 for engine, profile in self.memory_profiles.items()
             }
         return {

@@ -27,12 +27,7 @@ from typing import Callable, Iterator, Optional, Protocol
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.joins.base import atom_relation
-from repro.obs.memory import (
-    hrjn_result_bytes,
-    hrjn_seen_bytes,
-    sorted_scan_bytes,
-    tracker_of,
-)
+from repro.obs.memory import tracker_of
 from repro.query.cq import ConjunctiveQuery
 from repro.util.counters import Counters
 from repro.util.heaps import BinaryHeap
@@ -64,9 +59,7 @@ class RelationScan:
         self.name = relation.name
         space = tracker_of(counters)
         if space is not None:
-            space.gauge("rankjoin.sorted", sorted_scan_bytes()).add(
-                len(self._sorted)
-            )
+            space.gauge("rankjoin.sorted").add(len(self._sorted))
 
     def pull(self) -> Optional[tuple[tuple, float]]:
         if self._cursor >= len(self._sorted):
@@ -125,10 +118,8 @@ class HRJN:
         if space is None:
             self._seen_gauge = buffer_gauge = None
         else:
-            self._seen_gauge = space.gauge("hrjn.seen", hrjn_seen_bytes())
-            buffer_gauge = space.gauge(
-                "hrjn.buffer", hrjn_result_bytes(len(self.schema))
-            )
+            self._seen_gauge = space.gauge("hrjn.seen")
+            buffer_gauge = space.gauge("hrjn.buffer")
         self._buffer = BinaryHeap(counters, gauge=buffer_gauge)
         self._turn = 0
 

@@ -43,9 +43,9 @@ class BinaryHeap:
     A thin wrapper around :mod:`heapq` that (a) never compares payload items,
     only keys and an insertion-order tiebreak, (b) counts heap operations
     in an optional :class:`~repro.util.counters.Counters`, and (c) reports
-    its entry count into an optional space gauge
+    its entry count into an optional entry gauge
     (:class:`repro.obs.memory.SpaceGauge`) so the memory profiler sees the
-    queue's live/peak size without ever walking it.
+    queue's live/peak entries without ever walking it.
     """
 
     def __init__(

@@ -68,7 +68,7 @@ def test_mem_pressure_is_a_clean_wire_error():
                 except ServerError as exc:
                     refusal = exc
                     break
-                assert opened["mem"]["live_bytes"] > 0
+                assert opened["mem"]["live_entries"] > 0
                 held.append(opened["cursor"])
             assert refusal is not None, "watermark never refused admission"
             assert refusal.code == "mem_pressure"

@@ -944,7 +944,7 @@ def test_prometheus_exposition_conformance(path_db):
     service.shutdown()
 
     assert types["repro_op_latency_ms"] == "histogram"
-    assert types["repro_mem_peak_bytes"] == "histogram"
+    assert types["repro_mem_peak_entries"] == "histogram"
     assert types["repro_errors_total"] == "counter"
 
     for family, kind in types.items():

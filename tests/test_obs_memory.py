@@ -1,11 +1,15 @@
-"""The space-accounting layer: calibrated byte models, live/peak
-profiles, memory-aware admission, and EXPLAIN ANALYZE's Q-error.
+"""The space-accounting layer: live/peak entry profiles, the per-family
+bytes factors behind memory-aware admission, and EXPLAIN ANALYZE's
+Q-error.
 
-Two properties anchor the suite:
+Three properties anchor the suite:
 
 - *O(1) accounting* — the gauges never walk structures; engine runs
   under a profile report per-category entry counts that match the
   structures' own bookkeeping;
+- *space in entries* — REC's peak entries dominate PART's by a gap that
+  grows with k, live entries return to zero once a stream ends, and
+  entries times the family factor track ``tracemalloc`` within 2x;
 - *clean refusal* — a server over its ``--max-mem-mb`` watermark
   answers new queries with ``mem_pressure``, never ``internal``, and
   sheds idle cursors before refusing.
@@ -24,23 +28,15 @@ from repro.anyk.api import rank_enumerate
 from repro.data.generators import path_database
 from repro.engine.executor import execute
 from repro.engine.planner import plan_compiled
+from repro.anyk.api import PausableStream
+from repro.obs.analyze import q_error
 from repro.obs.memory import (
-    MEM_BOUNDS,
+    BYTES_PER_ENTRY,
+    ENTRY_BOUNDS,
     MemoryProfile,
     SpaceGauge,
+    admission_bytes,
     attach_tracker,
-    batch_sort_bytes,
-    hrjn_result_bytes,
-    hrjn_seen_bytes,
-    join_build_entry_bytes,
-    pq_entry_bytes,
-    q_error,
-    rec_entry_bytes,
-    rec_solution_bytes,
-    row_bytes,
-    sorted_scan_bytes,
-    tdp_bucket_bytes,
-    tdp_tuple_bytes,
     tracker_of,
 )
 from repro.server import QueryService
@@ -64,31 +60,11 @@ def profiled_counters(profile: MemoryProfile) -> Counters:
 
 
 # ----------------------------------------------------------------------
-# Byte models and Q-error
+# Histogram bounds and Q-error
 # ----------------------------------------------------------------------
-def test_byte_models_are_positive_ints():
-    models = [
-        pq_entry_bytes(3),
-        rec_entry_bytes(2),
-        rec_solution_bytes(2),
-        tdp_tuple_bytes(),
-        tdp_bucket_bytes(),
-        hrjn_seen_bytes(),
-        hrjn_result_bytes(4),
-        sorted_scan_bytes(),
-        row_bytes(4),
-        join_build_entry_bytes(),
-        batch_sort_bytes(),
-    ]
-    assert all(isinstance(m, int) and m > 0 for m in models)
-    # Wider structures cost more.
-    assert pq_entry_bytes(6) > pq_entry_bytes(2)
-    assert row_bytes(8) > row_bytes(2)
-
-
 def test_bucket_bounds_shapes():
-    assert MEM_BOUNDS[0] == 1024.0
-    assert list(MEM_BOUNDS) == sorted(MEM_BOUNDS)
+    assert ENTRY_BOUNDS[0] == 16.0
+    assert list(ENTRY_BOUNDS) == sorted(ENTRY_BOUNDS)
 
 
 def test_q_error_convention():
@@ -107,62 +83,71 @@ def test_q_error_convention():
 # ----------------------------------------------------------------------
 def test_space_gauge_tracks_live_and_peak():
     profile = MemoryProfile("part:lazy")
-    gauge = profile.gauge("part.pq", 100)
+    gauge = profile.gauge("part.pq")
     assert isinstance(gauge, SpaceGauge)
     gauge.add(3)
     gauge.remove(2)
     gauge.add(1)
     assert gauge.entries == 2
     assert gauge.peak_entries == 3
-    assert gauge.live_bytes == 200
-    assert gauge.peak_bytes == 300
-    assert profile.live_bytes == 200
-    assert profile.peak_bytes == 300
+    assert profile.live_entries == 2
+    assert profile.peak_entries == 3
     # The same category returns the same gauge (shared per execution).
-    assert profile.gauge("part.pq", 100) is gauge
+    assert profile.gauge("part.pq") is gauge
+    # Bytes exist only for admission: live entries times the family factor.
+    assert admission_bytes(profile) == 2 * BYTES_PER_ENTRY["part"]
+    profile.release()
+    assert (gauge.entries, profile.live_entries) == (0, 0)
+    assert (gauge.peak_entries, profile.peak_entries) == (3, 3)
+    assert admission_bytes(profile) == 0
 
 
 def test_profile_peak_is_concurrent_across_gauges():
     profile = MemoryProfile()
-    a = profile.gauge("a", 10)
-    b = profile.gauge("b", 10)
-    a.add(5)  # live 50
-    b.add(5)  # live 100  <- the true high-water mark
+    a = profile.gauge("a")
+    b = profile.gauge("b")
+    a.add(5)  # live 5
+    b.add(5)  # live 10  <- the true high-water mark
     a.remove(5)
     b.remove(5)
-    assert profile.live_bytes == 0
-    assert profile.peak_bytes == 100  # not max(50, 50)
+    assert profile.live_entries == 0
+    assert profile.peak_entries == 10  # not max(5, 5)
 
 
 def test_profile_merge_takes_maxima_and_sums_streams():
     left = MemoryProfile("rec")
     left.streams = 1
-    left.gauge("rec.pq", 10).add(4)
+    left.gauge("rec.pq").add(4)
     right = MemoryProfile("rec")
     right.streams = 2
-    right.gauge("rec.pq", 10).add(9)
-    right.gauge("rec.pq", 10).remove(9)
-    right.shards.append({"shard": 0, "peak_bytes": 7})
-    left.merge(right)
-    assert left.streams == 3
-    assert left.peak_bytes == max(40, 90)  # maxima, not 130
-    assert left.gauge("rec.pq", 10).peak_entries == 9
-    assert left.shards == [{"shard": 0, "peak_bytes": 7}]
+    right.gauge("rec.pq").add(9)
+    right.gauge("rec.pq").remove(3)
+    right.shards.append({"shard": 0, "peak_entries": 7})
+    aggregate = MemoryProfile("rec").merge(left).merge(right)
+    assert aggregate.streams == 3
+    assert aggregate.peak_entries == max(4, 9)  # maxima, not 13
+    assert aggregate.gauge("rec.pq").peak_entries == 9
+    # Only peaks fold: a retired execution's structures are garbage.
+    assert aggregate.live_entries == 0
+    assert aggregate.gauge("rec.pq").entries == 0
+    assert aggregate.shards == [{"shard": 0, "peak_entries": 7}]
 
 
 def test_profile_snapshot_roundtrip():
     profile = MemoryProfile("batch")
     profile.streams = 1
-    profile.gauge("batch.rows", 48).add(10)
-    profile.gauge("batch.sort", 56).add(10)
+    profile.gauge("batch.rows").add(10)
+    profile.gauge("batch.sort").add(10)
     snapshot = profile.snapshot()
+    assert snapshot["peak_entries"] == snapshot["live_entries"] == 20
     rebuilt = MemoryProfile().merge_snapshot(snapshot)
     assert rebuilt.engine == "batch"
-    assert rebuilt.peak_bytes == profile.peak_bytes
-    assert rebuilt.snapshot()["categories"] == snapshot["categories"]
-    summary = rebuilt.summary()
-    assert summary["peak_mb"] == round(profile.peak_bytes / 1048576, 3)
-    assert set(summary["categories"]) == {"batch.rows", "batch.sort"}
+    assert rebuilt.streams == 1
+    assert rebuilt.peak_entries == profile.peak_entries
+    assert {
+        category: data["peak_entries"]
+        for category, data in rebuilt.snapshot()["categories"].items()
+    } == {"batch.rows": 10, "batch.sort": 10}
 
 
 def test_tracker_rides_counters_invisibly():
@@ -204,7 +189,7 @@ def test_engine_categories_report(path_db, method, expected):
     )
     assert len(results) == 60
     assert expected <= set(profile.categories())
-    assert profile.peak_bytes > 0
+    assert profile.peak_entries > 0
     for category, gauge in profile.categories().items():
         assert gauge.peak_entries > 0, category
 
@@ -220,7 +205,7 @@ def test_rank_join_categories_report(path_db):
     assert {"rankjoin.sorted", "hrjn.seen", "hrjn.buffer"} <= set(
         profile.categories()
     )
-    assert profile.peak_bytes > 0
+    assert profile.peak_entries > 0
 
 
 def test_accounting_is_silent_without_tracker(path_db):
@@ -240,10 +225,10 @@ def test_accounting_is_silent_without_tracker(path_db):
 
 
 def test_part_vs_rec_peak_separation(path_db):
-    """The paper's space separation: REC memoizes every solution prefix
-    per bucket, PART keeps only frontier candidates — REC's accounted
-    peak must dominate PART's on the same enumeration, by a gap that
-    widens as k grows."""
+    """The paper's space separation, in its unit: REC memoizes every
+    solution prefix per bucket, PART keeps only frontier candidates —
+    REC's peak entries must dominate PART's on the same enumeration, by
+    a gap that widens as k grows."""
     from repro.query.cq import path_query
 
     gaps = []
@@ -258,38 +243,73 @@ def test_part_vs_rec_peak_separation(path_db):
                     counters=counters,
                 )
             )
-            peaks[method] = profile.peak_bytes
+            peaks[method] = profile.peak_entries
         assert peaks["rec"] > peaks["part:lazy"]
         gaps.append(peaks["rec"] - peaks["part:lazy"])
     assert gaps == sorted(set(gaps))
 
 
+#: Path lengths per engine: batch materialises the full join, which on
+#: length 5 is out of a test's reach.
+TRACEMALLOC_LENGTHS = {"part:lazy": (2, 3, 5), "part:eager": (2, 3, 5),
+                       "rec": (2, 3, 5), "batch": (2, 3)}
+
+
 @pytest.mark.parametrize("method", ["part:lazy", "part:eager", "rec", "batch"])
 def test_model_tracks_tracemalloc_within_2x(method):
-    """The byte models price *retained* engine state, so they are held
-    to ``tracemalloc``'s retained delta at the k-th result — generator
-    alive, every structure at full size, after a collect.  Transient
-    join-phase churn (the allocator *peak*) is outside the model."""
+    """Peak entries times the engine family's bytes factor is held to
+    ``tracemalloc``'s retained delta at the k-th result — generator
+    alive, every structure at full size, after a collect.  k stays below
+    the answer count: an exhausted stream frees everything."""
     from repro.query.cq import path_query
 
-    db = path_database(length=3, size=400, domain=40, seed=7)
-    query, k = path_query(3), 4000
-    # Warm one-time costs (kernel templates, interning) out of the window.
-    list(rank_enumerate(db, query, method=method, k=k))
-    profile = MemoryProfile(method)
-    counters = profiled_counters(profile)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        stream = rank_enumerate(db, query, method=method, k=k, counters=counters)
-        for _ in range(k):
-            next(stream)
+    factor = BYTES_PER_ENTRY[method.split(":")[0]]
+    for length in TRACEMALLOC_LENGTHS[method]:
+        db = path_database(
+            length=length, size=400, domain=20 if length == 2 else 40, seed=7
+        )
+        query, k = path_query(length), 4000
+        # Warm one-time costs (kernel templates, interning) out of the window.
+        assert len(list(rank_enumerate(db, query, method=method, k=k))) == k
+        profile = MemoryProfile(method)
+        counters = profiled_counters(profile)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    assert 0.5 <= profile.peak_bytes / retained <= 2.0
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            stream = rank_enumerate(
+                db, query, method=method, k=k, counters=counters
+            )
+            for _ in range(k):
+                next(stream)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        ratio = profile.peak_entries * factor / retained
+        assert 0.5 <= ratio <= 2.0, (length, profile.peak_entries, retained)
+
+
+@pytest.mark.parametrize("method", ["part:lazy", "rec", "batch"])
+@pytest.mark.parametrize("ending", ["drain", "close"])
+def test_live_entries_return_to_zero_when_a_stream_ends(path_db, method, ending):
+    """A drained or closed stream has freed its structures, so its
+    profile reads 0 live entries (the peak stays for the aggregates)."""
+    compiled = repro.sql.analyze(path_db, PATH_SQL.format(k=200))
+    plan = plan_compiled(path_db, compiled, engine=method)
+    memory = MemoryProfile()
+    stream = PausableStream(execute(path_db, compiled, plan, memory=memory))
+    rows, done = stream.take(10)
+    assert len(rows) == 10 and not done
+    assert memory.live_entries > 0
+    if ending == "drain":
+        while not done:
+            _, done = stream.take(500)
+    else:
+        stream.close()
+    assert memory.live_entries == 0
+    assert all(g.entries == 0 for g in memory.categories().values())
+    assert memory.peak_entries > 0
 
 
 def test_executor_threads_memory_through(path_db):
@@ -303,7 +323,8 @@ def test_executor_threads_memory_through(path_db):
     assert len(rows) == 40
     assert memory.engine == plan.engine
     assert memory.streams == 1
-    assert memory.touched and memory.peak_bytes > 0
+    assert memory.touched and memory.peak_entries > 0
+    assert memory.live_entries == 0  # drained: the structures are freed
 
 
 def test_parallel_workers_ship_shard_snapshots():
@@ -321,11 +342,11 @@ def test_parallel_workers_ship_shard_snapshots():
         )
     )
     assert len(results) >= 50
-    # Worker bytes live in worker processes: attribution arrives via the
+    # Worker entries live in worker processes: attribution arrives via the
     # done frames, deliberately excluded from the parent's own totals.
     shards = {shard["shard"] for shard in memory.shards}
     assert shards == {0, 1}
-    assert all(shard["peak_bytes"] > 0 for shard in memory.shards)
+    assert all(shard["peak_entries"] > 0 for shard in memory.shards)
 
 
 # ----------------------------------------------------------------------
@@ -341,12 +362,13 @@ def drain(service, cursor_id, n=500):
 def test_query_and_fetch_carry_mem_payload(path_db):
     service = QueryService(path_db)
     opened = service.query(PATH_SQL.format(k=200), fetch=10)
-    assert opened["mem"]["peak_bytes"] > 0
-    assert opened["mem"]["live_bytes"] > 0
+    assert opened["mem"]["peak_entries"] > 0
+    assert opened["mem"]["live_entries"] > 0
     page = service.fetch(opened["cursor"], n=10)
-    assert page["mem"]["peak_bytes"] >= opened["mem"]["peak_bytes"]
+    assert page["mem"]["peak_entries"] >= opened["mem"]["peak_entries"]
     described = service.cursors.stats()["cursors"][0]
-    assert described["peak_bytes"] == page["mem"]["peak_bytes"]
+    assert described["peak_entries"] == page["mem"]["peak_entries"]
+    assert described["live_entries"] == page["mem"]["live_entries"]
     service.shutdown()
 
 
@@ -396,7 +418,7 @@ def test_retired_cursor_feeds_peak_histogram_and_aggregate(path_db):
     drain(service, opened["cursor"])
     memory = service.memory_stats()
     assert opened["engine"] in memory["profiles"]
-    assert memory["profiles"][opened["engine"]]["peak_bytes"] > 0
+    assert memory["profiles"][opened["engine"]]["peak_entries"] > 0
     children = dict(
         (labels["engine"], child)
         for labels, child in service._mem_metric.children()
@@ -410,8 +432,8 @@ def test_memory_metric_families_export(path_db):
     opened = service.query(PATH_SQL.format(k=60), fetch=0)
     drain(service, opened["cursor"])
     text = service.metrics()["metrics"]
-    assert "# TYPE repro_mem_peak_bytes histogram" in text
-    assert 'repro_mem_peak_bytes_count{engine="' in text
+    assert "# TYPE repro_mem_peak_entries histogram" in text
+    assert 'repro_mem_peak_entries_count{engine="' in text
     assert "repro_mem_live_bytes 0" in text
     assert f"repro_mem_watermark_bytes {64 * 1024 * 1024}" in text
     assert "repro_mem_pressure_rejections_total 0" in text
@@ -427,7 +449,7 @@ def test_run_analyze_reports_memory_and_estimates(path_db):
     from repro.obs.analyze import render_analyze
 
     report = run_analyze(path_db, PATH_SQL.format(k=50))
-    assert report["memory"]["peak_bytes"] > 0
+    assert report["memory"]["peak_entries"] > 0
     assert report["memory"]["categories"]
     estimates = report["estimates"]
     assert estimates["actual_rows"] == 50
@@ -450,7 +472,7 @@ def test_explain_analyze_op_carries_memory(path_db):
         }
     )
     assert response["ok"]
-    assert response["analyze"]["memory"]["peak_bytes"] > 0
+    assert response["analyze"]["memory"]["peak_entries"] > 0
     assert response["analyze"]["estimates"]["actual_rows"] == 30
     # The analyzed run folds into the same aggregates a cursor would.
     assert service.memory_stats()["profiles"]
