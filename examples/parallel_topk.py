@@ -26,7 +26,7 @@ def library_surface() -> None:
     print("== 1. library: rank_enumerate(workers=2) ==")
     db = path_database(length=3, size=3000, domain=80, seed=7)
     query = path_query(3)
-    plan = route(db, query, k=200, workers=2, allow_middleware=False)
+    plan = route(db, query, k=200, workers=2)
     print(f"  router: engine={plan.engine}, workers={plan.workers}, "
           f"sharded on {plan.shard_variable} ({plan.shard_policy})")
     serial = list(rank_enumerate(db, query, method="auto", k=200))

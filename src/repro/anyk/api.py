@@ -326,10 +326,7 @@ def rank_enumerate(
         # Deferred import: repro.engine sits above this module.
         from repro.engine.planner import route
 
-        plan = route(
-            db, query, ranking=ranking, k=k, allow_middleware=False,
-            workers=workers,
-        )
+        plan = route(db, query, ranking=ranking, k=k, workers=workers)
         method = plan.engine
         # The router may veto sharding; when it shards, execute its
         # exact decision (variable + policy), not a re-derivation.

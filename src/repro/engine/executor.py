@@ -1,8 +1,9 @@
 """Plan execution: run a routed plan and emit (row, weight) pairs.
 
-The executor is deliberately thin — all heavy lifting lives in the engines
-it dispatches to (:func:`repro.anyk.rank_enumerate`, the batch baseline,
-or the HRJN rank-join middleware).  Its own responsibilities:
+The executor is deliberately thin — all heavy lifting lives in
+:func:`repro.anyk.rank_enumerate` (serial) or
+:func:`repro.parallel.parallel_rank_enumerate` (sharded), whichever the
+plan names.  Its own responsibilities:
 
 - apply constant filters by materializing filtered copies of the affected
   base relations (σ before ⋈, the one classical rewrite that is always
@@ -168,8 +169,7 @@ def execute(
 
             if plan.workers > 1:
                 # The router already vetted shardability and picked the shard
-                # attribute; honor its decision verbatim (covers the HRJN
-                # middleware too — workers run it per shard like any engine).
+                # attribute; honor its decision verbatim.
                 from repro.parallel import parallel_rank_enumerate
 
                 stream: Iterator[tuple[tuple, Any]] = parallel_rank_enumerate(
@@ -185,21 +185,6 @@ def execute(
                     profile=profile,
                     memory=memory,
                 )
-            elif plan.engine == "rank_join":
-                # The same stabilize+truncate adapter shard workers run,
-                # in-process (one definition, serial and parallel can't drift).
-                from repro.parallel.workers import shard_stream
-
-                stream = shard_stream(
-                    working,
-                    cq,
-                    ranking=compiled.ranking,
-                    method="rank_join",
-                    k=k,
-                    counters=counters,
-                )
-                if profile is not None:
-                    stream = profile.wrap(stream)
             else:
                 stream = rank_enumerate(
                     working,

@@ -12,12 +12,15 @@ router picks the execution engine the paper's experiments argue for:
   queries via a fractional-hypertree decomposition (O~(n^fhw + k)).
 - **ANYK-REC** for deep ``k``: memoized recursive streams amortize
   better once enumeration goes deep (E9's large-k regime).
-- **HRJN rank join** (top-k middleware, Part 1) for tiny ``k`` over a
-  binary join: two sorted scans and a corner bound usually terminate
-  after shallow prefixes, with none of the T-DP setup cost (E6) — chosen
-  only when the inputs cannot blow up the bound (no cyclic structure).
 - **LEX ranking** forces an any-k engine: its weight vectors follow the
-  T-DP's stage order, which batch and the middleware do not keep.
+  T-DP's stage order, which batch does not keep.
+
+Every choice is a :func:`repro.anyk.rank_enumerate` method, so
+``method="auto"`` there is exactly ``route(...).engine``.  The HRJN rank
+join (:mod:`repro.topk.rank_join`) is a Part 1 library operator, not a
+routed engine: it sorts both whole inputs and degrades toward full
+materialization when the winners sit deep, which the router cannot
+observe.
 
 ``k`` is compared against the AGM bound of the query over the actual
 relation sizes (:mod:`repro.query.agm`) — the worst-case output size that
@@ -29,7 +32,6 @@ output renders them under the chosen plan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, TYPE_CHECKING
 
@@ -44,9 +46,6 @@ from repro.query.hypergraph import is_free_connex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.sql.analyzer import CompiledQuery
-
-#: k at or below which a binary join is handed to the rank-join middleware.
-RANK_JOIN_MAX_K = 16
 
 #: k at or above which ANYK-REC's amortization beats ANYK-PART (E9 regime).
 DEEP_K = 1000
@@ -98,7 +97,7 @@ class Plan:
     reuses it instead of re-materializing.
     """
 
-    engine: str  # a rank_enumerate method, or "rank_join"
+    engine: str  # a rank_enumerate method
     query: ConjunctiveQuery
     ranking: RankingFunction
     k: Optional[int]
@@ -173,7 +172,6 @@ def route(
     ranking: RankingFunction = SUM,
     k: Optional[int] = None,
     free_variables: Optional[tuple[str, ...]] = None,
-    allow_middleware: bool = True,
     engine: Optional[str] = None,
     workers: Optional[int] = None,
     shard_policy: str = "hash",
@@ -220,7 +218,7 @@ def route(
         plan.engine = engine
         plan.rationale.append(f"engine {engine!r} forced by the caller")
     else:
-        _decide(plan, allow_middleware=allow_middleware)
+        _decide(plan)
     _decide_parallelism(plan, workers, shard_policy)
     return plan
 
@@ -264,7 +262,7 @@ def _decide_parallelism(
     )
 
 
-def _decide(plan: Plan, allow_middleware: bool) -> None:
+def _decide(plan: Plan) -> None:
     est = plan.estimates
     k = plan.k
     say = plan.rationale.append
@@ -295,21 +293,6 @@ def _decide(plan: Plan, allow_middleware: bool) -> None:
             "the result anyway, so batch's optimal time-to-last wins (E8)"
         )
         plan.engine = "batch"
-        return
-
-    if (
-        allow_middleware
-        and est.acyclic
-        and len(plan.query.atoms) == 2
-        and plan.ranking is SUM
-        and k <= min(RANK_JOIN_MAX_K, math.isqrt(max(1, plan.stats.max_size)))
-    ):
-        say(
-            f"binary join with tiny k = {k} (≤ √n): the HRJN corner "
-            "bound usually stops after shallow sorted prefixes, skipping "
-            "T-DP setup entirely (Part 1 middleware, E6)"
-        )
-        plan.engine = "rank_join"
         return
 
     say(
@@ -344,21 +327,6 @@ def _anyk_engine(plan: Plan, say) -> str:
         "time-to-k for small k across the paper's workloads (E9)"
     )
     return "part:lazy"
-
-
-def choose_method(
-    db: Database,
-    query: ConjunctiveQuery,
-    ranking: RankingFunction = SUM,
-    k: Optional[int] = None,
-) -> str:
-    """A :func:`repro.anyk.rank_enumerate`-compatible method name.
-
-    The ``method="auto"`` entry point of the any-k API: same routing rules,
-    restricted to engines ``rank_enumerate`` itself accepts (the rank-join
-    middleware is only reachable through the SQL layer).
-    """
-    return route(db, query, ranking=ranking, k=k, allow_middleware=False).engine
 
 
 def plan_compiled(
@@ -408,7 +376,7 @@ def plan_compiled(
     # (RankingFunction.float_combine on a vector carrier) are rejected
     # here with a proper SQL diagnostic instead.
     if compiled.ranking.raw_combine is None and (
-        not plan.estimates.acyclic or plan.engine in ("batch", "rank_join")
+        not plan.estimates.acyclic or plan.engine == "batch"
     ):
         from repro.sql.errors import SqlError
 

@@ -14,14 +14,14 @@ Five pieces, one per module:
   and the latency histograms behind one model.
 - :mod:`repro.obs.delay` — the anytime-delay profiler: per-cursor
   inter-result delay, TTF, and TT(k) histograms recorded *inside* the
-  engines (PART/REC/batch/HRJN and the parallel merge), with worker
+  engines (PART/REC/batch and the parallel merge), with worker
   snapshots folded back across process boundaries.
 - :mod:`repro.obs.analyze` — ``EXPLAIN ANALYZE``: run the statement and
   report per-stage/per-operator wall time, tuples produced, cache and
   shard attribution, the delay profile and the planner's Q-error.
 - :mod:`repro.obs.memory` — the space profiler: live/peak entry counts
   of the engines' load-bearing structures (priority queues, REC
-  solution lists, T-DP state, HRJN buffers, hash buckets, batch rows)
+  solution lists, T-DP state, hash buckets, batch rows)
   at O(1) hot-path cost, priced in bytes by one factor per engine
   family for the admission watermark (``repro-serve --max-mem-mb``).
 

@@ -5,7 +5,7 @@ frontier candidates, ANYK-REC's memoized solution prefixes, batch's full
 output — and so does this module:
 
 - :class:`SpaceGauge` — an O(1) live/peak entry counter for one named
-  structure category ("part.pq", "rec.solutions", "hrjn.buffer", ...).
+  structure category ("part.pq", "rec.solutions", "batch.rows", ...).
   The hot path is two integer adds and two compares.
 - :class:`MemoryProfile` — the per-execution bundle of gauges with a
   concurrent live/peak entry total.  Profiles ride on the execution's
@@ -41,10 +41,9 @@ ENTRY_BOUNDS = geometric_bounds(lo=16.0, hi=float(2**32), per_decade=5)
 #: seed=7)`` with k in {1000, 4000}, CPython 3.11 on x86-64.  Measured
 #: bytes per entry: part 161-234 (lazy and eager, L in {2, 3, 5}), rec
 #: 126-159 (L in {2, 3, 5}), batch 51-52 (L in {2, 3}; L = 5 materialises
-#: too much), rank_join 115-172 (L in {2, 3}).  One factor per family
-#: holds each within 2x (``tests/test_obs_memory.py``); one global
-#: constant would not.
-BYTES_PER_ENTRY = {"part": 200, "rec": 140, "batch": 51, "rank_join": 140}
+#: too much).  One factor per family holds each within 2x
+#: (``tests/test_obs_memory.py``); one global constant would not.
+BYTES_PER_ENTRY = {"part": 200, "rec": 140, "batch": 51}
 
 
 class SpaceGauge:

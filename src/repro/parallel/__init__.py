@@ -8,8 +8,9 @@ guarantee:
   range, for skewed domains) on one join attribute — answers partition
   with the attribute's values, so per-shard answer sets are disjoint and
   their union is exactly the global answer set;
-- :mod:`repro.parallel.workers` runs each shard's enumeration in its own
-  process behind a bounded queue (backpressure keeps the pool anytime);
+- :mod:`repro.parallel.workers` runs each shard's
+  :func:`~repro.anyk.rank_enumerate` in its own process behind a bounded
+  queue (backpressure keeps the pool anytime);
 - :mod:`repro.parallel.merge` lazily k-way-merges the per-shard ranked
   streams with deterministic tie-breaking, so the merged stream is
   **byte-identical** to the serial one.
@@ -31,15 +32,11 @@ from repro.parallel.sharding import (
     shard_database,
     stable_hash,
 )
-from repro.parallel.workers import (
-    ShardWorkerError,
-    parallel_rank_enumerate,
-    shard_stream,
-)
+from repro.parallel.workers import ShardWorkerError, parallel_rank_enumerate
 from repro.query.cq import ConjunctiveQuery
 
-#: rank_enumerate methods (plus the HRJN middleware) the pool can run.
-SHARDABLE_METHODS_EXTRA = ("rec", "batch", "lawler", "rank_join")
+#: rank_enumerate methods besides ``part:*`` the pool can run.
+SHARDABLE_METHODS_EXTRA = ("rec", "batch", "lawler")
 
 
 def is_shardable(
@@ -56,8 +53,8 @@ def is_shardable(
     - **registered ranking** — workers resolve the ranking by name
       across the pickle boundary, so it must be one of the provided
       instances (:data:`~repro.anyk.ranking.RANKINGS_BY_NAME`);
-    - **known method** — an any-k engine, the batch baseline, naive
-      Lawler, or the HRJN middleware.
+    - **known method** — an any-k engine, the batch baseline or naive
+      Lawler.
     """
     if RANKINGS_BY_NAME.get(ranking.name) is not ranking:
         return False
@@ -77,6 +74,5 @@ __all__ = [
     "merge_ranked_streams",
     "parallel_rank_enumerate",
     "shard_database",
-    "shard_stream",
     "stable_hash",
 ]

@@ -55,12 +55,8 @@ import time
 from contextlib import nullcontext
 from typing import Any, Iterator, Optional, TYPE_CHECKING
 
-from repro.anyk.ranking import (
-    RankingFunction,
-    SUM,
-    ranking_by_name,
-    stabilize_ties,
-)
+from repro.anyk.api import rank_enumerate
+from repro.anyk.ranking import RankingFunction, SUM, ranking_by_name
 from repro.data.database import Database
 from repro.parallel.merge import merge_ranked_streams
 from repro.parallel.sharding import Shard, ShardingSpec, shard_database
@@ -128,50 +124,6 @@ def _pool_context():
     return _forkserver_context
 
 
-def shard_stream(
-    db: Database,
-    query: ConjunctiveQuery,
-    ranking: RankingFunction = SUM,
-    method: str = "part:lazy",
-    k: Optional[int] = None,
-    counters: Optional[Counters] = None,
-) -> Iterator[tuple[tuple, Any]]:
-    """One shard's stabilized ranked stream (any engine, in-process).
-
-    The single enumeration entry point workers run.  Besides every
-    :func:`~repro.anyk.rank_enumerate` method it accepts ``"rank_join"``
-    (the HRJN middleware), as the SQL executor does — which is what lets
-    the differential harness drive all four engine families through one
-    sharded code path.  HRJN's sorted scans and corner bound must see
-    ranking order, so it scans *lifted* weights (copies, unless the lift
-    is ``float``) and folds them with ⊗.
-    """
-    if method == "rank_join":
-        from repro.topk.rank_join import rank_join_stream
-
-        if ranking.raw_combine is None:
-            raise TypeError(
-                f"rank_join cannot rank by {ranking.name!r}: HRJN's corner "
-                "bound needs a float carrier"
-            )
-        lift = ranking.lift
-        if lift is not float:
-            names = dict.fromkeys(atom.relation for atom in query.atoms)
-            lifted = {name: list(map(lift, db[name].weights)) for name in names}
-            db = Database(db[n].derive(db[n].rows, lifted[n]) for n in names)
-        stream = stabilize_ties(
-            rank_join_stream(
-                db, query, counters=counters, combine=ranking.combine
-            )
-        )
-        return stream if k is None else itertools.islice(stream, k)
-    from repro.anyk.api import rank_enumerate
-
-    return rank_enumerate(
-        db, query, ranking=ranking, method=method, k=k, counters=counters
-    )
-
-
 def _worker_main(
     out_queue,
     db: Database,
@@ -212,7 +164,7 @@ def _worker_main(
                 memory.streams = 1
                 attach_tracker(counters, memory)
             ranking = ranking_by_name(ranking_name)
-            stream = shard_stream(
+            stream = rank_enumerate(
                 db, query, ranking=ranking, method=method, k=k, counters=counters
             )
             profile = None

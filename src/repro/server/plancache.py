@@ -31,7 +31,7 @@ every hit.
   to :func:`~repro.engine.executor.filtered_database` when the plan
   carries no working instance;
 - a large size drift or an empty/non-empty flip: the plan is re-costed
-  from fresh statistics (routing may genuinely change, e.g. rank-join
+  from fresh statistics (routing may genuinely change, e.g. part:lazy
   over an emptied input should flip to batch), which counts as a miss.
 
 Any engine disagreement a reused routing could introduce is bounded by

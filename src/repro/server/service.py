@@ -293,8 +293,9 @@ class QueryService:
         drift = fingerprint_drift(costed.fingerprint, fingerprint)
         if drift > RECOST_DRIFT:
             # The data moved enough that the cached routing may be
-            # genuinely wrong (e.g. rank-join over a since-emptied
-            # input); re-cost from fresh statistics, in place.
+            # genuinely wrong (e.g. part:lazy over a since-emptied
+            # input, where batch finishes at once); re-cost from fresh
+            # statistics, in place.
             with tracer.span("plan") as span:
                 span.set(recost=True, drift=round(drift, 4))
                 routed = plan_compiled(

@@ -51,14 +51,10 @@ from repro.sql.nodes import SelectStatement
 from repro.sql.parser import parse
 from repro.util.counters import Counters
 
-#: Engines accepted as an override (router methods + the middleware).
-ENGINES: tuple[str, ...] = METHODS + ("rank_join",)
-
-
 def _check_engine(engine: Optional[str]) -> None:
-    if engine is not None and engine not in ENGINES:
+    if engine is not None and engine not in METHODS:
         raise SqlError(
-            f"unknown engine {engine!r}; known engines: {', '.join(ENGINES)}"
+            f"unknown engine {engine!r}; known engines: {', '.join(METHODS)}"
         )
 
 
@@ -107,8 +103,8 @@ def query(
 ) -> SqlResult:
     """Compile, route, and execute ``sql`` over ``db``.
 
-    ``engine`` overrides the router (any :data:`repro.anyk.METHODS` entry
-    or ``"rank_join"``); omitted, the cost-based router decides.
+    ``engine`` overrides the router (any :data:`repro.anyk.METHODS`
+    entry); omitted, the cost-based router decides.
     """
     _check_engine(engine)
     compiled = analyze(db, sql)

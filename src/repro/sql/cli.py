@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--engine",
         help="force an engine (part:lazy, part:eager, rec, batch, "
-        "rank_join, ...) instead of the cost-based router",
+        "lawler, ...) instead of the cost-based router",
     )
     parser.add_argument(
         "--explain",

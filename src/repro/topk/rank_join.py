@@ -27,7 +27,6 @@ from typing import Callable, Iterator, Optional, Protocol
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.joins.base import atom_relation
-from repro.obs.memory import tracker_of
 from repro.query.cq import ConjunctiveQuery
 from repro.util.counters import Counters
 from repro.util.heaps import BinaryHeap
@@ -57,9 +56,6 @@ class RelationScan:
         self._cursor = 0
         self._counters = counters
         self.name = relation.name
-        space = tracker_of(counters)
-        if space is not None:
-            space.gauge("rankjoin.sorted").add(len(self._sorted))
 
     def pull(self) -> Optional[tuple[tuple, float]]:
         if self._cursor >= len(self._sorted):
@@ -114,13 +110,7 @@ class HRJN:
         self._first: list[Optional[float]] = [None, None]
         self._last: list[float] = [float("-inf"), float("-inf")]
         self._done = [False, False]
-        space = tracker_of(counters)
-        if space is None:
-            self._seen_gauge = buffer_gauge = None
-        else:
-            self._seen_gauge = space.gauge("hrjn.seen")
-            buffer_gauge = space.gauge("hrjn.buffer")
-        self._buffer = BinaryHeap(counters, gauge=buffer_gauge)
+        self._buffer = BinaryHeap(counters)
         self._turn = 0
 
     # -- bound bookkeeping -------------------------------------------------
@@ -163,8 +153,6 @@ class HRJN:
             key = tuple(row[p] for p in self._right_key)
             self._seen_right.setdefault(key, []).append((row, weight))
             partners = self._seen_left.get(key, ())
-        if self._seen_gauge is not None:
-            self._seen_gauge.add(1)
         if self._counters is not None:
             self._counters.hash_probes += 1
         for other_row, other_weight in partners:

@@ -3,11 +3,10 @@
 The engine × shard-count × merge-policy matrix multiplies configurations
 faster than hand-written expectations can cover, so this suite pits the
 implementations against *each other*: on seeded random acyclic
-conjunctive queries and databases, ANYK-PART, ANYK-REC, the batch
-join-then-sort baseline, and (on binary joins) the HRJN rank-join
-middleware must return byte-identical ranked top-k prefixes — same rows,
-same weights, same deterministic tie order — serial and hash-sharded
-across 4 worker processes alike.
+conjunctive queries and databases, ANYK-PART, ANYK-REC and the batch
+join-then-sort baseline must return byte-identical ranked top-k
+prefixes — same rows, same weights, same deterministic tie order —
+serial and hash-sharded across 4 worker processes alike.
 
 Weights live on a 1/64 grid so float accumulation is exact regardless of
 association order (different engines fold weights in different orders;
@@ -35,7 +34,7 @@ from repro.anyk.ranking import (
 from repro.data.database import Database
 from repro.data.generators import path_database
 from repro.data.relation import Relation
-from repro.parallel import parallel_rank_enumerate, shard_stream
+from repro.parallel import parallel_rank_enumerate
 from repro.query.cq import Atom, ConjunctiveQuery, path_query
 
 #: How many random (query, database) instances the suite replays.
@@ -88,9 +87,10 @@ def random_acyclic_instance(
 
 def _run(db, query, method: str, k: int, workers: int, ranking=SUM) -> list:
     if workers == 1:
-        # shard_stream is the exact code path a worker runs, in-process —
-        # it also covers the HRJN middleware rank_enumerate cannot reach.
-        return list(shard_stream(db, query, ranking, method=method, k=k))
+        # rank_enumerate is the exact call a shard worker makes, in-process.
+        return list(
+            rank_enumerate(db, query, ranking=ranking, method=method, k=k)
+        )
     return list(
         parallel_rank_enumerate(
             db, query, ranking=ranking, method=method, k=k, workers=workers
@@ -107,9 +107,6 @@ def test_engines_agree_on_ranked_prefixes(seed):
         for method in ANYK_ENGINES + ("batch",)
         for workers in WORKER_GRID
     ]
-    if len(query.atoms) == 2:
-        # The HRJN middleware evaluates binary joins; include it there.
-        configurations += [("rank_join", workers) for workers in WORKER_GRID]
     for method, workers in configurations:
         got = _run(db, query, method, k, workers)
         assert got == reference, (
@@ -241,19 +238,7 @@ def test_compiled_kernels_match_across_worker_processes(seed):
                 )
             )
             for workers in WORKER_GRID:
-                if workers == 1:
-                    got = list(
-                        shard_stream(
-                            instance, query, ranking, method=method, k=k
-                        )
-                    )
-                else:
-                    got = list(
-                        parallel_rank_enumerate(
-                            instance, query, ranking=ranking, method=method,
-                            k=k, workers=workers,
-                        )
-                    )
+                got = _run(instance, query, method, k, workers, ranking)
                 assert got == reference, (seed, ranking.name, method, workers)
 
 
@@ -271,15 +256,13 @@ def test_desc_duals_agree_with_reversed_ascending(seed):
     """Each order dual × every engine × workers {1, 4} equals the
     ascending stream re-sorted by (negated weight, tie key).
 
-    The referee is ascending batch; for LEX, which batch and HRJN refuse,
-    it is ascending ``part:lazy``.  SUM, MAX and LEX must match exactly
+    The referee is ascending batch; for LEX, which batch refuses, it is
+    ascending ``part:lazy``.  SUM, MAX and LEX must match exactly
     (grid weights make every SUM fold exact).  PRODUCT folds logs in
     engine-specific association orders, so the rows must match as a
     multiset and the weights within 1e-12."""
     db, query, k = random_acyclic_instance(seed)
     methods = ANYK_ENGINES + ("batch",)
-    if len(query.atoms) == 2:
-        methods += ("rank_join",)
     for name, dual in DESC_RANKINGS.items():
         instance = _positive_weights(db) if name == "product" else db
         lex = dual.raw_combine is None
@@ -294,7 +277,7 @@ def test_desc_duals_agree_with_reversed_ascending(seed):
             key=lambda pair: (_flip(pair[1]), solution_tie_key(pair[0])),
         )[:k]
         for method in methods:
-            if lex and method in ("batch", "rank_join"):
+            if lex and method == "batch":
                 with pytest.raises(TypeError):
                     _run(instance, query, method, k, 1, dual)
                 continue
@@ -469,6 +452,6 @@ def test_all_equal_weights_tie_order_is_identical_everywhere():
     )
     reference = list(rank_enumerate(db, query, method="batch"))
     assert reference == sorted(reference, key=lambda pair: pair[0])
-    for method in ANYK_ENGINES + ("rank_join",):
+    for method in ANYK_ENGINES:
         for workers in WORKER_GRID:
             assert _run(db, query, method, None, workers) == reference

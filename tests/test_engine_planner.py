@@ -8,7 +8,7 @@ from repro.anyk.ranking import LEX, SUM
 from repro.data.database import Database
 from repro.data.generators import path_database, random_graph_database
 from repro.data.relation import Relation
-from repro.engine import CatalogStats, choose_method, route
+from repro.engine import CatalogStats, route
 from repro.query.cq import (
     Atom,
     ConjunctiveQuery,
@@ -44,7 +44,7 @@ def test_catalog_stats_sizes_and_fanout():
 # ----------------------------------------------------------------------
 def test_small_k_on_acyclic_routes_to_anyk():
     db = path_database(length=3, size=80, domain=9, seed=1)
-    plan = route(db, path_query(3), k=5, allow_middleware=False)
+    plan = route(db, path_query(3), k=5)
     assert plan.engine == "part:lazy"
     assert plan.is_anyk
     assert plan.estimates.acyclic
@@ -65,17 +65,22 @@ def test_huge_k_routes_to_batch():
 
 def test_deep_k_routes_to_rec():
     db = path_database(length=3, size=200, domain=10, seed=3)
-    plan = route(db, path_query(3), k=2000, allow_middleware=False)
+    plan = route(db, path_query(3), k=2000)
     # AGM bound is 200*200*200 >> 2*2000, so batch is not triggered.
     assert plan.engine == "rec"
 
 
-def test_tiny_k_binary_join_routes_to_middleware():
-    db = path_database(length=2, size=150, domain=12, seed=4)
-    plan = route(db, path_query(2), k=3)
-    assert plan.engine == "rank_join"
-    without = route(db, path_query(2), k=3, allow_middleware=False)
-    assert without.engine == "part:lazy"
+def test_tiny_k_binary_join_routes_to_part_lazy():
+    # k ≤ √n on a binary SUM join: any-k, not a rank join (HRJN sorts both
+    # whole inputs first and cannot see how deep the winners sit).
+    db = path_database(length=2, size=400, domain=30, seed=4)
+    full = list(rank_enumerate(db, path_query(2), method="batch"))
+    for k in (1, 16):
+        assert k * k <= 400
+        plan = route(db, path_query(2), k=k)
+        assert plan.engine == "part:lazy", k
+        stream = list(rank_enumerate(db, path_query(2), method="auto", k=k))
+        assert stream == full[:k]
 
 
 def test_engine_package_imports_standalone():
@@ -114,9 +119,8 @@ def test_lex_forced_onto_float_engines_rejected():
         "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 "
         "ORDER BY lex(weight) LIMIT 2"
     )
-    for engine in ("batch", "rank_join"):
-        with pytest.raises(SqlError, match="stage order"):
-            repro_sql.query(db, sql_text, engine=engine)
+    with pytest.raises(SqlError, match="stage order"):
+        repro_sql.query(db, sql_text, engine="batch")
     # The router itself never picks a float-only engine for lex.
     assert repro_sql.query(db, sql_text).plan.is_anyk
 
@@ -163,17 +167,6 @@ def test_forced_engine_is_recorded():
     plan = route(db, path_query(2), k=2, engine="part:quick")
     assert plan.engine == "part:quick"
     assert any("forced" in reason for reason in plan.rationale)
-
-
-def test_choose_method_feeds_rank_enumerate_auto():
-    db = path_database(length=3, size=60, domain=8, seed=9)
-    q = path_query(3)
-    method = choose_method(db, q, k=5)
-    assert method == "part:lazy"
-    auto = list(rank_enumerate(db, q, method="auto", k=5))
-    direct = list(rank_enumerate(db, q, method=method, k=5))
-    assert auto == direct
-    assert choose_method(db, q, k=None) == "batch"
 
 
 # ----------------------------------------------------------------------

@@ -390,7 +390,7 @@ def test_delay_bounds_open_below_default_latency_bounds():
     assert DELAY_BOUNDS[0] <= 0.0001
 
 
-@pytest.mark.parametrize("engine", ["part:lazy", "rec", "batch", "rank_join"])
+@pytest.mark.parametrize("engine", ["part:lazy", "rec", "batch"])
 def test_execute_with_profile_counts_every_emitted_row(path_db, engine):
     sql = PATH_SQL.format(k=60)
     profile = DelayProfile()
@@ -828,19 +828,6 @@ def test_repro_obs_cli_against_background_server(path_db, capsys):
     # With the server gone, connecting fails cleanly.
     assert obs_main(["--port", str(port)]) == 1
     assert "cannot reach" in capsys.readouterr().out
-
-
-def test_graph_query_profiles_under_rank_join():
-    """The HRJN middleware path wraps its stream like any engine."""
-    db = random_graph_database(num_edges=300, num_nodes=60, seed=5)
-    report = run_analyze(
-        db,
-        "SELECT * FROM E AS e1 JOIN E AS e2 ON e1.dst = e2.src "
-        "ORDER BY weight LIMIT 15",
-        engine="rank_join",
-    )
-    assert report["engine"] == "rank_join"
-    assert report["profile"]["results"] == report["rows"] == 15
 
 
 # ----------------------------------------------------------------------

@@ -194,20 +194,6 @@ def test_engine_categories_report(path_db, method, expected):
         assert gauge.peak_entries > 0, category
 
 
-def test_rank_join_categories_report(path_db):
-    from repro.query.cq import path_query
-    from repro.topk.rank_join import rank_join_topk
-
-    profile = MemoryProfile("rank_join")
-    counters = profiled_counters(profile)
-    results = rank_join_topk(path_db, path_query(3), k=60, counters=counters)
-    assert len(results) == 60
-    assert {"rankjoin.sorted", "hrjn.seen", "hrjn.buffer"} <= set(
-        profile.categories()
-    )
-    assert profile.peak_entries > 0
-
-
 def test_accounting_is_silent_without_tracker(path_db):
     """No profile attached: engines run exactly as before (no gauges,
     no dynamic attributes) — the zero-cost default."""

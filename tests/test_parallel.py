@@ -189,7 +189,7 @@ def test_is_shardable_rules():
     assert is_shardable(acyclic, MAX, "rec")
     assert is_shardable(acyclic, LEX, "part:eager")
     assert is_shardable(acyclic, SUM, "batch")
-    assert is_shardable(acyclic, SUM, "rank_join")
+    assert not is_shardable(acyclic, SUM, "rank_join")  # a library operator
     assert not is_shardable(cycle_query(4), SUM, "part:lazy")  # cyclic
     assert not is_shardable(acyclic, SUM, "unknown-engine")
     custom = RankingFunction("sum", lambda a, b: a + b, 0.0, float)
@@ -376,14 +376,14 @@ def test_router_takes_and_declines_the_worker_budget():
     from repro.engine.planner import PARALLEL_MIN_TUPLES, route
 
     big = path_database(length=2, size=PARALLEL_MIN_TUPLES, domain=64, seed=6)
-    plan = route(big, path_query(2), k=50, workers=4, allow_middleware=False)
+    plan = route(big, path_query(2), k=50, workers=4)
     assert plan.workers == 4
     assert plan.shard_variable == "A2"
     assert any("sharding across 4 workers" in line for line in plan.rationale)
     assert "parallel: 4 workers" in plan.describe()
 
     small = path_database(length=2, size=30, domain=8, seed=6)
-    plan = route(small, path_query(2), k=5, workers=4, allow_middleware=False)
+    plan = route(small, path_query(2), k=5, workers=4)
     assert plan.workers == 1
     assert any("running serial" in line for line in plan.rationale)
     assert "parallel:" not in plan.describe()
@@ -395,7 +395,7 @@ def test_router_declines_workers_for_batch_without_limit():
     from repro.engine.planner import PARALLEL_MIN_TUPLES, route
 
     db = path_database(length=2, size=PARALLEL_MIN_TUPLES, domain=64, seed=6)
-    plan = route(db, path_query(2), k=None, workers=2, allow_middleware=False)
+    plan = route(db, path_query(2), k=None, workers=2)
     assert plan.engine == "batch"
     assert plan.workers == 2
 

@@ -69,7 +69,7 @@ def drain(service, sql, engine=None, params=None):
 # ----------------------------------------------------------------------
 # The differential: bound templates == fresh literal planning
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine", ["part:lazy", "rec", "batch", "rank_join"])
+@pytest.mark.parametrize("engine", ["part:lazy", "rec", "batch"])
 @pytest.mark.parametrize("workers", [1, 4])
 def test_bound_template_matches_fresh_literals(db, engine, workers):
     fresh = QueryService(db, workers=workers)

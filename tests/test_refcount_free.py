@@ -29,7 +29,7 @@ from repro.data.generators import (
     path_database,
     random_graph_database,
 )
-from repro.engine.planner import DEEP_K, choose_method
+from repro.engine.planner import DEEP_K, route
 from repro.query.cq import cycle_query, path_query
 from repro.server import QueryService
 
@@ -98,7 +98,7 @@ def _drained_fourcycle(db, method):
     # The router's choice at k = DEEP_K over the heavy/light union of
     # trees (the hub graph has heavy values, so several trees merge).
     query = cycle_query(4)
-    assert choose_method(db, query, k=DEEP_K) == method
+    assert route(db, query, k=DEEP_K).engine == method
     results = list(rank_enumerate(db, query, method="auto", k=DEEP_K))
     assert len(results) == DEEP_K
 

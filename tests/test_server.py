@@ -364,6 +364,25 @@ def test_error_responses(path_db):
     assert not bad_type["ok"] and bad_type["error"]["code"] == "bad_request"
 
 
+@pytest.mark.parametrize("op", ["query", "explain"])
+def test_rank_join_is_an_unknown_engine(path_db, op):
+    # HRJN is a library operator (repro.topk.rank_join), not an engine
+    # the serving stack runs: forcing it is a typed SQL error naming the
+    # engines that exist, never an internal fault.
+    from repro.anyk.api import METHODS
+
+    service = QueryService(path_db)
+    response = service.handle(
+        {"id": 1, "op": op, "sql": PATH_SQL.format(k=5), "engine": "rank_join"}
+    )
+    assert not response["ok"]
+    assert response["error"]["code"] == "sql_error", response
+    message = response["error"]["message"]
+    assert "unknown engine 'rank_join'" in message
+    known = message.split("known engines:")[1]
+    assert [name.strip() for name in known.split(",")] == list(METHODS)
+
+
 def test_batch_is_an_unknown_op(path_db):
     service = QueryService(path_db)
     response = service.handle(

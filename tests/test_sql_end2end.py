@@ -49,11 +49,6 @@ def _sql_matches_direct(db, sql_text, query, ranking, k):
     result = repro_sql.query(db, sql_text)
     got = list(result)
     engine = result.plan.engine
-    if engine == "rank_join":
-        # The middleware is exercised separately; force comparability here.
-        result = repro_sql.query(db, sql_text, engine="part:lazy")
-        got = list(result)
-        engine = "part:lazy"
     expected = list(
         rank_enumerate(db, query, ranking=ranking, method=engine, k=k)
     )
@@ -126,21 +121,6 @@ def test_lex_ranking_routes_to_anyk_and_runs():
     rows = list(result)
     assert result.plan.is_anyk  # batch cannot carry LEX vectors
     assert all(isinstance(w, tuple) for _, w in rows)
-
-
-def test_rank_join_engine_agrees_on_weights():
-    db = path_database(length=2, size=100, domain=10, seed=6)
-    sql_text = (
-        "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 ORDER BY weight LIMIT 4"
-    )
-    result = repro_sql.query(db, sql_text)
-    got = list(result)
-    assert result.plan.engine == "rank_join"  # binary join, tiny k
-    expected = list(rank_enumerate(db, path_query(2), k=4))
-    # Engines may order equal-weight rows differently; weights must match
-    # exactly and rows must agree within each weight class.
-    assert [round(w, 9) for _, w in got] == [round(w, 9) for _, w in expected]
-    assert sorted(map(repr, got)) == sorted(map(repr, expected))
 
 
 # ----------------------------------------------------------------------
@@ -238,22 +218,6 @@ def test_desc_is_served_for_every_aggregate(aggregate):
     ]
 
 
-@pytest.mark.parametrize("aggregate", ["sum", "max", "product"])
-def test_forced_rank_join_desc_scans_in_ranking_order(aggregate):
-    """HRJN's sorted scans must follow the dual's order, not raw weight
-    order, or DESC would return the lightest pairs."""
-    db = path_database(length=2, size=200, domain=20, seed=2)
-    sql_text = (
-        "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 "
-        f"ORDER BY {aggregate}(weight) DESC LIMIT 7"
-    )
-    hrjn = repro_sql.query(db, sql_text, engine="rank_join").fetchall()
-    assert hrjn == repro_sql.query(db, sql_text, engine="part:lazy").fetchall()
-    assert [w for _, w in hrjn] == sorted((w for _, w in hrjn), reverse=True)
-    if aggregate == "sum":
-        assert hrjn[0][1] == pytest.approx(1.9672, abs=1e-4)
-
-
 def test_no_limit_streams_everything():
     db = star_database(arms=2, size=25, domain=5, seed=12)
     rows = list(
@@ -322,5 +286,5 @@ def test_result_metadata():
         "r.movie",
         "r.stars",
     )
-    assert result.plan.engine in ("rank_join", "part:lazy", "batch", "rec")
+    assert result.plan.engine in ("part:lazy", "batch", "rec")
     assert len(result.fetchall()) == 2
