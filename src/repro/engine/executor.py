@@ -137,7 +137,7 @@ def execute(
     report entry counts into it at O(1) cost, and parallel plans ship
     per-shard snapshots home in the worker done frames.  Its live entries
     return to zero when the stream is drained, closed or evicted (the
-    peaks stay, for the per-engine aggregates).  The setup work
+    peaks stay, for the per-engine peak histogram).  The setup work
     (shard materialization) lands in a tracer span when
     the process tracer is enabled, parented to whichever request span is
     current at the first pull.

@@ -8,14 +8,16 @@ Five pieces, one per module:
   W3C-traceparent-style context propagation (client spans, server
   spans, and grafted per-shard worker subtrees form one tree), and
   near-zero cost while disabled.
-- :mod:`repro.obs.registry` — the process-wide metrics registry
-  (counters, gauges, histograms) with Prometheus-text and JSON
-  exporters, unifying the RAM-model :class:`~repro.util.counters.Counters`
-  and the latency histograms behind one model.
+- :mod:`repro.obs.registry` — the metrics registry (counter and
+  histogram families plus pull-time collector gauges) with
+  Prometheus-text and JSON exporters.  A server's registry is the only
+  place its server-wide numbers accumulate: the ``stats`` and
+  ``metrics`` ops both read it.
 - :mod:`repro.obs.delay` — the anytime-delay profiler: per-cursor
   inter-result delay, TTF, and TT(k) histograms recorded *inside* the
   engines (PART/REC/batch and the parallel merge), with worker
-  snapshots folded back across process boundaries.
+  snapshots shipped back across process boundaries for per-shard
+  attribution.
 - :mod:`repro.obs.analyze` — ``EXPLAIN ANALYZE``: run the statement and
   report per-stage/per-operator wall time, tuples produced, cache and
   shard attribution, the delay profile and the planner's Q-error.
@@ -34,7 +36,7 @@ response, ``trace_context`` adoption on every request, and the
 
 from __future__ import annotations
 
-from repro.obs.analyze import build_report, q_error, render_analyze, run_analyze
+from repro.obs.analyze import analyze_plan, q_error, render_analyze, run_analyze
 from repro.obs.delay import DELAY_BOUNDS, TTK_CHECKPOINTS, DelayProfile
 from repro.obs.memory import (
     ENTRY_BOUNDS,
@@ -67,8 +69,8 @@ __all__ = [
     "Span",
     "TTK_CHECKPOINTS",
     "Tracer",
+    "analyze_plan",
     "attach_tracker",
-    "build_report",
     "format_traceparent",
     "join_traces",
     "new_trace_id",

@@ -19,7 +19,8 @@ completion (honoring its LIMIT) and reports what actually happened:
   truncated count says nothing about the true cardinality);
 - the RAM-model counters the engines maintain anyway.
 
-The report is a plain JSON-ready dict (:func:`run_analyze`) with a text
+The report is a plain JSON-ready dict (:func:`run_analyze`; the server
+runs a cached plan through the same :func:`analyze_plan`) with a text
 rendering (:func:`render_analyze`) — the server's ``explain`` op ships
 the dict and the CLIs render it, so both views can never disagree.
 """
@@ -31,12 +32,12 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from repro.data.database import Database
 from repro.obs.delay import DelayProfile
+from repro.obs.memory import MemoryProfile
 from repro.obs.trace import tracer
 from repro.util.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.engine.planner import Plan
-    from repro.obs.memory import MemoryProfile
     from repro.sql.analyzer import CompiledQuery
 
 
@@ -78,31 +79,56 @@ def _scan_operators(
     return operators
 
 
-def build_report(
+def analyze_plan(
     db: Database,
     compiled: "CompiledQuery",
     plan: "Plan",
-    rows: int,
     stages_ms: dict,
-    profile: DelayProfile,
+    started: float,
     counters: Counters,
+    profile: DelayProfile,
+    memory: MemoryProfile,
     cache: Optional[dict] = None,
-    memory: Optional["MemoryProfile"] = None,
 ) -> dict:
-    """Assemble the EXPLAIN ANALYZE report from an already-measured run.
+    """Run a routed ``plan`` to completion and build its report.
 
-    Shared by :func:`run_analyze` (the library path) and the server's
-    ``explain`` op with ``analyze=True`` (which measures around its own
-    plan cache and fills ``cache`` with the hit/miss attribution).
+    The one execute-and-measure path of EXPLAIN ANALYZE, shared by
+    :func:`run_analyze` (the library path) and the server's ``explain``
+    op with ``analyze=True`` (which measures around its own plan cache,
+    fills ``cache`` with the hit/miss attribution, and folds
+    ``counters``/``profile``/``memory`` into its aggregates afterwards).
+    ``stages_ms`` holds the stages timed before execution; ``execute``
+    and ``total`` (wall time since ``started``, a ``perf_counter``
+    reading) are added here.
     """
+    from repro.engine.executor import execute
     from repro.sql import render_explain
+
+    with tracer.span(
+        "analyze.execute", engine=plan.engine, workers=plan.workers
+    ):
+        start = time.perf_counter()
+        rows = 0
+        for _ in execute(
+            db,
+            compiled,
+            plan,
+            counters=counters,
+            profile=profile,
+            memory=memory,
+        ):
+            rows += 1
+        execute_ms = (time.perf_counter() - start) * 1000.0
+    stages_ms = dict(stages_ms)
+    stages_ms["execute"] = round(execute_ms, 4)
+    stages_ms["total"] = round((time.perf_counter() - started) * 1000.0, 4)
 
     operators = _scan_operators(db, compiled, plan)
     operators.append(
         {
             "operator": f"enumerate[{plan.engine}]",
             "rows": rows,
-            "wall_ms": stages_ms.get("execute"),
+            "wall_ms": stages_ms["execute"],
             "workers": plan.workers,
             "shard_variable": plan.shard_variable,
         }
@@ -112,7 +138,7 @@ def build_report(
         "engine": plan.engine,
         "workers": plan.workers,
         "rows": rows,
-        "stages_ms": dict(stages_ms),
+        "stages_ms": stages_ms,
         "operators": operators,
         "profile": profile.summary(),
         "counters": counters.snapshot(),
@@ -121,7 +147,7 @@ def build_report(
         "kernel": _kernel_report(plan),
         "estimates": _estimate_report(compiled, plan, rows),
     }
-    if memory is not None and memory.touched:
+    if memory.touched:
         report["memory"] = memory.snapshot()
     return report
 
@@ -192,7 +218,6 @@ def run_analyze(
     prefix (it is stripped — what runs is the inner statement).
     ``engine`` overrides the router exactly as in :func:`repro.sql.query`.
     """
-    from repro.engine.executor import execute
     from repro.engine.planner import plan_compiled
     from repro.sql import _check_engine
     from repro.sql.analyzer import analyze_statement
@@ -225,44 +250,19 @@ def run_analyze(
         plan = plan_compiled(db, compiled, engine=engine)
         plan_ms = (time.perf_counter() - start) * 1000.0
 
-    from repro.obs.memory import MemoryProfile
-
-    if counters is None:
-        counters = Counters()
-    profile = DelayProfile()
-    memory = MemoryProfile()
-    with tracer.span(
-        "analyze.execute", engine=plan.engine, workers=plan.workers
-    ):
-        start = time.perf_counter()
-        rows = 0
-        for _ in execute(
-            db,
-            compiled,
-            plan,
-            counters=counters,
-            profile=profile,
-            memory=memory,
-        ):
-            rows += 1
-        execute_ms = (time.perf_counter() - start) * 1000.0
-    total_ms = (time.perf_counter() - whole_start) * 1000.0
-
-    return build_report(
+    return analyze_plan(
         db,
         compiled,
         plan,
-        rows=rows,
         stages_ms={
             "parse": round(parse_ms, 4),
             "analyze": round(analyze_ms, 4),
             "plan": round(plan_ms, 4),
-            "execute": round(execute_ms, 4),
-            "total": round(total_ms, 4),
         },
-        profile=profile,
-        counters=counters,
-        memory=memory,
+        started=whole_start,
+        counters=Counters() if counters is None else counters,
+        profile=DelayProfile(),
+        memory=MemoryProfile(),
     )
 
 

@@ -19,12 +19,14 @@ Two clocks per result, deliberately:
   1st / k-th result, the quantity an end user experiences and the one
   ``tests/test_obs.py`` cross-checks against an external clock.
 
-Profiles are mergeable (histograms fold exactly, TTF/TT(k) become
-distributions across queries) and snapshot/restore across process
-boundaries, so :mod:`repro.parallel` shard workers profile their own
-shard streams and ship the profile home in the final queue frame —
-per-shard attribution for the merged stream, with no IPC on the
-per-result path.
+A profile measures exactly one stream.  The server folds a retiring
+cursor's delay and TTF histograms into its per-engine registry families
+(``repro_result_delay_ms`` / ``repro_ttf_ms``), which are the only
+cross-query aggregate.  :meth:`DelayProfile.snapshot` is JSON-ready, so
+:mod:`repro.parallel` shard workers profile their own shard streams and
+ship the snapshot home in the final queue frame, where it is filed under
+``shards`` — per-shard attribution for the merged stream, with no IPC on
+the per-result path.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ DELAY_BOUNDS = geometric_bounds(lo=0.0001, hi=60_000.0, per_decade=20)
 
 
 class DelayProfile:
-    """Delay/TTF/TT(k) measurements for one cursor (or one fold of many).
+    """Delay/TTF/TT(k) measurements for one cursor's stream.
 
-    Single-writer on the hot path (the enumerating thread); merging and
-    snapshotting are done by the owner after the stream quiesces.
+    Single-writer on the hot path (the enumerating thread); the owner
+    snapshots and summarizes after the stream quiesces.
     """
 
     __slots__ = (
@@ -56,35 +58,31 @@ class DelayProfile:
         "ttf",
         "ttk",
         "results",
-        "streams",
         "busy_ms",
         "shards",
         "_started",
-        "_live_results",
-        "_live_busy_ms",
-        "_counted_stream",
     )
 
     def __init__(self, engine: str = "") -> None:
         self.engine = engine
         #: Per-result production (busy) time, ms.
         self.delay = Histogram(DELAY_BOUNDS)
-        #: Wall time to the first result, one observation per stream, ms.
+        #: Wall time to the first result (at most one observation), ms.
         self.ttf = Histogram()
         #: checkpoint k -> Histogram of wall time to the k-th result, ms.
         self.ttk: dict[int, Histogram] = {}
-        #: Results measured across all folded streams.
+        #: Results measured.
         self.results = 0
-        #: Streams folded in (a merged profile aggregates many cursors).
-        self.streams = 0
         #: Total busy enumeration time, ms.
         self.busy_ms = 0.0
-        #: Folded worker snapshots: shard index -> snapshot dict.
+        #: Worker snapshots of a sharded run, one per shard.
         self.shards: list[dict] = []
         self._started: Optional[float] = None
-        self._live_results = 0
-        self._live_busy_ms = 0.0
-        self._counted_stream = False
+
+    @property
+    def streams(self) -> int:
+        """1 once the stream has been pulled, else 0."""
+        return int(self._started is not None)
 
     # ------------------------------------------------------------------
     # Recording
@@ -100,65 +98,26 @@ class DelayProfile:
         while True:
             if self._started is None:
                 self._started = time.perf_counter()
-                if not self._counted_stream:
-                    self._counted_stream = True
-                    self.streams += 1
             before = time.perf_counter()
             try:
                 item = next(iterator)
             except StopIteration:
-                self._live_busy_ms += (time.perf_counter() - before) * 1000.0
+                self.busy_ms += (time.perf_counter() - before) * 1000.0
                 return
             now = time.perf_counter()
             produced_ms = (now - before) * 1000.0
             self.delay.record(produced_ms)
-            self._live_busy_ms += produced_ms
-            self._live_results += 1
+            self.busy_ms += produced_ms
             self.results += 1
             wall_ms = (now - self._started) * 1000.0
-            if self._live_results == 1:
+            if self.results == 1:
                 self.ttf.record(wall_ms)
-            if self._live_results in TTK_CHECKPOINTS:
-                self.ttk.setdefault(self._live_results, Histogram()).record(wall_ms)
+            if self.results in TTK_CHECKPOINTS:
+                self.ttk.setdefault(self.results, Histogram()).record(wall_ms)
             yield item
 
-    # ------------------------------------------------------------------
-    # Folding
-    # ------------------------------------------------------------------
-    def _flush_live(self) -> None:
-        self.busy_ms += self._live_busy_ms
-        self._live_busy_ms = 0.0
-
-    def merge(self, other: "DelayProfile") -> "DelayProfile":
-        """Fold another (quiescent) profile into this one."""
-        other._flush_live()
-        self._flush_live()
-        self.delay.merge(other.delay)
-        self.ttf.merge(other.ttf)
-        for k, hist in other.ttk.items():
-            self.ttk.setdefault(k, Histogram()).merge(hist)
-        self.results += other.results
-        self.streams += other.streams
-        self.busy_ms += other.busy_ms
-        self.shards.extend(other.shards)
-        return self
-
-    def merge_snapshot(self, snapshot: dict) -> "DelayProfile":
-        """Fold a :meth:`snapshot` dict (e.g. shipped from a worker)."""
-        self._flush_live()
-        self.delay.merge(Histogram.from_dict(snapshot["delay"]))
-        self.ttf.merge(Histogram.from_dict(snapshot["ttf"]))
-        for k, hist in snapshot.get("ttk", {}).items():
-            self.ttk.setdefault(int(k), Histogram()).merge(Histogram.from_dict(hist))
-        self.results += snapshot.get("results", 0)
-        self.streams += snapshot.get("streams", 0)
-        self.busy_ms += snapshot.get("busy_ms", 0.0)
-        self.shards.extend(snapshot.get("shards", ()))
-        return self
-
     def snapshot(self) -> dict:
-        """A picklable/JSON-ready dump, exact under :meth:`merge_snapshot`."""
-        self._flush_live()
+        """A picklable/JSON-ready dump (a worker's done-frame payload)."""
         return {
             "engine": self.engine,
             "delay": self.delay.to_dict(),
@@ -174,8 +133,7 @@ class DelayProfile:
     # Reading
     # ------------------------------------------------------------------
     def summary(self) -> dict:
-        """JSON-ready digest: the shape ``stats``/benchmarks embed."""
-        self._flush_live()
+        """JSON-ready digest: the shape EXPLAIN ANALYZE embeds."""
         out = {
             "engine": self.engine,
             "streams": self.streams,

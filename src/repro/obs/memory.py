@@ -10,14 +10,13 @@ output — and so does this module:
 - :class:`MemoryProfile` — the per-execution bundle of gauges with a
   concurrent live/peak entry total.  Profiles ride on the execution's
   :class:`~repro.util.counters.Counters` (a dynamic ``space`` attribute,
-  so no engine signature changes), retire into per-engine aggregates,
-  and ship per-shard via worker done frames exactly like
-  :class:`~repro.obs.delay.DelayProfile`.
+  so no engine signature changes) and ship per-shard via worker done
+  frames exactly like :class:`~repro.obs.delay.DelayProfile`.
 
-Aggregation differs from the delay profiler on purpose: a retired
-execution's structures are garbage, so :meth:`MemoryProfile.merge` folds
-only *peaks* (maxima) and sums the stream count; the per-cursor peak
-distribution lives in the ``repro_mem_peak_entries`` registry histogram.
+A retired execution's structures are garbage, so nothing but its peak
+outlives it: the server observes each retiring profile's peak entries
+once in the ``repro_mem_peak_entries`` registry histogram, whose count
+and exact maximum are the per-engine view ``stats`` reports.
 
 Bytes appear in one place: :func:`admission_bytes`, the figure the
 server's ``--max-mem-mb`` watermark compares, multiplies a profile's live
@@ -83,10 +82,8 @@ class SpaceGauge:
 class MemoryProfile:
     """Per-execution space profile: a bundle of gauges plus their total.
 
-    Mirrors :class:`~repro.obs.delay.DelayProfile`'s lifecycle — one per
-    cursor, folded into per-engine aggregates at retirement, worker
-    snapshots appended to ``shards`` for attribution — but with
-    peak-only aggregation (see the module docstring).
+    Mirrors :class:`~repro.obs.delay.DelayProfile`'s lifecycle: one per
+    cursor, worker snapshots appended to ``shards`` for attribution.
     """
 
     __slots__ = ("engine", "streams", "shards", "total", "_gauges")
@@ -129,28 +126,6 @@ class MemoryProfile:
 
     def categories(self) -> dict[str, SpaceGauge]:
         return dict(self._gauges)
-
-    def merge(self, other: "MemoryProfile") -> "MemoryProfile":
-        """Fold ``other`` (a retired execution) into this aggregate."""
-        return self.merge_snapshot(other.snapshot())
-
-    def merge_snapshot(self, snapshot: dict) -> "MemoryProfile":
-        """Fold a :meth:`snapshot` dict: stream counts add, peaks take
-        the maximum, live figures are not folded."""
-        if not self.engine:
-            self.engine = snapshot.get("engine", "")
-        self.streams += int(snapshot.get("streams", 0))
-        total = self.total
-        total.peak_entries = max(
-            total.peak_entries, int(snapshot.get("peak_entries", 0))
-        )
-        for category, data in snapshot.get("categories", {}).items():
-            gauge = self.gauge(category)
-            gauge.peak_entries = max(
-                gauge.peak_entries, int(data.get("peak_entries", 0))
-            )
-        self.shards.extend(snapshot.get("shards", ()))
-        return self
 
     def snapshot(self) -> dict:
         """JSON-ready, picklable state: stats payloads, EXPLAIN ANALYZE,

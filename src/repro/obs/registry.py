@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Process-wide metrics registry: counters and histograms.
 
 One model for every number the system publishes, unifying what used to
 be three ad-hoc shapes — :class:`repro.util.counters.Counters`
@@ -15,28 +15,29 @@ the latency histograms — behind two exporters:
 Metric *families* carry optional label names; ``family.labels(op="query")``
 returns the child for one label assignment (created on first use).  An
 unlabeled family acts as its own single child, so the common case reads
-``registry.counter("repro_queries_total").inc()``.
+``registry.counter("repro_fetches_total").inc()``.
 
 Thread-safety: one lock per family guards child creation and value
 updates; exports snapshot under the same locks, so a reader racing
 concurrent ``inc``/``observe`` calls sees internally consistent values.
 *Collector callbacks* (:meth:`MetricsRegistry.add_collector`) pull
 numbers that already live elsewhere — cursor-manager stats, plan-cache
-info, ``Counters`` snapshots — at export time, so owners keep their
-own synchronized state and nothing is double-counted.
+info, ``Counters`` snapshots — at export time and export them as
+gauges, so owners keep their own synchronized state and no number is
+recorded twice.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence, Union
 
 from repro.util.histogram import DEFAULT_BOUNDS, Histogram
 
 #: A collector yields ``(metric_name, labels_dict, value)`` gauge samples.
 CollectorSample = tuple[str, dict, Union[int, float]]
 
-_VALID_TYPES = ("counter", "gauge", "histogram")
+_VALID_TYPES = ("counter", "histogram")
 
 
 def _validate_name(name: str) -> str:
@@ -91,37 +92,9 @@ class CounterChild(_Child):
 
     def inc(self, amount: Union[int, float] = 1) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a gauge")
+            raise ValueError("counters only go up")
         with self._lock:
             self.value += amount
-
-
-class GaugeChild(_Child):
-    __slots__ = ("value", "callback")
-
-    def __init__(
-        self, lock: threading.Lock, callback: Optional[Callable[[], float]] = None
-    ) -> None:
-        super().__init__(lock)
-        self.value = 0.0
-        self.callback = callback
-
-    def set(self, value: Union[int, float]) -> None:
-        with self._lock:
-            self.value = value
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        self.inc(-amount)
-
-    def read(self) -> Union[int, float]:
-        if self.callback is not None:
-            return self.callback()
-        with self._lock:
-            return self.value
 
 
 class HistogramChild(_Child):
@@ -170,11 +143,9 @@ class MetricFamily:
         else:
             self._default = None
 
-    def _make_child(self, callback: Optional[Callable[[], float]] = None):
+    def _make_child(self):
         if self.kind == "counter":
             return CounterChild(self._lock)
-        if self.kind == "gauge":
-            return GaugeChild(self._lock, callback)
         return HistogramChild(self._lock, self._bounds)
 
     def labels(self, **labels: Any):
@@ -204,14 +175,18 @@ class MetricFamily:
     def inc(self, amount: Union[int, float] = 1) -> None:
         self._only().inc(amount)
 
-    def set(self, value: Union[int, float]) -> None:
-        self._only().set(value)
-
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        self._only().dec(amount)
-
     def observe(self, value: float) -> None:
         self._only().observe(value)
+
+    def total(self) -> Union[int, float]:
+        """The sum over children of a counter's value or a histogram's
+        observation count."""
+        with self._lock:
+            if self.kind == "counter":
+                return sum(child.value for child in self._children.values())
+            return sum(
+                child.histogram.count for child in self._children.values()
+            )
 
     def children(self) -> list[tuple[dict, Any]]:
         """``(labels_dict, child)`` pairs, snapshot under the lock."""
@@ -258,20 +233,6 @@ class MetricsRegistry:
         self, name: str, help_text: str = "", labelnames: Sequence[str] = ()
     ) -> MetricFamily:
         return self._family(name, "counter", help_text, tuple(labelnames))
-
-    def gauge(
-        self,
-        name: str,
-        help_text: str = "",
-        labelnames: Sequence[str] = (),
-        callback: Optional[Callable[[], float]] = None,
-    ) -> MetricFamily:
-        family = self._family(name, "gauge", help_text, tuple(labelnames))
-        if callback is not None:
-            if family.labelnames:
-                raise ValueError("callback gauges cannot be labeled")
-            family._default.callback = callback
-        return family
 
     def histogram(
         self,
@@ -321,11 +282,6 @@ class MetricsRegistry:
                     lines.append(
                         f"{family.name}{_render_labels(labels)} {_fmt(value)}"
                     )
-                elif family.kind == "gauge":
-                    lines.append(
-                        f"{family.name}{_render_labels(labels)} "
-                        f"{_fmt(child.read())}"
-                    )
                 else:
                     lines.extend(_render_histogram(family.name, labels, child))
         collected = self._collector_samples()
@@ -348,8 +304,6 @@ class MetricsRegistry:
                     with family._lock:
                         value = child.value
                     samples.append({"labels": labels, "value": value})
-                elif family.kind == "gauge":
-                    samples.append({"labels": labels, "value": child.read()})
                 else:
                     samples.append({"labels": labels, **child.summary()})
             entry["samples"] = samples

@@ -212,7 +212,7 @@ def _worker_main(
             pass
 
 
-def _merge_snapshot(counters: Counters, snapshot: dict) -> None:
+def _fold_counters(counters: Counters, snapshot: dict) -> None:
     """Fold a worker's counter snapshot into the caller's instance."""
     for name, value in snapshot.items():
         if name == "total_work" or not value:
@@ -272,7 +272,7 @@ class _ShardFeed:
         """Fold a worker's final frame into the caller-side aggregates."""
         self._finished = True
         if self._counters is not None:
-            _merge_snapshot(self._counters, payload["counters"])
+            _fold_counters(self._counters, payload["counters"])
         delay = payload.get("delay")
         if self._profile is not None and delay is not None:
             # Attribution only: the parent measures the merged stream

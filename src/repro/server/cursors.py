@@ -66,8 +66,8 @@ class Cursor:
         self.stream = stream
         self.counters = counters
         #: The session's anytime-delay profile (wrapped around the engine
-        #: stream by the service); folded into per-engine aggregates when
-        #: the cursor retires.
+        #: stream by the service); folded into the per-engine registry
+        #: histograms when the cursor retires.
         self.profile = profile
         #: The session's space profile — live/peak entries of the engine
         #: structures this cursor pins; read by the admission watermark

@@ -12,7 +12,6 @@ entry point the wire handler calls per line.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Optional, Sequence
@@ -148,23 +147,15 @@ class QueryService:
             None if max_mem_mb is None else int(max_mem_mb * 1024 * 1024)
         )
         self.mem_evict_idle_s = mem_evict_idle_s
-        self._mem_rejected = 0
-        self._mem_evicted = 0
         #: Server-wide RAM-model work, aggregated from per-cursor counters
         #: when cursors close (thread-safe merge).
         self.counters = Counters()
         self._started = time.monotonic()
-        self._metrics_lock = threading.Lock()
-        self._queries = 0
-        self._fetches = 0
-        self._rows_served = 0
-        self._mutations = 0
-        self._requests = 0
-        self._errors = 0
         # Observability: one metrics registry per service (tests stay
-        # isolated), the *process* tracer enabled once (spans are
-        # per-request, far off the per-result hot path), and per-engine
-        # anytime-delay aggregates folded from cursors as they retire.
+        # isolated) and the *process* tracer enabled once (spans are
+        # per-request, far off the per-result hot path).  The registry is
+        # the only place server-wide numbers accumulate: ``stats`` and
+        # ``metrics`` both read it.
         tracer.enable()
         if trace_capacity is not None:
             tracer.set_capacity(trace_capacity)
@@ -172,7 +163,7 @@ class QueryService:
         #: Per-op request wall time (ms) — errors included, since a
         #: failing request still costs the server time.  Backs the
         #: ``stats`` op's ``op_latency_ms`` (count/mean/max plus
-        #: p50/p95/p99) and the ``metrics`` op's histogram series.
+        #: p50/p95/p99) and ``requests`` (the count over every op).
         self._op_latency = self.registry.histogram(
             "repro_op_latency_ms",
             "Per-op request wall time in ms (errors included)",
@@ -203,14 +194,23 @@ class QueryService:
             "Error responses by op and error code",
             labelnames=("op", "code"),
         )
-        self._delay_lock = threading.Lock()
-        #: engine name -> aggregate :class:`DelayProfile` (the ``stats``
-        #: op's ``delay_profiles`` section).
-        self.delay_profiles: dict[str, DelayProfile] = {}
-        #: engine name -> aggregate :class:`MemoryProfile` (the ``stats``
-        #: op's ``memory.profiles`` section); shares ``_delay_lock`` —
-        #: both fold on the same retire path.
-        self.memory_profiles: dict[str, MemoryProfile] = {}
+        self._fetches_metric = self.registry.counter(
+            "repro_fetches_total", "Fetch requests on a known cursor"
+        )
+        self._rows_metric = self.registry.counter(
+            "repro_rows_served_total", "Result rows served in pages"
+        )
+        self._mutations_metric = self.registry.counter(
+            "repro_mutations_total", "Committed mutations"
+        )
+        self._mem_rejected_metric = self.registry.counter(
+            "repro_mem_pressure_rejections_total",
+            "Queries refused over the memory watermark",
+        )
+        self._mem_evicted_metric = self.registry.counter(
+            "repro_mem_pressure_evictions_total",
+            "Idle cursors evicted under memory pressure",
+        )
         self.registry.add_collector(self._collect_samples)
 
     @property
@@ -358,12 +358,12 @@ class QueryService:
         session_counters = Counters()
         # Every cursor carries its own delay profile; the engine-side wrap
         # records TTF/TT(k)/inter-result delay as pages drain, and
-        # _retire folds it into the per-engine aggregate on close/evict.
+        # _retire folds it into the per-engine histograms on close/evict.
         profile = DelayProfile()
         # ... and its own space profile: the engines' structures report
         # entry counts into it at O(1) cost, the admission watermark prices
-        # its live entries in bytes, and _retire folds the peak into the
-        # per-engine aggregate + histogram.
+        # its live entries in bytes, and _retire observes its peak in the
+        # per-engine peak histogram.
         memory = MemoryProfile()
         stream = PausableStream(
             execute(
@@ -384,8 +384,6 @@ class QueryService:
             profile=profile,
             memory=memory,
         )
-        with self._metrics_lock:
-            self._queries += 1
         payload: dict[str, Any] = {
             "cursor": cursor.id,
             "columns": list(entry.compiled.output_columns),
@@ -426,8 +424,7 @@ class QueryService:
     ) -> dict:
         """Resume a paused cursor for up to ``n`` more ranked results."""
         cursor = self.cursors.get(cursor_id)
-        with self._metrics_lock:
-            self._fetches += 1
+        self._fetches_metric.inc()
         payload: dict[str, Any] = {"cursor": cursor_id}
         payload.update(
             self._fetch_into(cursor, n or self.default_batch, deadline)
@@ -459,8 +456,7 @@ class QueryService:
                 f"cursor {cursor.id!r} was closed while this fetch was in "
                 "flight"
             ) from None
-        with self._metrics_lock:
-            self._rows_served += len(rows)
+        self._rows_metric.inc(len(rows))
         out: dict[str, Any] = {
             "rows": protocol.jsonable_rows(rows),
             "done": done,
@@ -497,14 +493,11 @@ class QueryService:
         evicted = self.cursors.evict_for_memory(
             self.max_mem_bytes, min_idle_s=self.mem_evict_idle_s
         )
-        if evicted:
-            with self._metrics_lock:
-                self._mem_evicted += evicted
+        self._mem_evicted_metric.inc(evicted)
         live = self.cursors.live_mem_bytes()
         if live < self.max_mem_bytes:
             return
-        with self._metrics_lock:
-            self._mem_rejected += 1
+        self._mem_rejected_metric.inc()
         raise MemoryPressureError(
             f"server memory watermark reached ({live} bytes live "
             f">= {self.max_mem_bytes}); close or drain a cursor first"
@@ -513,45 +506,30 @@ class QueryService:
     def _retire(self, cursor) -> None:
         """Fold a closing/evicted cursor's work into server aggregates."""
         self.counters.merge(cursor.counters)
-        self._fold_profile(getattr(cursor, "profile", None), cursor.engine)
-        self._fold_memory(getattr(cursor, "memory", None), cursor.engine)
+        self._fold_profiles(cursor.profile, cursor.memory, cursor.engine)
 
-    def _fold_profile(
-        self, profile: Optional[DelayProfile], engine: str
+    def _fold_profiles(
+        self,
+        profile: Optional[DelayProfile],
+        memory: Optional[MemoryProfile],
+        engine: str,
     ) -> None:
-        """Fold one quiescent delay profile into the per-engine aggregate
-        and the registry's delay/TTF histogram families (each profile is
-        folded exactly once, so nothing is double counted)."""
-        if profile is None or not profile.streams:
-            return
-        name = profile.engine or engine
-        with self._delay_lock:
-            aggregate = self.delay_profiles.get(name)
-            if aggregate is None:
-                aggregate = self.delay_profiles[name] = DelayProfile(name)
-            aggregate.merge(profile)
-        self._delay_metric.labels(engine=name).merge_histogram(profile.delay)
-        self._ttf_metric.labels(engine=name).merge_histogram(profile.ttf)
-
-    def _fold_memory(
-        self, memory: Optional[MemoryProfile], engine: str
-    ) -> None:
-        """Fold one retiring cursor's space profile into the per-engine
-        aggregate and observe its peak in the entry histogram.
-
-        Unlike time, memory is not additive across cursors: the aggregate
-        keeps *maxima* of the peaks (the profile's own merge semantics),
-        and the peak *distribution* lives in ``repro_mem_peak_entries`` —
-        one observation per retired cursor."""
-        if memory is None or not memory.touched:
-            return
-        name = memory.engine or engine
-        with self._delay_lock:
-            aggregate = self.memory_profiles.get(name)
-            if aggregate is None:
-                aggregate = self.memory_profiles[name] = MemoryProfile(name)
-            aggregate.merge(memory)
-        self._mem_metric.labels(engine=name).observe(float(memory.peak_entries))
+        """Fold one quiescent execution into the per-engine registry
+        families, exactly once: its delay and TTF histograms (when it
+        produced a result) and one observation of its peak entries (when
+        any structure reported).  Peaks are maxima, not sums, so their
+        distribution across executions is the histogram itself."""
+        if profile is not None and profile.results:
+            name = profile.engine or engine
+            self._delay_metric.labels(engine=name).merge_histogram(
+                profile.delay
+            )
+            self._ttf_metric.labels(engine=name).merge_histogram(profile.ttf)
+        if memory is not None and memory.touched:
+            name = memory.engine or engine
+            self._mem_metric.labels(engine=name).observe(
+                float(memory.peak_entries)
+            )
 
     def explain(
         self,
@@ -581,52 +559,32 @@ class QueryService:
                 # of every relation the statement reads.
                 "version": entry.plan.snapshot_version,
             }
-        from repro.obs.analyze import build_report, render_analyze
+        from repro.obs.analyze import analyze_plan, render_analyze
 
         snapshot = self.versioned.snapshot()
-        start = time.perf_counter()
+        started = time.perf_counter()
         entry, was_cached = self.plan(
             sql, engine=engine, db=snapshot, params=params
         )
-        plan_ms = (time.perf_counter() - start) * 1000.0
+        plan_ms = (time.perf_counter() - started) * 1000.0
         counters = Counters()
         profile = DelayProfile()
         memory = MemoryProfile()
-        with tracer.span(
-            "analyze.execute", engine=entry.plan.engine
-        ):
-            start = time.perf_counter()
-            rows = 0
-            for _ in execute(
-                snapshot,
-                entry.compiled,
-                entry.plan,
-                counters=counters,
-                profile=profile,
-                memory=memory,
-            ):
-                rows += 1
-            execute_ms = (time.perf_counter() - start) * 1000.0
-        report = build_report(
+        report = analyze_plan(
             snapshot,
             entry.compiled,
             entry.plan,
-            rows=rows,
-            stages_ms={
-                "plan": round(plan_ms, 4),
-                "execute": round(execute_ms, 4),
-                "total": round(plan_ms + execute_ms, 4),
-            },
-            profile=profile,
+            stages_ms={"plan": round(plan_ms, 4)},
+            started=started,
             counters=counters,
-            cache={"plan_cache": "hit" if was_cached else "miss"},
+            profile=profile,
             memory=memory,
+            cache={"plan_cache": "hit" if was_cached else "miss"},
         )
         # The analyzed run is real engine work; it lands in the same
         # aggregates a drained cursor would.
         self.counters.merge(counters)
-        self._fold_profile(profile, entry.plan.engine)
-        self._fold_memory(memory, entry.plan.engine)
+        self._fold_profiles(profile, memory, entry.plan.engine)
         return {
             "explain": render_analyze(report),
             "analyze": report,
@@ -650,8 +608,7 @@ class QueryService:
             )
         compiled = analyze_mutation(self.versioned.snapshot(), sql)
         result = apply_mutation(self.versioned, compiled)
-        with self._metrics_lock:
-            self._mutations += 1
+        self._mutations_metric.inc()
         return {
             "applied": result.kind,
             "relation": result.relation,
@@ -681,16 +638,11 @@ class QueryService:
         }
 
     def stats(self) -> dict:
-        """Observability: caches, cursors, service metrics, RAM-model work."""
-        with self._metrics_lock:
-            metrics = {
-                "queries": self._queries,
-                "fetches": self._fetches,
-                "rows_served": self._rows_served,
-                "mutations": self._mutations,
-                "requests": self._requests,
-                "errors": self._errors,
-            }
+        """Observability: caches, cursors, service metrics, RAM-model work.
+
+        Every server-wide number is read from :attr:`registry` (or from
+        the cursor manager, plan cache and counters it collects), so
+        ``stats`` and ``metrics`` can never disagree."""
         snapshot = self.versioned.snapshot()
         return {
             "version": protocol.PROTOCOL_VERSION,
@@ -700,7 +652,13 @@ class QueryService:
             "workers": self.workers,
             "readonly": self.readonly,
             "database": self.versioned.info(),
-            **metrics,
+            # ``query`` is the only caller of cursors.open.
+            "queries": self.cursors.opened,
+            "fetches": self._fetches_metric.total(),
+            "rows_served": self._rows_metric.total(),
+            "mutations": self._mutations_metric.total(),
+            "requests": self._op_latency.total(),
+            "errors": self._errors_metric.total(),
             "plan_cache": self.plan_cache.info(),
             "cursors": self.cursors.stats(),
             "counters": self.counters.snapshot(),
@@ -732,28 +690,47 @@ class QueryService:
         return out
 
     def delay_summaries(self) -> dict:
-        """Per-engine anytime-delay digests (TTF / TT(k) / delay)."""
-        with self._delay_lock:
-            return {
-                engine: profile.summary()
-                for engine, profile in self.delay_profiles.items()
+        """Per-engine anytime-delay digests from the delay and TTF
+        families: ``streams`` counts streams that produced a first
+        result, ``results`` the results they produced."""
+        ttf = {
+            labels["engine"]: child.summary()
+            for labels, child in self._ttf_metric.children()
+        }
+        out = {}
+        for labels, child in self._delay_metric.children():
+            engine = labels["engine"]
+            delay = child.summary()
+            if engine not in ttf or not delay["count"]:
+                continue  # a fold in flight: its families fill next read
+            out[engine] = {
+                "engine": engine,
+                "streams": ttf[engine]["count"],
+                "results": delay["count"],
+                "delay_ms": delay,
+                "ttf_ms": ttf[engine],
             }
+        return out
 
     def memory_stats(self) -> dict:
         """The ``stats`` op's memory section: live bytes vs watermark,
-        pressure counters, and per-engine peak profiles."""
-        with self._metrics_lock:
-            rejected, evicted = self._mem_rejected, self._mem_evicted
-        with self._delay_lock:
-            profiles = {
-                engine: profile.snapshot()
-                for engine, profile in self.memory_profiles.items()
+        pressure counters, and per-engine peaks (the count and exact
+        maximum of ``repro_mem_peak_entries``)."""
+        profiles = {}
+        for labels, child in self._mem_metric.children():
+            summary = child.summary()
+            if not summary["count"]:
+                continue  # created by labels(), not yet observed
+            profiles[labels["engine"]] = {
+                "engine": labels["engine"],
+                "streams": summary["count"],
+                "peak_entries": int(summary["max_ms"]),
             }
         return {
             "live_bytes": self.cursors.live_mem_bytes(),
             "watermark_bytes": self.max_mem_bytes,
-            "pressure_rejections": rejected,
-            "pressure_evictions": evicted,
+            "pressure_rejections": self._mem_rejected_metric.total(),
+            "pressure_evictions": self._mem_evicted_metric.total(),
             "profiles": profiles,
         }
 
@@ -792,22 +769,7 @@ class QueryService:
 
     def _collect_samples(self):
         """Pull-time gauge samples for the registry (export-time only)."""
-        with self._metrics_lock:
-            samples = [
-                ("repro_queries_total", {}, self._queries),
-                ("repro_fetches_total", {}, self._fetches),
-                ("repro_rows_served_total", {}, self._rows_served),
-                ("repro_mutations_total", {}, self._mutations),
-                (
-                    "repro_mem_pressure_rejections_total",
-                    {},
-                    self._mem_rejected,
-                ),
-                ("repro_mem_pressure_evictions_total", {}, self._mem_evicted),
-            ]
-        samples.append(
-            ("repro_mem_live_bytes", {}, self.cursors.live_mem_bytes())
-        )
+        samples = [("repro_mem_live_bytes", {}, self.cursors.live_mem_bytes())]
         if self.max_mem_bytes is not None:
             samples.append(
                 ("repro_mem_watermark_bytes", {}, self.max_mem_bytes)
@@ -913,10 +875,6 @@ class QueryService:
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             self._op_latency.labels(op=op).observe(elapsed_ms)
             error = response.get("error") if response else None
-            with self._metrics_lock:
-                self._requests += 1
-                if error:
-                    self._errors += 1
             if error:
                 self._errors_metric.labels(
                     op=op, code=error.get("code", "internal")

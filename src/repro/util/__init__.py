@@ -12,7 +12,7 @@ any-k algorithms, including the incremental ("lazy") sorting structures that
 back the different ``ANYK-PART`` successor strategies.
 
 :mod:`repro.util.histogram` is the shared mergeable fixed-bucket latency
-histogram (exact fold across threads and processes) behind the load
+histogram (exact fold across threads and cursors) behind the load
 generator, the server's per-op latency stats, and the anytime-delay
 profiler in :mod:`repro.obs`.
 """

@@ -8,10 +8,9 @@ plain element-wise addition — no rebinning, no approximation drift.
 That merge-equals-global property is what lets each thread (or shard
 worker process) record into a private histogram (no locks on the hot
 path) and the consumer fold them at the end; it is property-tested in
-``tests/test_histogram.py``.  :meth:`Histogram.to_dict` /
-:meth:`Histogram.from_dict` carry the same fold across process
-boundaries (``repro.parallel`` workers ship their delay profiles home
-in the final queue frame).
+``tests/test_histogram.py``.  :meth:`Histogram.to_dict` is the
+JSON-ready dump a ``repro.parallel`` worker ships home in its delay
+profile's snapshot (filed for per-shard attribution, never folded).
 
 Percentiles come back as the *upper edge* of the bucket containing the
 requested rank, capped at the exact observed maximum (tracked alongside
@@ -137,7 +136,7 @@ class Histogram:
         return self.max  # pragma: no cover - ranks never exceed count
 
     def to_dict(self) -> dict:
-        """A picklable/JSON-ready snapshot (exact, merge-preserving).
+        """A picklable/JSON-ready snapshot (exact).
 
         Buckets are run-length sparse (``index: count``) because most of
         the ~140 geometric buckets are empty for any one workload.
@@ -153,20 +152,6 @@ class Histogram:
             "max": self.max,
             "min": self.min if self.count else None,
         }
-
-    @classmethod
-    def from_dict(cls, snapshot: dict) -> "Histogram":
-        """Rebuild a histogram from :meth:`to_dict` output."""
-        bounds = snapshot.get("bounds", "default")
-        hist = cls(DEFAULT_BOUNDS if bounds == "default" else tuple(bounds))
-        for index, n in snapshot.get("buckets", {}).items():
-            hist.buckets[int(index)] = n
-        hist.count = snapshot.get("count", 0)
-        hist.total = snapshot.get("total", 0.0)
-        hist.max = snapshot.get("max", 0.0)
-        minimum = snapshot.get("min")
-        hist.min = float("inf") if minimum is None else minimum
-        return hist
 
     def summary(self) -> dict:
         """The JSON-ready digest the ``stats`` op embeds per op."""

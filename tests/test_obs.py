@@ -195,15 +195,12 @@ def test_nested_traces_per_thread_are_independent():
 # ----------------------------------------------------------------------
 def test_registry_counter_gauge_histogram_basics():
     registry = MetricsRegistry()
-    queries = registry.counter("repro_queries_total", "queries handled")
-    queries.inc()
-    queries.inc(2)
+    fetches = registry.counter("repro_fetches_total", "fetches handled")
+    fetches.inc()
+    fetches.inc(2)
     with pytest.raises(ValueError):
-        queries.inc(-1)
-
-    open_cursors = registry.gauge("repro_cursors_open")
-    open_cursors.set(3)
-    open_cursors.dec()
+        fetches.inc(-1)
+    assert not hasattr(registry, "gauge")  # gauges come from collectors
 
     latency = registry.histogram(
         "repro_op_latency_ms", "per-op latency", labelnames=("op",)
@@ -217,23 +214,25 @@ def test_registry_counter_gauge_histogram_basics():
         latency.observe(1.0)  # labeled family needs .labels(...)
 
     # Re-registration with the same shape is idempotent ...
-    assert registry.counter("repro_queries_total") is queries
+    assert registry.counter("repro_fetches_total") is fetches
     # ... and a conflicting shape is an error, not silent aliasing.
     with pytest.raises(ValueError):
-        registry.gauge("repro_queries_total")
+        registry.histogram("repro_fetches_total")
     with pytest.raises(ValueError):
-        registry.counter("repro_queries_total", labelnames=("op",))
+        registry.counter("repro_fetches_total", labelnames=("op",))
+    # total(): counter values or histogram counts, summed over children.
+    assert fetches.total() == 3
+    assert latency.total() == 3
 
     text = registry.render_prometheus()
-    assert "# TYPE repro_queries_total counter" in text
-    assert "repro_queries_total 3" in text
-    assert "repro_cursors_open 2" in text
+    assert "# TYPE repro_fetches_total counter" in text
+    assert "repro_fetches_total 3" in text
     assert "# TYPE repro_op_latency_ms histogram" in text
     assert 'repro_op_latency_ms_count{op="query"} 2' in text
     assert 'repro_op_latency_ms_sum{op="query"} 20.0' in text
 
     data = registry.to_json()
-    assert data["repro_queries_total"]["samples"][0]["value"] == 3
+    assert data["repro_fetches_total"]["samples"][0]["value"] == 3
     by_label = {
         sample["labels"]["op"]: sample
         for sample in data["repro_op_latency_ms"]["samples"]
@@ -276,7 +275,6 @@ def test_registry_thread_safety_under_concurrent_bump_observe_export():
     registry = MetricsRegistry()
     counter = registry.counter("ops_total", labelnames=("op",))
     hist = registry.histogram("latency_ms", bounds=(1.0, 10.0, 100.0))
-    gauge = registry.gauge("level")
     stop = threading.Event()
     failures: list[BaseException] = []
     WRITERS, ROUNDS = 8, 500
@@ -286,7 +284,6 @@ def test_registry_thread_safety_under_concurrent_bump_observe_export():
             for i in range(ROUNDS):
                 counter.labels(op=op).inc()
                 hist.observe(float(i % 20))
-                gauge.set(i)
         except BaseException as exc:  # noqa: BLE001 - report to main thread
             failures.append(exc)
 
@@ -364,24 +361,15 @@ def test_delay_profile_pausing_does_not_pollute_delay():
 def test_delay_profile_snapshot_merge_roundtrip():
     source = DelayProfile(engine="rec")
     list(source.wrap(iter([((i,), float(i)) for i in range(15)])))
-    snap = source.snapshot()
-    # Snapshots survive JSON (the worker queue frame / stats op contract).
-    snap = json.loads(json.dumps(snap))
-
-    folded = DelayProfile(engine="rec")
-    folded.merge_snapshot(snap)
-    assert folded.results == source.results
-    assert folded.streams == source.streams
-    assert folded.busy_ms == pytest.approx(source.busy_ms)
-    assert folded.delay.count == source.delay.count
-    assert sorted(folded.ttk) == sorted(source.ttk)
-
-    # merge() of live profiles adds up exactly, too.
-    merged = DelayProfile(engine="rec")
-    merged.merge(source).merge(folded)
-    assert merged.results == 2 * source.results
-    assert merged.streams == 2
-    assert merged.delay.count == 2 * source.delay.count
+    # Snapshots survive JSON (the worker's done-frame contract).
+    snap = json.loads(json.dumps(source.snapshot()))
+    assert snap["engine"] == "rec"
+    assert snap["results"] == source.results == 15
+    assert snap["streams"] == source.streams == 1
+    assert snap["busy_ms"] == pytest.approx(source.busy_ms)
+    assert snap["delay"]["count"] == source.delay.count
+    assert snap["ttf"]["count"] == 1
+    assert sorted(int(k) for k in snap["ttk"]) == sorted(source.ttk)
 
 
 def test_delay_bounds_open_below_default_latency_bounds():
@@ -644,7 +632,7 @@ def test_service_metrics_op_prometheus_and_json(path_db):
     text = metrics["metrics"]
     assert "# TYPE repro_op_latency_ms histogram" in text
     assert 'repro_op_latency_ms_count{op="query"} 1' in text
-    assert "repro_queries_total 1" in text
+    assert "repro_cursors_opened_total 1" in text
     assert "repro_cursors_open" in text
     assert "repro_uptime_seconds" in text
 
@@ -770,6 +758,89 @@ def test_service_explain_analyze_reports_plan_cache(path_db):
     assert plain["ok"] and "timing:" not in plain["explain"]
 
 
+def test_stats_and_metrics_keep_one_record_per_number(path_db):
+    """Every server-wide ``stats`` number is read from the registry, so it
+    equals its ``metrics`` counterpart after any mix of ops."""
+    service = QueryService(path_db)
+    sql = PATH_SQL.format(k=30)
+    ops = [
+        {"op": "query", "sql": sql, "fetch": 5},
+        {"op": "query", "sql": sql.replace("ORDER", "WHERE R1.A1 < 0 ORDER")},
+        {"op": "query", "sql": sql, "engine": "rec", "fetch": 100},
+        {"op": "query", "sql": PATH_SQL.format(k=8), "engine": "batch"},
+        {"op": "fetch", "cursor": "c-missing"},
+        {"op": "query", "sql": "SELEC nonsense"},
+        {"op": "explain", "sql": sql, "analyze": True},
+        {"op": "mutate", "sql": "INSERT INTO R1 VALUES (1, 2)"},
+    ]
+    for i, op in enumerate(ops):
+        response = service.handle({"id": i, **op})
+        while response.get("done") is False:  # drain every opened cursor
+            response = service.handle(
+                {"id": i, "op": "fetch", "cursor": response["cursor"], "n": 7}
+            )
+    stats = service.stats()
+    metrics = service.handle({"op": "metrics", "format": "json"})["metrics"]
+
+    def samples(name: str, key: str = "value") -> dict:
+        return {
+            ",".join(s["labels"].values()): s[key]
+            for s in metrics[name]["samples"]
+        }
+
+    def total(name: str, key: str = "value") -> int:
+        return sum(samples(name, key).values())
+
+    assert stats["requests"] == total("repro_op_latency_ms", "count")
+    # Four queries and one bad SQL.
+    assert stats["op_latency_ms"]["query"]["count"] == 5
+    assert stats["errors"] == total("repro_errors_total") == 2
+    assert stats["queries"] == total("repro_cursors_opened_total") == 4
+    for key in ("fetches", "rows_served", "mutations"):
+        assert stats[key] == total(f"repro_{key}_total")
+    assert stats["mutations"] == 1
+    views = stats["delay_profiles"]
+    assert {e: (v["results"], v["streams"]) for e, v in views.items()} == {
+        e: (n, samples("repro_ttf_ms", "count")[e])
+        for e, n in samples("repro_result_delay_ms", "count").items()
+    }
+    # Streams count first results: the empty query is not among them.
+    assert sum(v["streams"] for v in views.values()) == 4
+    # Served rows plus the 30 the EXPLAIN ANALYZE run drained.
+    assert sum(v["results"] for v in views.values()) == stats["rows_served"] + 30
+    views = stats["memory"]["profiles"]
+    assert {e: (v["streams"], v["peak_entries"]) for e, v in views.items()} == {
+        e: (n, samples("repro_mem_peak_entries", "max_ms")[e])
+        for e, n in samples("repro_mem_peak_entries", "count").items()
+    }
+    assert views["rec"]["streams"] == 1 and views["rec"]["peak_entries"] > 0
+    prometheus = service.handle({"op": "metrics"})
+    types, _ = parse_exposition(prometheus["metrics"])
+    assert "repro_queries_total" not in types
+    for name in ("fetches", "rows_served", "mutations", "mem_pressure_rejections"):
+        assert types[f"repro_{name}_total"] == "counter"
+    assert types["repro_mem_pressure_evictions_total"] == "counter"
+
+
+def test_stats_stay_bounded_under_sharded_queries():
+    """A sharded cursor's worker snapshots stay in its own profile: the
+    ``stats`` payload does not grow with the number of queries served."""
+    service = QueryService(
+        path_database(length=3, size=3000, domain=300, seed=7), workers=2
+    )
+    sql = (
+        "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 JOIN R3 ON R2.A3 = R3.A3 "
+        "WHERE R1.A1 > ? ORDER BY weight LIMIT 20"
+    )
+    assert service.plan(sql, params=[0])[0].plan.workers == 2
+    sizes = []
+    for queries in (10, 40):
+        for i in range(queries):
+            assert service.query(sql, fetch=21, params=[i % 3])["done"]
+        sizes.append(len(json.dumps(service.stats())))
+    assert sizes[1] - sizes[0] < 200, sizes
+
+
 def test_protocol_validates_new_ops():
     assert validate_request({"op": "metrics"}) == "metrics"
     assert validate_request({"op": "metrics", "format": "json"}) == "metrics"
@@ -809,7 +880,9 @@ def test_repro_obs_cli_against_background_server(path_db, capsys):
         assert obs_main(args + ["--metrics"]) == 0
         assert "# TYPE repro_op_latency_ms histogram" in capsys.readouterr().out
         assert obs_main(args + ["--metrics", "--json"]) == 0
-        assert "repro_queries_total" in json.loads(capsys.readouterr().out)
+        assert "repro_cursors_opened_total" in json.loads(
+            capsys.readouterr().out
+        )
 
         assert obs_main(args + ["--traces"]) == 0
         assert "tracer:" in capsys.readouterr().out

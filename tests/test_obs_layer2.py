@@ -191,7 +191,7 @@ def test_readonly_server_still_serves_every_obs_op(path_db):
 
     metrics = service.handle({"id": 2, "op": "metrics", "format": "json"})
     assert metrics["ok"]
-    assert "repro_queries_total" in json.dumps(metrics["metrics"])
+    assert "repro_cursors_opened_total" in json.dumps(metrics["metrics"])
 
     looked_up = service.handle(
         {"id": 3, "op": "trace", "trace": response["trace_id"]}

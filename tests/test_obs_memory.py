@@ -18,6 +18,7 @@ Three properties anchor the suite:
 from __future__ import annotations
 
 import gc
+import json
 import time
 import tracemalloc
 
@@ -114,39 +115,19 @@ def test_profile_peak_is_concurrent_across_gauges():
     assert profile.peak_entries == 10  # not max(5, 5)
 
 
-def test_profile_merge_takes_maxima_and_sums_streams():
-    left = MemoryProfile("rec")
-    left.streams = 1
-    left.gauge("rec.pq").add(4)
-    right = MemoryProfile("rec")
-    right.streams = 2
-    right.gauge("rec.pq").add(9)
-    right.gauge("rec.pq").remove(3)
-    right.shards.append({"shard": 0, "peak_entries": 7})
-    aggregate = MemoryProfile("rec").merge(left).merge(right)
-    assert aggregate.streams == 3
-    assert aggregate.peak_entries == max(4, 9)  # maxima, not 13
-    assert aggregate.gauge("rec.pq").peak_entries == 9
-    # Only peaks fold: a retired execution's structures are garbage.
-    assert aggregate.live_entries == 0
-    assert aggregate.gauge("rec.pq").entries == 0
-    assert aggregate.shards == [{"shard": 0, "peak_entries": 7}]
-
-
 def test_profile_snapshot_roundtrip():
     profile = MemoryProfile("batch")
     profile.streams = 1
     profile.gauge("batch.rows").add(10)
     profile.gauge("batch.sort").add(10)
-    snapshot = profile.snapshot()
+    # Snapshots survive JSON (the worker's done-frame contract).
+    snapshot = json.loads(json.dumps(profile.snapshot()))
     assert snapshot["peak_entries"] == snapshot["live_entries"] == 20
-    rebuilt = MemoryProfile().merge_snapshot(snapshot)
-    assert rebuilt.engine == "batch"
-    assert rebuilt.streams == 1
-    assert rebuilt.peak_entries == profile.peak_entries
+    assert snapshot["engine"] == "batch"
+    assert snapshot["streams"] == 1
     assert {
         category: data["peak_entries"]
-        for category, data in rebuilt.snapshot()["categories"].items()
+        for category, data in snapshot["categories"].items()
     } == {"batch.rows": 10, "batch.sort": 10}
 
 

@@ -77,8 +77,8 @@ def test_obs_smoke(capsys):
             text = client.metrics()
             assert text.endswith("\n")
             assert "# TYPE repro_op_latency_ms histogram" in text
-            assert "# TYPE repro_queries_total gauge" in text
-            assert "repro_queries_total 1" in text
+            assert "# TYPE repro_cursors_opened_total gauge" in text
+            assert "repro_cursors_opened_total 1" in text
             assert 'repro_op_latency_ms_count{op="fetch"}' in text
             assert "repro_result_delay_ms_bucket" in text
             for line in text.strip().splitlines():
@@ -108,7 +108,7 @@ def test_obs_smoke(capsys):
         assert "anytime delay (in-engine, ms):" in summary
 
         assert obs_main(host_port + ["--metrics"]) == 0
-        assert "repro_queries_total 1" in capsys.readouterr().out
+        assert "repro_cursors_opened_total 1" in capsys.readouterr().out
 
         assert obs_main(host_port + ["--traces"]) == 0
         assert "tracer:" in capsys.readouterr().out
