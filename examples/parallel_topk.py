@@ -28,7 +28,7 @@ def library_surface() -> None:
     query = path_query(3)
     plan = route(db, query, k=200, workers=2)
     print(f"  router: engine={plan.engine}, workers={plan.workers}, "
-          f"sharded on {plan.shard_variable} ({plan.shard_policy})")
+          f"hash-sharded on {plan.shard_variable}")
     serial = list(rank_enumerate(db, query, method="auto", k=200))
     sharded = list(rank_enumerate(db, query, method="auto", k=200, workers=2))
     print(f"  2-shard merged prefix == serial prefix: {sharded == serial} "

@@ -321,7 +321,6 @@ def rank_enumerate(
         raise ValueError("k must be >= 1 when given")
 
     shard_variable: Optional[str] = None
-    shard_policy = "hash"
     if method == "auto":
         # Deferred import: repro.engine sits above this module.
         from repro.engine.planner import route
@@ -329,10 +328,9 @@ def rank_enumerate(
         plan = route(db, query, ranking=ranking, k=k, workers=workers)
         method = plan.engine
         # The router may veto sharding; when it shards, execute its
-        # exact decision (variable + policy), not a re-derivation.
+        # exact decision (the shard variable), not a re-derivation.
         workers = plan.workers
         shard_variable = plan.shard_variable
-        shard_policy = plan.shard_policy
 
     if workers is not None and workers > 1 and deterministic:
         # Deferred import: repro.parallel sits above this module.
@@ -348,27 +346,23 @@ def rank_enumerate(
                 counters=counters,
                 workers=workers,
                 shard_variable=shard_variable,
-                policy=shard_policy,
             )
 
+    traced = tracer.enabled and method != "batch"
     if method == "batch":
-        # batch_enumerate already sorts by (weight, solution_tie_key),
-        # deterministic or not — sorting the full output is its nature.
         stream = batch_enumerate(db, query, ranking=ranking, counters=counters)
-        return stream if k is None else itertools.islice(stream, k)
+    else:
+        program = compile_program(db, query, ranking, counters)
+        acyclic = program.shape.tree is not None
+        if acyclic and compile_kernels and method != "lawler":
+            # The naive-Lawler strawman stays on the reference accessors
+            # on purpose: its whole point is the from-scratch cost.
+            from repro.anyk.kernels import install_kernels
 
-    traced = tracer.enabled
-    program = compile_program(db, query, ranking, counters)
-    acyclic = program.shape.tree is not None
-    if acyclic and compile_kernels and method != "lawler":
-        # The naive-Lawler strawman stays on the reference accessors
-        # on purpose: its whole point is the from-scratch cost.
-        from repro.anyk.kernels import install_kernels
-
-        ((tdp, _),) = program.parts
-        with tracer.span("anyk.kernels.install") if traced else NOOP_SPAN:
-            install_kernels(tdp, slot=kernel_slot, engine=method)
-    stream = program.enumerate(method)
+            ((tdp, _),) = program.parts
+            with tracer.span("anyk.kernels.install") if traced else NOOP_SPAN:
+                install_kernels(tdp, slot=kernel_slot, engine=method)
+        stream = program.enumerate(method)
     if deterministic:
         stream = stabilize_ties(stream)
     if k is not None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-from repro.anyk.ranking import RankingFunction, SUM, solution_tie_key
+from repro.anyk.ranking import RankingFunction, SUM
 from repro.data.database import Database
 from repro.joins.generic_join import evaluate as generic_join
 from repro.joins.yannakakis import evaluate as yannakakis_join
@@ -34,8 +34,9 @@ def batch_enumerate(
 ) -> Iterator[tuple[tuple, Any]]:
     """Full join (Yannakakis if acyclic, else Generic-Join), then sort.
 
-    Yields ``(row, lifted_weight)`` in nondecreasing ranking order, with
-    ties broken by row for determinism.
+    Yields ``(row, lifted_weight)`` in nondecreasing ranking order; equal
+    weights keep the join's order (the sort is stable), so
+    :func:`~repro.anyk.rank_enumerate` orders ties as for every engine.
     """
     combine = ranking.float_combine()  # raises for LEX, by design
     tree = gyo_reduction(query)
@@ -44,14 +45,10 @@ def batch_enumerate(
     else:
         result = generic_join(db, query, counters=counters, combine=combine)
     # Lifted weights (not raw) key the sort so tie groups form in the
-    # ranking carrier, exactly as the any-k engines see them; row values
-    # are touched only inside tie groups.
-    lift = ranking.lift
+    # ranking carrier, exactly as the any-k engines see them.
     rows = result.rows
-    lifted = [lift(w) for w in result.weights]
-    order = sorted(
-        range(len(rows)), key=lambda i: (lifted[i], solution_tie_key(rows[i]))
-    )
+    lifted = [ranking.lift(w) for w in result.weights]
+    order = sorted(range(len(rows)), key=lifted.__getitem__)
     if counters is not None:
         counters.comparisons += max(0, len(order) - 1)
     space = tracker_of(counters)

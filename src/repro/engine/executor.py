@@ -181,7 +181,6 @@ def execute(
                     counters=counters,
                     workers=plan.workers,
                     shard_variable=plan.shard_variable,
-                    policy=plan.shard_policy,
                     profile=profile,
                     memory=memory,
                 )

@@ -6,13 +6,14 @@ router picks the execution engine the paper's experiments argue for:
 - **batch** (join + sort) when the whole output is wanted: its
   time-to-last is optimal, and with no LIMIT there is nothing for an
   anytime algorithm to win (E8's crossover).
-- **ANYK-PART (lazy)** for small ``k``: the best time-to-k across the
-  paper's workloads (E9), on acyclic queries directly, on the 4-cycle via
-  the heavy/light union of trees (O~(n^1.5 + k)), and on other cyclic
-  queries via a fractional-hypertree decomposition (O~(n^fhw + k)).
-- **ANYK-REC** for deep ``k``: memoized recursive streams amortize
-  better once enumeration goes deep (E9's large-k regime).
-- **LEX ranking** forces an any-k engine: its weight vectors follow the
+- **ANYK-PART (lazy)** for every other ``k``: on acyclic queries
+  directly, on the 4-cycle via the heavy/light union of trees
+  (O~(n^1.5 + k)), and on other cyclic queries via a
+  fractional-hypertree decomposition (O~(n^fhw + k)).  ANYK-REC stays a
+  forced method only: here PART's time-to-k is the lower one at every
+  measured k, 1,000 to 100,000, and one any-k engine keeps a cached
+  routing's stream independent of the bound LIMIT.
+- **LEX ranking** forces ANYK-PART: its weight vectors follow the
   T-DP's stage order, which batch does not keep.
 
 Every choice is a :func:`repro.anyk.rank_enumerate` method, so
@@ -47,9 +48,6 @@ from repro.query.hypergraph import is_free_connex
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.sql.analyzer import CompiledQuery
 
-#: k at or above which ANYK-REC's amortization beats ANYK-PART (E9 regime).
-DEEP_K = 1000
-
 #: Fraction of the AGM bound beyond which batch's optimal time-to-last wins.
 BATCH_FRACTION = 0.5
 
@@ -65,6 +63,13 @@ PARALLEL_MIN_TUPLES = 4096
 _LEX_REASON = (
     "its weight vectors follow the T-DP's stage order, which only an "
     "any-k engine over an acyclic query keeps"
+)
+
+#: Why every routed any-k choice is ANYK-PART (lazy) and never ANYK-REC.
+_PART_REASON = (
+    "ANYK-PART with the lazy successor strategy: its time-to-k is below "
+    "ANYK-REC's at every k measured here, 1,000 to 100,000, on paths, "
+    "stars, trees and the 4-cycle"
 )
 
 
@@ -106,11 +111,10 @@ class Plan:
     rationale: list[str] = field(default_factory=list)
     working_db: Optional[Database] = None
     working_cq: Optional[ConjunctiveQuery] = None
-    #: Partition-parallelism decision: 1 = serial; > 1 = hash/range-shard
-    #: on ``shard_variable`` and merge per-shard ranked streams.
+    #: Partition-parallelism decision: 1 = serial; > 1 = hash-shard on
+    #: ``shard_variable`` and merge per-shard ranked streams.
     workers: int = 1
     shard_variable: Optional[str] = None
-    shard_policy: str = "hash"
     #: Version id of the snapshot this plan was costed on (None for
     #: plain, unversioned databases).  A mutation publishes a higher
     #: version, so any plan reporting an older one is known-stale.
@@ -157,8 +161,8 @@ class Plan:
         lines.append(f"engine:   {self.engine}")
         if self.workers > 1:
             lines.append(
-                f"parallel: {self.workers} workers, {self.shard_policy}-"
-                f"sharded on {self.shard_variable} (ranked streams merged "
+                f"parallel: {self.workers} workers, hash-sharded on "
+                f"{self.shard_variable} (ranked streams merged "
                 "with deterministic ties)"
             )
         lines.append("because:")
@@ -174,7 +178,6 @@ def route(
     free_variables: Optional[tuple[str, ...]] = None,
     engine: Optional[str] = None,
     workers: Optional[int] = None,
-    shard_policy: str = "hash",
 ) -> Plan:
     """Choose an engine for ``query`` over ``db``.
 
@@ -219,13 +222,11 @@ def route(
         plan.rationale.append(f"engine {engine!r} forced by the caller")
     else:
         _decide(plan)
-    _decide_parallelism(plan, workers, shard_policy)
+    _decide_parallelism(plan, workers)
     return plan
 
 
-def _decide_parallelism(
-    plan: Plan, workers: Optional[int], shard_policy: str
-) -> None:
+def _decide_parallelism(plan: Plan, workers: Optional[int]) -> None:
     """Take (or decline) an offered worker budget; record why."""
     if workers is None or workers <= 1:
         return  # nothing offered: serial silently
@@ -253,10 +254,9 @@ def _decide_parallelism(
         return
     plan.workers = workers
     plan.shard_variable = choose_shard_variable(plan.query)
-    plan.shard_policy = shard_policy
     say(
         f"sharding across {workers} workers on {plan.shard_variable} "
-        f"({shard_policy}): {input_tuples} input tuples amortize "
+        f"(hash): {input_tuples} input tuples amortize "
         "process overhead, and the k-way merge preserves the exact "
         "ranked order"
     )
@@ -269,7 +269,8 @@ def _decide(plan: Plan) -> None:
 
     if plan.ranking.raw_combine is None:
         say(f"lex ranking: {_LEX_REASON}")
-        plan.engine = _anyk_engine(plan, say)
+        say(_PART_REASON)
+        plan.engine = "part:lazy"
         return
 
     if plan.stats.any_empty():
@@ -311,22 +312,8 @@ def _decide(plan: Plan) -> None:
             f"materializes O~(n^{est.fhw:.2f}) derived relations, then the "
             "acyclic any-k pipeline runs on top"
         )
-    plan.engine = _anyk_engine(plan, say)
-
-
-def _anyk_engine(plan: Plan, say) -> str:
-    k = plan.k
-    if k is not None and k >= DEEP_K:
-        say(
-            f"k = {k} is deep (≥ {DEEP_K}): ANYK-REC's memoized streams "
-            "amortize repeated work best in the large-k regime (E9)"
-        )
-        return "rec"
-    say(
-        "ANYK-PART with the lazy successor strategy has the best "
-        "time-to-k for small k across the paper's workloads (E9)"
-    )
-    return "part:lazy"
+    say(_PART_REASON)
+    plan.engine = "part:lazy"
 
 
 def plan_compiled(

@@ -37,7 +37,7 @@ from typing import Any, Iterator, Optional
 from repro.util.histogram import Histogram, geometric_bounds
 
 #: Result ranks at which cumulative wall time is checkpointed.  Chosen to
-#: bracket the paper's k regimes (tiny / small / DEEP_K / beyond).
+#: bracket the paper's k regimes (tiny / small / deep / beyond).
 TTK_CHECKPOINTS: tuple[int, ...] = (1, 10, 100, 1000, 10000)
 
 #: Per-result delays sit well under a millisecond for warm engines, so the

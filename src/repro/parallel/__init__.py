@@ -4,10 +4,10 @@ Single-threaded any-k caps every query at one core; this package scales
 ranked enumeration across worker processes without giving up a single
 guarantee:
 
-- :mod:`repro.parallel.sharding` partitions the database by hash (or
-  range, for skewed domains) on one join attribute — answers partition
-  with the attribute's values, so per-shard answer sets are disjoint and
-  their union is exactly the global answer set;
+- :mod:`repro.parallel.sharding` partitions the database by a hash of
+  one join attribute — answers partition with the attribute's values,
+  so per-shard answer sets are disjoint and their union is exactly the
+  global answer set;
 - :mod:`repro.parallel.workers` runs each shard's
   :func:`~repro.anyk.rank_enumerate` in its own process behind a bounded
   queue (backpressure keeps the pool anytime);
@@ -25,7 +25,6 @@ from repro.anyk.api import query_shape
 from repro.anyk.ranking import RANKINGS_BY_NAME, RankingFunction
 from repro.parallel.merge import merge_ranked_streams
 from repro.parallel.sharding import (
-    POLICIES,
     Shard,
     ShardingSpec,
     choose_shard_variable,
@@ -64,7 +63,6 @@ def is_shardable(
 
 
 __all__ = [
-    "POLICIES",
     "SHARDABLE_METHODS_EXTRA",
     "Shard",
     "ShardWorkerError",

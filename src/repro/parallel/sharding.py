@@ -10,16 +10,10 @@ lands in the part) yields ranked streams whose union is *exactly* the
 global answer set, with no duplicates and no misses.  Atoms that do not
 bind ``v`` are carried into every shard unchanged (shared, not copied).
 
-Two partition policies:
-
-- ``hash`` — a seed-independent hash of the value (``blake2b`` over
-  ``repr``; Python's builtin ``hash`` is randomized per process and
-  would break cross-process determinism).  The default: oblivious to the
-  data, near-uniform on distinct values.
-- ``range`` — contiguous runs of the sorted value domain, sized by tuple
-  frequency in the largest relation binding ``v``.  For skewed domains
-  (Zipf keys) hash sharding can land several heavy hitters in one shard;
-  range sharding balances *tuple counts* instead.
+The partition function is a seed-independent hash of the value
+(``blake2b`` over ``repr``; Python's builtin ``hash`` is randomized per
+process and would break cross-process determinism): oblivious to the
+data, near-uniform on distinct values.
 
 Self-joins are handled by rewriting: each atom that binds ``v`` gets its
 own filtered relation under a fresh name (``E`` seen as ``E__p0`` /
@@ -36,9 +30,6 @@ from typing import Callable, Optional
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.query.cq import Atom, ConjunctiveQuery, QueryError
-
-#: Partition policies understood by :func:`shard_database`.
-POLICIES = ("hash", "range")
 
 
 def _canonical(value: object) -> object:
@@ -95,85 +86,32 @@ def choose_shard_variable(query: ConjunctiveQuery) -> str:
 class ShardingSpec:
     """How one database+query pair was partitioned.
 
-    ``assign`` maps a ``v`` value to its shard index.  For hash sharding
-    it is pure; for range sharding it closes over the frequency-balanced
-    boundary table (values unseen while building the table go to shard
-    0 — they cannot join anyway, since the scanned atom binds ``v`` too).
+    ``assign`` maps a ``v`` value to its shard index: a pure function of
+    the value (:func:`stable_hash` modulo ``shards``).
     """
 
     variable: str
-    policy: str
     shards: int
     assign: Callable[[object], int]
 
 
-def _hash_spec(variable: str, shards: int) -> ShardingSpec:
-    return ShardingSpec(
-        variable=variable,
-        policy="hash",
-        shards=shards,
-        assign=lambda value: stable_hash(value) % shards,
-    )
-
-
-def _range_spec(
-    db: Database, query: ConjunctiveQuery, variable: str, shards: int
-) -> ShardingSpec:
-    # Scan the largest relation binding the variable: its frequency
-    # profile is the skew that matters most.
-    candidates = [
-        (index, atom)
-        for index, atom in enumerate(query.atoms)
-        if variable in atom.variable_set
-    ]
-    index, atom = max(candidates, key=lambda pair: len(db[pair[1].relation]))
-    column = atom.variables.index(variable)
-    frequency: dict[object, int] = {}
-    for row in db[atom.relation].rows:
-        value = row[column]
-        frequency[value] = frequency.get(value, 0) + 1
-    # Sort values by a type-safe key and cut into runs of ~equal tuple
-    # mass (a heavy hitter still owns its whole run: partitioning is by
-    # value, never within one value).
-    ordered = sorted(frequency, key=lambda v: (v.__class__.__name__, v))
-    total = sum(frequency.values())
-    target = total / shards if shards else 0
-    table: dict[object, int] = {}
-    shard, mass = 0, 0
-    for value in ordered:
-        table[value] = shard
-        mass += frequency[value]
-        if mass >= target * (shard + 1) and shard < shards - 1:
-            shard += 1
-    return ShardingSpec(
-        variable=variable,
-        policy="range",
-        shards=shards,
-        assign=lambda value: table.get(value, 0),
-    )
-
-
 def make_spec(
-    db: Database,
-    query: ConjunctiveQuery,
-    shards: int,
-    variable: Optional[str] = None,
-    policy: str = "hash",
+    query: ConjunctiveQuery, shards: int, variable: Optional[str] = None
 ) -> ShardingSpec:
     """Build the sharding decision without materializing shards yet."""
     if shards < 1:
         raise ValueError("shard count must be >= 1")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown shard policy {policy!r}; known: {POLICIES}")
     if variable is None:
         variable = choose_shard_variable(query)
     elif variable not in query.variables:
         raise QueryError(
             f"shard variable {variable!r} is not a variable of {query}"
         )
-    if policy == "hash":
-        return _hash_spec(variable, shards)
-    return _range_spec(db, query, variable, shards)
+    return ShardingSpec(
+        variable=variable,
+        shards=shards,
+        assign=lambda value: stable_hash(value) % shards,
+    )
 
 
 @dataclass
@@ -197,7 +135,6 @@ def shard_database(
     query: ConjunctiveQuery,
     shards: int,
     variable: Optional[str] = None,
-    policy: str = "hash",
 ) -> tuple[list[Shard], ShardingSpec]:
     """Partition ``db`` for ``query`` into ``shards`` disjoint instances.
 
@@ -209,7 +146,7 @@ def shard_database(
     hence per-answer weight folds — match the serial run exactly.
     """
     query.validate(db)
-    spec = make_spec(db, query, shards, variable=variable, policy=policy)
+    spec = make_spec(query, shards, variable=variable)
     assign = spec.assign
 
     # Per atom: the column to filter on (None = atom does not bind v).

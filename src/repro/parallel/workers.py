@@ -385,7 +385,6 @@ def parallel_rank_enumerate(
     counters: Optional[Counters] = None,
     workers: int = 2,
     shard_variable: Optional[str] = None,
-    policy: str = "hash",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     profile: Optional["DelayProfile"] = None,
     memory: Optional["MemoryProfile"] = None,
@@ -411,9 +410,7 @@ def parallel_rank_enumerate(
     call can never leak into a draining parallel stream, even when the
     workers have not started yet.
     """
-    shards, spec = shard_database(
-        db, query, workers, variable=shard_variable, policy=policy
-    )
+    shards, spec = shard_database(db, query, workers, variable=shard_variable)
     live = [shard for shard in shards if not shard.is_trivially_empty()]
     context = _pool_context()
     # When this call happens inside an open span (the executor's

@@ -34,11 +34,17 @@ every hit.
   from fresh statistics (routing may genuinely change, e.g. part:lazy
   over an emptied input should flip to batch), which counts as a miss.
 
-Any engine disagreement a reused routing could introduce is bounded by
-the library-wide determinism contract: every engine emits the identical
-byte-for-byte ranked stream, so a suboptimally-routed binding is slower,
-never wrong (the differential tests in ``tests/test_params.py`` pin
-this).
+A reused routing is slower, never wrong, for the answers: every engine
+emits the same answers, ties in
+:func:`~repro.anyk.ranking.solution_tie_key` order.  The streams are
+byte-identical only on weights of the 1/64 grid.  Off it, ANYK-PART
+reports its priority fold while ``batch`` and ANYK-REC fold in join
+order, so a weight can differ by an ulp and near-ties reorder.  The
+router therefore sends every routed any-k binding to one engine,
+``part:lazy``, and a bound ``LIMIT`` does not switch an any-k template
+between engines (``tests/test_params.py`` pins this).  A ``LIMIT``
+that crosses the router's ``batch`` threshold still switches it
+between ``part:lazy`` and ``batch``.
 """
 
 from __future__ import annotations

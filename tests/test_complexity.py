@@ -265,24 +265,30 @@ CYCLE4_SQL = (
 
 def test_cycle_topk_counter_series_are_pinned():
     """The exact ``util.counters.*`` series of the benchmark's
-    ``cycle_topk`` operation (seed 1, k = 1000, the router's ``rec``)
-    through the SQL front-end.  The instance has no heavy value, so it is
-    one light tree, whose wedges come out of the build reduced: 2,876 rows
-    each of 14,829 pairs, and T-DP keeps every row it is given.  The
-    T-DP's buckets are the groups its reducer records, so the 5,752 rows
-    are not read a second time to bucket them: ``tuples_read`` and
-    ``total_work`` are 5,752 below a build with that pass (37,209 and
-    76,918)."""
+    ``cycle_topk`` operation (seed 1, k = 1000) through the SQL
+    front-end: the router's ``part:lazy``, and ``rec`` forced.  The
+    instance has no heavy value, so it is one light tree, whose wedges
+    come out of the build reduced: 2,876 rows each of 14,829 pairs, and
+    T-DP keeps every row it is given.  The T-DP's buckets are the groups
+    its reducer records, so the 5,752 rows are not read a second time to
+    bucket them: ``tuples_read`` and ``total_work`` are 5,752 below a
+    build with that pass (37,209 and 76,918 for ``rec``).  The engines
+    differ only in their heaps."""
     db = random_graph_database(num_edges=2000, num_nodes=270, seed=1)
-    counters = Counters()
-    rows = repro.sql.query(db, CYCLE4_SQL, counters=counters).fetchall()
-    assert len(rows) == 1000
-    assert counters.tuples_read == 31_457
-    assert counters.hash_probes == 21_705
-    assert counters.intermediate_tuples == 5_752
-    assert counters.comparisons == 3_155
-    assert counters.heap_ops == 8_097
-    assert counters.total_work() == 71_166
+    for engine, heap_ops, total_work in (
+        (None, 9_216, 72_285),
+        ("rec", 8_097, 71_166),
+    ):
+        counters = Counters()
+        result = repro.sql.query(db, CYCLE4_SQL, engine=engine, counters=counters)
+        assert result.plan.engine == (engine or "part:lazy")
+        assert len(result.fetchall()) == 1000
+        assert counters.tuples_read == 31_457
+        assert counters.hash_probes == 21_705
+        assert counters.intermediate_tuples == 5_752
+        assert counters.comparisons == 3_155
+        assert counters.heap_ops == heap_ops, engine
+        assert counters.total_work() == total_work, engine
 
     (tree,) = fourcycle_union_of_trees(db, cycle_query(4), combine=SUM.float_combine())
     given = {name: len(tree.database[name]) for name in tree.database.names()}

@@ -63,11 +63,12 @@ def test_huge_k_routes_to_batch():
     assert plan.engine == "batch"
 
 
-def test_deep_k_routes_to_rec():
+def test_deep_k_routes_to_part_lazy():
     db = path_database(length=3, size=200, domain=10, seed=3)
     plan = route(db, path_query(3), k=2000)
-    # AGM bound is 200*200*200 >> 2*2000, so batch is not triggered.
-    assert plan.engine == "rec"
+    # AGM bound is 200*200*200 >> 2*2000, so batch is not triggered;
+    # REC is a forced method only, however deep k goes.
+    assert plan.engine == "part:lazy"
 
 
 def test_tiny_k_binary_join_routes_to_part_lazy():

@@ -52,7 +52,7 @@ def test_stable_hash_respects_join_equality_classes():
 
 def test_mixed_type_join_keys_shard_together():
     """Regression: R1's key column holds floats, R2's holds ints; the
-    serial join matches them, so every shard policy must too."""
+    serial join matches them, so the shard function must too."""
     rel1 = Relation(
         "R1", ("A1", "A2"), [(i, float(i % 4)) for i in range(24)],
         [i / 64 for i in range(24)],
@@ -65,11 +65,7 @@ def test_mixed_type_join_keys_shard_together():
     query = path_query(2)
     serial = list(rank_enumerate(db, query))
     assert len(serial) == 144  # the mixed-type keys really do join
-    for policy in ("hash", "range"):
-        parallel = list(
-            parallel_rank_enumerate(db, query, workers=3, policy=policy)
-        )
-        assert parallel == serial, policy
+    assert list(parallel_rank_enumerate(db, query, workers=3)) == serial
 
 
 def test_choose_shard_variable_prefers_most_shared():
@@ -79,13 +75,12 @@ def test_choose_shard_variable_prefers_most_shared():
     assert choose_shard_variable(star_query(3)) == "A0"
 
 
-@pytest.mark.parametrize("policy", ["hash", "range"])
-def test_shards_partition_the_answer_set(policy):
+def test_shards_partition_the_answer_set():
     db = path_database(length=3, size=60, domain=8, seed=11)
     query = path_query(3)
     serial = multiset_of(rank_enumerate(db, query))
-    shards, spec = shard_database(db, query, 4, policy=policy)
-    assert spec.shards == 4 and spec.policy == policy
+    shards, spec = shard_database(db, query, 4)
+    assert spec.shards == 4
     union = None
     for shard in shards:
         part = multiset_of(rank_enumerate(shard.database, shard.query))
@@ -121,33 +116,8 @@ def test_shard_database_validates_arguments():
     db = path_database(length=2, size=10, domain=4, seed=0)
     with pytest.raises(ValueError):
         shard_database(db, path_query(2), 0)
-    with pytest.raises(ValueError):
-        shard_database(db, path_query(2), 2, policy="mod")
     with pytest.raises(QueryError):
         shard_database(db, path_query(2), 2, variable="Z9")
-
-
-def test_range_policy_balances_skewed_tuple_counts():
-    # 90% of R1's A2-values are 0: hash sharding would put them wherever
-    # hash(0) lands; range sharding must not put *everything* there too.
-    rel1 = Relation("R1", ("A1", "A2"))
-    for i in range(90):
-        rel1.add((i, 0), 0.1)
-    for i in range(10):
-        rel1.add((i, i + 1), 0.2)
-    rel2 = Relation("R2", ("A2", "A3"))
-    for v in range(11):
-        rel2.add((v, v), 0.3)
-    db = Database([rel1, rel2])
-    query = path_query(2)
-    shards, spec = shard_database(db, query, 2, policy="range")
-    sizes = [len(shard.database["R1__p0"]) for shard in shards]
-    assert sorted(sizes) == [10, 90]  # heavy value isolated, rest together
-    union = None
-    for shard in shards:
-        part = multiset_of(rank_enumerate(shard.database, shard.query))
-        union = part if union is None else union + part
-    assert union == multiset_of(rank_enumerate(db, query))
 
 
 # ----------------------------------------------------------------------

@@ -95,6 +95,20 @@ def test_literal_and_placeholder_spellings_share_one_entry(db):
     assert info["entries"] == 1 and info["hits"] == 1
 
 
+def test_routed_stream_does_not_depend_on_cache_state(db):
+    # The warm template was routed at LIMIT 10; a deep LIMIT bound later
+    # reuses that routing, so it must stream what a cold plan of the
+    # deep LIMIT streams.  Engines that fold weights in different orders
+    # differ by an ulp off the 1/64 grid, which reorders near-ties.
+    warm = QueryService(db)
+    drain(warm, PARAM_SQL, params=[2, 10])
+    got = drain(warm, PARAM_SQL, params=[2, 2000])
+    assert warm.plan_cache.info()["hits"] == 1
+    expected = drain(QueryService(db), LITERAL_SQL.format(v=2, k=2000))
+    assert len(expected) == 2000
+    assert got == expected
+
+
 # ----------------------------------------------------------------------
 # Cache-key semantics
 # ----------------------------------------------------------------------

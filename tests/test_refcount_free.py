@@ -29,7 +29,7 @@ from repro.data.generators import (
     path_database,
     random_graph_database,
 )
-from repro.engine.planner import DEEP_K, route
+from repro.engine.planner import route
 from repro.query.cq import cycle_query, path_query
 from repro.server import QueryService
 
@@ -95,12 +95,13 @@ def _drained_path(db, method):
 
 
 def _drained_fourcycle(db, method):
-    # The router's choice at k = DEEP_K over the heavy/light union of
-    # trees (the hub graph has heavy values, so several trees merge).
+    # k = 1000 over the heavy/light union of trees (the hub graph has
+    # heavy values, so several trees merge): part:lazy is the router's
+    # choice, REC runs forced.
     query = cycle_query(4)
-    assert route(db, query, k=DEEP_K).engine == method
-    results = list(rank_enumerate(db, query, method="auto", k=DEEP_K))
-    assert len(results) == DEEP_K
+    assert route(db, query, k=1000).engine == "part:lazy"
+    results = list(rank_enumerate(db, query, method=method, k=1000))
+    assert len(results) == 1000
 
 
 def _drained_ghd(db, method):
@@ -113,6 +114,7 @@ def _drained_ghd(db, method):
     [
         ("path", "part:lazy"),
         ("path", "rec"),
+        ("fourcycle", "part:lazy"),
         ("fourcycle", "rec"),
         ("ghd", "part:lazy"),
         ("ghd", "rec"),
