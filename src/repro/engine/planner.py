@@ -9,7 +9,9 @@ router picks the execution engine the paper's experiments argue for:
 - **ANYK-PART (lazy)** for every other ``k``: on acyclic queries
   directly, on the 4-cycle via the heavy/light union of trees
   (O~(n^1.5 + k)), and on other cyclic queries via a
-  fractional-hypertree decomposition (O~(n^fhw + k)).  ANYK-REC stays a
+  fractional-hypertree decomposition (O~(n^fhw + k)), or via the full
+  join when that rewrite collapses to one bag (every cycle of length
+  ≥ 5; EXPLAIN says so).  ANYK-REC stays a
   forced method only: here PART's time-to-k is the lower one at every
   measured k, 1,000 to 100,000, and one any-k engine keeps a cached
   routing's stream independent of the bound LIMIT.
@@ -42,7 +44,7 @@ from repro.data.database import Database
 from repro.engine.catalog import CatalogStats
 from repro.query.agm import fractional_edge_cover
 from repro.query.cq import ConjunctiveQuery
-from repro.query.decomposition import min_fill_decomposition
+from repro.query.decomposition import best_decomposition, collapses_to_full_join
 from repro.query.hypergraph import is_free_connex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -82,6 +84,7 @@ class PlanEstimates:
     agm_bound: float
     cover_number: float
     fhw: Optional[float] = None  # only computed for general cyclic queries
+    full_join: bool = False  # the GHD rewrite collapses to one bag
     free_connex: Optional[bool] = None  # only computed for projections
 
     @property
@@ -195,9 +198,11 @@ def route(
     stats = CatalogStats.gather(db, query)
     shape = query_shape(query)
     cover = fractional_edge_cover(query, stats.sizes)
-    fhw = None
+    fhw, full_join = None, False
     if shape.kind == "ghd":
-        fhw = min_fill_decomposition(query).fractional_hypertree_width()
+        decomposition = best_decomposition(query)  # the one the rewrite uses
+        fhw = decomposition.fractional_hypertree_width()
+        full_join = collapses_to_full_join(query, decomposition)
     free_connex = None
     if free_variables is not None and set(free_variables) != set(query.variables):
         free_connex = is_free_connex(query, free_variables)
@@ -207,6 +212,7 @@ def route(
         agm_bound=cover.bound if not stats.any_empty() else 0.0,
         cover_number=cover.cover_number,
         fhw=fhw,
+        full_join=full_join,
         free_connex=free_connex,
     )
     plan = Plan(
@@ -305,6 +311,13 @@ def _decide(plan: Plan) -> None:
         say(
             "4-cycle shape: heavy/light union of trees gives the "
             "submodular-width O~(n^1.5 + k) pipeline (§3)"
+        )
+    elif est.full_join:
+        say(
+            f"cyclic shape: the GHD rewrite (fhw ≈ {est.fhw:.2f}) is not "
+            "acyclic over its bags' atoms, so the full join "
+            f"(O~(n^{est.cover_number:.2f}) worst case) is materialised as "
+            "one bag before the first answer; any-k only ranks it"
         )
     elif not est.acyclic:
         say(

@@ -22,9 +22,10 @@ x4 values:
   J12 = σ_{x2 light}(R1 ⋈ R2) and J34 = σ_{x4 light}(R3 ⋈ R4); the tree
   J12(x1,x2,x3) ⋈ J34(x3,x4,x1) is acyclic.  Each wedge has at most
   nΔ = n^1.5 pairs, and every pair is still visited, but only the rows
-  that some 4-cycle closes are materialised: the wedges are built already
-  reduced against each other on (x1, x3), so T-DP's reducer finds nothing
-  left to drop.
+  that some 4-cycle closes are materialised: J34's keys are indexed
+  set-at-a-time (x3 -> set of x1), J12's pairs probe them, and J34
+  keeps the pairs of the keys hit, so T-DP's reducer finds nothing left
+  to drop.
 
 Every original atom contributes its weight exactly once per tree, so ranked
 enumeration over the union (:func:`repro.anyk.api.compile_program`) ranks
@@ -207,54 +208,53 @@ def _closed_wedges(
     """J12(x1,x2,x3) and J34(x3,x4,x1) over the light groups, each holding
     only the rows whose (x1, x3) key the other wedge also has.
 
-    Two passes over the wedge pairs.  The J34 pairs (R4 rows outer, the
-    x4 group of R3 inner) are indexed by their key; then each J12 pair
-    (R2 rows outer, the x2 group of R1 inner) probes that key and becomes
-    a row only on a hit, and J34 materialises the pairs of the keys hit.
-    Both keep their pair order, so they are exactly what T-DP's reducer
-    would leave of the unreduced wedges.  Weights are ``combine(w1, w2)``
-    and ``combine(w3, w4)``.
+    Set-at-a-time.  *Index*: R4's x1 values grouped by x4 give J34's keys
+    as ``x3 -> set(x1)``, one ``set.update`` per (x4, x3).  *Probe*: each
+    J12 pair (R2 rows outer, the x2 group of R1 inner) tests its x1
+    against its x3's set and becomes a row only on a hit.  *Materialise*:
+    a second pass over R4's rows emits the J34 pairs (R4 rows outer, the
+    x4 group of R3 inner) whose key was hit.  Both wedges keep their pair
+    order: exactly what T-DP's reducer would leave of the unreduced
+    wedges.  Weights are ``combine(w1, w2)`` and ``combine(w3, w4)``.
     """
     r1, r2, r3, r4 = relations
     v1, v2, v3, v4 = variables
     p4, p1 = r4.positions((v4, v1))
-    first: dict[tuple, int] = {}  # J34 key -> its first pair
-    later: dict[tuple, list[int]] = defaultdict(list)  # -> its other pairs
-    inner: list[tuple[Any, float]] = []  # per J34 pair: its (x3, w3)
-    outer: list[int] = []  # per J34 pair: its R4 row
-    for j, row in enumerate(r4.rows):
-        x1 = row[p1]
-        for pair in around4.get(row[p4], ()):
-            key, i = (pair[0], x1), len(inner)
-            if first.setdefault(key, i) != i:
-                later[key].append(i)
-            inner.append(pair)
-            outer.append(j)
+    x1s_by_x4: dict[Any, list] = defaultdict(list)
+    for row in r4.rows:
+        x1s_by_x4[row[p4]].append(row[p1])
+    closing: dict[Any, set] = defaultdict(set)  # J34's keys: x3 -> {x1}
+    for x4, x1s in x1s_by_x4.items():
+        for x3, _ in around4.get(x4, ()):
+            closing[x3].update(x1s)
 
     p2, p3 = r2.positions((v2, v3))
     rows12: list[tuple] = []
     weights12: list[float] = []
-    hit: set[tuple] = set()
+    hit: dict[Any, set] = defaultdict(set)  # the keys hit: x1 -> {x3}
     for row, w2 in zip(r2.rows, r2.weights):
         x2, x3 = row[p2], row[p3]
+        x1s = closing.get(x3, ())
         for x1, w1 in around2.get(x2, ()):
-            if (x3, x1) in first:
-                hit.add((x3, x1))
+            if x1 in x1s:
+                hit[x1].add(x3)
                 rows12.append((x1, x2, x3))
                 weights12.append(combine(w1, w2))
 
-    ids = [first[key] for key in hit]
-    for key in hit & later.keys():
-        ids += later[key]
     rows34: list[tuple] = []
     weights34: list[float] = []
-    for i in sorted(ids):
-        (x3, w3), j = inner[i], outer[i]
-        rows34.append((x3, r4.rows[j][p4], r4.rows[j][p1]))
-        weights34.append(combine(w3, r4.weights[j]))
+    for row, w4 in zip(r4.rows, r4.weights):
+        x3s = hit.get(row[p1])
+        if x3s:
+            x4, x1 = row[p4], row[p1]
+            for x3, w3 in around4.get(x4, ()):
+                if x3 in x3s:
+                    rows34.append((x3, x4, x1))
+                    weights34.append(combine(w3, w4))
     if counters is not None:
         probes = sum(len(around2.get(row[p2], ())) for row in r2.rows)
-        counters.tuples_read += len(r4) + len(r2) + len(inner)
+        pairs = sum(len(around4.get(row[p4], ())) for row in r4.rows)
+        counters.tuples_read += len(r4) + len(r2) + pairs
         counters.hash_probes += len(r4) + len(r2) + probes
         counters.intermediate_tuples += len(rows12) + len(rows34)
     return (

@@ -22,11 +22,11 @@ Two clocks per result, deliberately:
 A profile measures exactly one stream.  The server folds a retiring
 cursor's delay and TTF histograms into its per-engine registry families
 (``repro_result_delay_ms`` / ``repro_ttf_ms``), which are the only
-cross-query aggregate.  :meth:`DelayProfile.snapshot` is JSON-ready, so
-:mod:`repro.parallel` shard workers profile their own shard streams and
-ship the snapshot home in the final queue frame, where it is filed under
-``shards`` — per-shard attribution for the merged stream, with no IPC on
-the per-result path.
+cross-query aggregate.  :mod:`repro.parallel` shard workers profile
+their own shard streams and ship each one's ``results`` and ``busy_ms``
+home in the final queue frame, where they are filed under ``shards`` —
+per-shard attribution for the merged stream, with no IPC on the
+per-result path.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class DelayProfile:
         self.results = 0
         #: Total busy enumeration time, ms.
         self.busy_ms = 0.0
-        #: Worker snapshots of a sharded run, one per shard.
+        #: ``{"shard", "results", "busy_ms"}`` per shard of a sharded run.
         self.shards: list[dict] = []
         self._started: Optional[float] = None
 
@@ -117,7 +117,7 @@ class DelayProfile:
             yield item
 
     def snapshot(self) -> dict:
-        """A picklable/JSON-ready dump (a worker's done-frame payload)."""
+        """A picklable/JSON-ready dump of every measurement."""
         return {
             "engine": self.engine,
             "delay": self.delay.to_dict(),

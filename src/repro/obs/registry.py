@@ -22,9 +22,9 @@ updates; exports snapshot under the same locks, so a reader racing
 concurrent ``inc``/``observe`` calls sees internally consistent values.
 *Collector callbacks* (:meth:`MetricsRegistry.add_collector`) pull
 numbers that already live elsewhere — cursor-manager stats, plan-cache
-info, ``Counters`` snapshots — at export time and export them as
-gauges, so owners keep their own synchronized state and no number is
-recorded twice.
+info, ``Counters`` snapshots — at export time and export them typed by
+name (``*_total`` a counter, anything else a gauge), so owners keep
+their own synchronized state and no number is recorded twice.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterable, Sequence, Union
 
 from repro.util.histogram import DEFAULT_BOUNDS, Histogram
 
-#: A collector yields ``(metric_name, labels_dict, value)`` gauge samples.
+#: A collector yields ``(metric_name, labels_dict, value)`` samples.
 CollectorSample = tuple[str, dict, Union[int, float]]
 
 _VALID_TYPES = ("counter", "histogram")
@@ -246,7 +246,7 @@ class MetricsRegistry:
     def add_collector(
         self, fn: Callable[[], Iterable[CollectorSample]]
     ) -> None:
-        """Register a pull-time sample source (exported as gauges)."""
+        """Register a pull-time sample source (see :func:`_collected_kind`)."""
         with self._lock:
             self._collectors.append(fn)
 
@@ -289,7 +289,7 @@ class MetricsRegistry:
         for name, labels, value in collected:
             if name not in seen_names:
                 seen_names.append(name)
-                lines.append(f"# TYPE {name} gauge")
+                lines.append(f"# TYPE {name} {_collected_kind(name)}")
             lines.append(f"{name}{_render_labels(labels)} {_fmt(value)}")
         return "\n".join(lines) + "\n"
 
@@ -310,10 +310,16 @@ class MetricsRegistry:
             out[family.name] = entry
         for name, labels, value in self._collector_samples():
             entry = out.setdefault(
-                name, {"type": "gauge", "help": "", "samples": []}
+                name, {"type": _collected_kind(name), "help": "", "samples": []}
             )
             entry["samples"].append({"labels": labels, "value": value})
         return out
+
+
+def _collected_kind(name: str) -> str:
+    """A collector sample's type: monotone counts follow the Prometheus
+    ``_total`` naming convention, everything else is a point-in-time gauge."""
+    return "counter" if name.endswith("_total") else "gauge"
 
 
 def _render_histogram(name: str, labels: dict, child: HistogramChild) -> list[str]:

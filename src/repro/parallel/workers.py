@@ -22,9 +22,9 @@ frame; the parent
 folds finished workers' snapshots into the caller's counters, so a
 drained parallel run reports the same kind of totals a serial run does.
 When the caller passes a :class:`~repro.obs.delay.DelayProfile`, each
-worker additionally profiles its own shard stream (TTF / TT(k) /
-inter-result delay as seen *inside* the worker, no IPC on that path)
-and the parent files the returned snapshots under ``profile.shards`` —
+worker additionally profiles its own shard stream (no IPC on that
+path) and ships back its ``results`` and ``busy_ms``, the two numbers
+the parent files per shard under ``profile.shards`` —
 attribution, not aggregation, so the parent's own measurement of the
 merged stream is never double counted.  A
 :class:`~repro.obs.memory.MemoryProfile` travels the same way: each
@@ -199,7 +199,11 @@ def _worker_main(
                 "done",
                 {
                     "counters": counters.snapshot(),
-                    "delay": None if profile is None else profile.snapshot(),
+                    # The parent files only these two per shard.
+                    "delay": None if profile is None else {
+                        "results": profile.results,
+                        "busy_ms": profile.busy_ms,
+                    },
                     "memory": None if memory is None else memory.snapshot(),
                     "spans": spans,
                 },

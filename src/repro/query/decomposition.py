@@ -14,7 +14,8 @@ derived relations.  This module implements that recipe:
   covers, :mod:`repro.query.agm`);
 - :func:`decompose_to_acyclic` — materialize bag relations (with ranking
   weights combined once per original atom) and return an equivalent acyclic
-  query over a derived database.
+  query over a derived database, or the full join as one bag when
+  :func:`collapses_to_full_join` says the bags' schemas are not acyclic.
 
 The *union of multiple trees* idea behind submodular width (PANDA; the
 tutorial's O~(n^1.5 + r) 4-cycle claim) needs data-dependent heavy/light
@@ -283,6 +284,27 @@ class AcyclicRewrite:
     query: ConjunctiveQuery
 
 
+def collapses_to_full_join(
+    query: ConjunctiveQuery, decomposition: TreeDecomposition
+) -> bool:
+    """Whether the rewrite over ``decomposition`` collapses to one bag.
+
+    A bag's derived relation has only the variables of the atoms assigned
+    to it, which can be fewer than the bag's.  When those schemas lose the
+    running-intersection property, :func:`decompose_to_acyclic`
+    materialises the full join as the single bag ``bag_all`` instead —
+    always acyclic, still correct, but O~(n^ρ*) wide.  Every simple cycle
+    of length ≥ 5 collapses under :func:`best_decomposition`.  Reads no
+    data, so the router's EXPLAIN and the rewrite itself agree.
+    """
+    atoms = [
+        Atom(f"bag{i}", tuple(sorted(query.variables_of(bag.atom_indexes))))
+        for i, bag in enumerate(decomposition.bags)
+        if bag.atom_indexes
+    ]
+    return gyo_reduction(ConjunctiveQuery(atoms)) is None
+
+
 def decompose_to_acyclic(
     db: Database,
     query: ConjunctiveQuery,
@@ -298,39 +320,30 @@ def decompose_to_acyclic(
     accumulation operator; defaults to sum).  Because every original atom is
     assigned to exactly one bag, every output weight is combined exactly
     once per atom, so ranked enumeration over the rewrite ranks identically
-    to the original query.  ``counters`` are charged the bags'
-    Generic-Join materialisation.
+    to the original query.  When :func:`collapses_to_full_join`, the one
+    bag ``bag_all`` holds the whole query instead.  ``counters`` are
+    charged the bags' Generic-Join materialisation.
     """
     query.validate(db)
     if decomposition is None:
         decomposition = best_decomposition(query)
 
-    derived_db = Database()
-    derived_atoms: list[Atom] = []
-    for i, bag in enumerate(decomposition.bags):
-        if not bag.atom_indexes:
-            continue
-        name = f"bag{i}"
-        relation, variables = _materialize_bag(db, query, bag, name, combine, counters)
-        derived_db.add(relation)
-        derived_atoms.append(Atom(name, tuple(variables)))
-    derived_query = ConjunctiveQuery(derived_atoms, name=f"{query.name}_acyclic")
-
-    if gyo_reduction(derived_query) is None:
-        # Rare: derived schemas can lose the running-intersection property
-        # relative to the bags.  Collapse the whole query into one bag —
-        # always acyclic, still correct, just wider (documented fallback).
+    bags = [
+        (f"bag{i}", bag) for i, bag in enumerate(decomposition.bags) if bag.atom_indexes
+    ]
+    if collapses_to_full_join(query, decomposition):
         whole = Bag(
             variables=frozenset(query.variables),
             atom_indexes=list(range(len(query.atoms))),
         )
-        relation, variables = _materialize_bag(
-            db, query, whole, "bag_all", combine, counters
-        )
-        derived_db = Database([relation])
-        derived_query = ConjunctiveQuery(
-            [Atom("bag_all", tuple(variables))], name=f"{query.name}_acyclic"
-        )
+        bags = [("bag_all", whole)]
+    derived_db = Database()
+    derived_atoms: list[Atom] = []
+    for name, bag in bags:
+        relation, variables = _materialize_bag(db, query, bag, name, combine, counters)
+        derived_db.add(relation)
+        derived_atoms.append(Atom(name, tuple(variables)))
+    derived_query = ConjunctiveQuery(derived_atoms, name=f"{query.name}_acyclic")
     return AcyclicRewrite(database=derived_db, query=derived_query)
 
 

@@ -16,6 +16,7 @@ from repro.query.cq import (
     path_query,
     triangle_query,
 )
+from repro.query.decomposition import decompose_to_acyclic
 from repro.query.hypergraph import is_free_connex
 
 
@@ -236,6 +237,45 @@ def test_explain_mentions_union_of_trees_for_fourcycle():
     )
     assert "shape:    4-cycle" in text
     assert "union of trees" in text
+
+
+def _cycle_sql(length):
+    """The ``length``-cycle over ``E(src, dst)``, ranked, LIMIT 10."""
+    joins = " ".join(
+        f"JOIN E AS e{i} ON e{i - 1}.dst = e{i}.src" for i in range(2, length + 1)
+    )
+    return (
+        f"SELECT * FROM E AS e1 {joins} AND e{length}.dst = e1.src "
+        "ORDER BY weight LIMIT 10"
+    )
+
+
+@pytest.mark.parametrize("length", [5, 6])
+def test_explain_names_the_full_join_when_the_ghd_rewrite_collapses(length):
+    """Every simple cycle of length ≥ 5 rewrites to the one bag
+    ``bag_all``, the full join, and EXPLAIN says so instead of promising
+    a GHD pipeline; the pendant triangle's rewrite keeps its three bags
+    and its GHD line."""
+    db = random_graph_database(num_edges=60, num_nodes=12, seed=5)
+    text = repro_sql.explain(db, _cycle_sql(length))
+    assert "is materialised as one bag" in text
+    assert "one GHD rewrite" not in text
+    assert decompose_to_acyclic(db, cycle_query(length)).database.names() == [
+        "bag_all"
+    ]
+
+    pendant = ConjunctiveQuery(
+        [Atom("E", pair) for pair in (("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"))]
+    )
+    text = repro_sql.explain(
+        db,
+        "SELECT * FROM E AS e1 JOIN E AS e2 ON e1.dst = e2.src "
+        "JOIN E AS e3 ON e2.dst = e3.src AND e3.dst = e1.src "
+        "JOIN E AS e4 ON e3.src = e4.src ORDER BY weight LIMIT 10",
+    )
+    assert "one GHD rewrite" in text
+    assert "is materialised as one bag" not in text
+    assert len(decompose_to_acyclic(db, pendant).database.names()) == 3
 
 
 def test_explain_includes_filters_and_desc_notes():

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import math
 from collections import Counter as Multiset
 
 import pytest
@@ -18,7 +19,7 @@ from repro.anyk.rec import anyk_rec
 from repro.data.database import Database
 from repro.data.generators import fourcycle_hub_database, random_graph_database
 from repro.data.relation import Relation
-from repro.joins.base import multiset
+from repro.joins.base import atom_relation, multiset
 from repro.joins.generic_join import evaluate as generic_join
 from repro.joins.heavylight import fourcycle_pattern, fourcycle_union_of_trees
 from repro.joins.yannakakis import evaluate as yannakakis_join
@@ -267,3 +268,89 @@ def test_fourcycle_streams_match_their_golden_hashes(instance, ranking, engine):
     rows = list(itertools.islice(stream, k))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
     assert digest == GOLDEN_STREAMS[instance, ranking][engine == "rec"]
+
+
+# ----------------------------------------------------------------------
+# The light build itself
+# ----------------------------------------------------------------------
+def _mixed_label_graph():
+    """A random graph whose odd nodes are relabelled as strings."""
+    relation = Relation("E", ("src", "dst"))
+    base = random_graph_database(300, 40, seed=7)["E"]
+    for row, weight in zip(base.rows, base.weights):
+        relation.add(tuple(v if v % 2 == 0 else f"v{v}" for v in row), weight)
+    return Database([relation])
+
+
+def _reference_light_wedges(db, query, threshold=None):
+    """J12 / J34 by nested loops: the unreduced light wedges in pair order
+    (R2 rows outer, R1 rows inner; R4 rows outer, R3 rows inner), each
+    keeping the rows whose (x1, x3) key the other wedge also has."""
+    (v1, v2, v3, v4), order = fourcycle_pattern(query)
+    r1, r2, r3, r4 = (atom_relation(db, query, i) for i in order)
+    n = max(1, max(len(r1), len(r2), len(r3), len(r4)))
+    delta = threshold if threshold is not None else math.sqrt(n)
+
+    def column(relation, variable):
+        position = relation.schema.index(variable)
+        return [row[position] for row in relation.rows]
+
+    def wedge(outer, inner, middle, far, near):
+        """Pairs (inner row, outer row) joined on a light ``middle`` value."""
+        inner_middle, inner_far = column(inner, middle), column(inner, far)
+        outer_middle, outer_near = column(outer, middle), column(outer, near)
+        degree = Multiset(inner_middle)
+        pairs = []
+        for b, c, w_out in zip(outer_middle, outer_near, outer.weights):
+            if degree[b] <= delta:
+                for a, b_in, w_in in zip(inner_far, inner_middle, inner.weights):
+                    if b_in == b:
+                        pairs.append(((a, b, c), w_in + w_out))
+        return pairs
+
+    j12 = wedge(r2, r1, v2, v1, v3)  # rows (x1, x2, x3)
+    j34 = wedge(r4, r3, v4, v3, v1)  # rows (x3, x4, x1)
+    keys12 = {(x1, x3) for (x1, _, x3), _ in j12}
+    keys34 = {(x1, x3) for (x3, _, x1), _ in j34}
+    return (
+        [(row, w) for row, w in j12 if (row[0], row[2]) in keys34],
+        [(row, w) for row, w in j34 if (row[2], row[0]) in keys12],
+    )
+
+
+LIGHT_BUILD_CASES = {
+    "cycle_topk": (lambda: random_graph_database(2000, 270, seed=1), None, None),
+    "threshold0": (lambda: random_graph_database(300, 40, seed=3), 0.0, None),
+    "threshold1e9": (lambda: random_graph_database(300, 40, seed=3), 1e9, None),
+    "self_loop": (_self_loop_graph, None, None),
+    "mixed_labels": (_mixed_label_graph, None, None),
+    **{
+        f"{shape}_{graph}": (make, None, REORIENTED[shape][0])
+        for shape in sorted(REORIENTED)
+        for graph, make in (
+            ("random", lambda: random_graph_database(150, 25, seed=12)),
+            ("hub", lambda: fourcycle_hub_database(64, seed=2)),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIGHT_BUILD_CASES))
+def test_light_wedges_equal_the_nested_loop_reference(case):
+    """The light tree's J12 and J34 equal the nested-loop reference: same
+    rows, same weights, same row order.  The golden hashes see only the
+    streams; this pins the build."""
+    make, threshold, atoms = LIGHT_BUILD_CASES[case]
+    db = make()
+    query = cycle_query(4)
+    if atoms is not None:
+        query = ConjunctiveQuery([Atom("E", pair) for pair in atoms])
+    trees = fourcycle_union_of_trees(db, query, threshold=threshold)
+    light = [tree.database for tree in trees if tree.label == "light"]
+    got = tuple(
+        list(zip(light[0][name].rows, light[0][name].weights)) if light else []
+        for name in ("J12", "J34")
+    )
+    assert got == _reference_light_wedges(db, query, threshold)
+    if case in ("cycle_topk", "threshold1e9", "mixed_labels"):
+        assert got[0] and got[1]

@@ -29,15 +29,19 @@ from repro.obs import (
     DELAY_BOUNDS,
     TTK_CHECKPOINTS,
     DelayProfile,
+    MemoryProfile,
     MetricsRegistry,
     NOOP_SPAN,
     Tracer,
+    analyze_plan,
+    render_analyze,
     render_trace_tree,
     run_analyze,
     tracer,
 )
 from repro.server import QueryService
 from repro.server.protocol import ProtocolError, validate_request
+from repro.util.counters import Counters
 
 PATH_SQL = (
     "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 JOIN R3 ON R2.A3 = R3.A3 "
@@ -263,11 +267,16 @@ def test_registry_collectors_export_external_state():
         lambda: [("external_gauge", {"kind": "a"}, 7), ("external_gauge", {}, 1.5)]
     )
     registry.add_collector(lambda: 1 / 0)  # broken collectors are skipped
+    registry.add_collector(lambda: [("external_seen_total", {}, 3)])
     text = registry.render_prometheus()
     assert "# TYPE external_gauge gauge" in text
     assert 'external_gauge{kind="a"} 7' in text
+    # A monotone count keeps the ``_total`` convention's type.
+    assert "# TYPE external_seen_total counter" in text
     data = registry.to_json()
     assert len(data["external_gauge"]["samples"]) == 2
+    assert data["external_gauge"]["type"] == "gauge"
+    assert data["external_seen_total"]["type"] == "counter"
 
 
 def test_registry_thread_safety_under_concurrent_bump_observe_export():
@@ -370,6 +379,32 @@ def test_delay_profile_snapshot_merge_roundtrip():
     assert snap["delay"]["count"] == source.delay.count
     assert snap["ttf"]["count"] == 1
     assert sorted(int(k) for k in snap["ttk"]) == sorted(source.ttk)
+
+
+def test_explain_analyze_files_two_numbers_per_shard():
+    """Under ``workers=2`` each worker ships its shard's result count and
+    busy time, nothing else, and EXPLAIN ANALYZE renders one row per
+    shard from them.  LIMIT past the join size drains every shard to its
+    done frame, so the per-shard counts add up to the rows returned.
+    4,200 input tuples clear the router's parallelism floor."""
+    db = path_database(length=2, size=2100, domain=700, seed=5)
+    sql = "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 ORDER BY weight LIMIT 100000"
+    compiled = repro.sql.analyze(db, sql)
+    plan = plan_compiled(db, compiled, engine="part:lazy", workers=2)
+    assert plan.workers == 2
+    profile = DelayProfile()
+    report = analyze_plan(
+        db, compiled, plan, {}, time.perf_counter(), Counters(), profile,
+        MemoryProfile(),
+    )
+    assert sorted(shard["shard"] for shard in profile.shards) == [0, 1]
+    for shard in profile.shards:
+        assert set(shard) == {"shard", "results", "busy_ms"}
+    shards = report["profile"]["shards"]
+    assert sum(shard["results"] for shard in shards) == report["rows"] > 0
+    text = render_analyze(report)
+    for shard in shards:
+        assert f"shard[{shard['shard']}] results={shard['results']} busy=" in text
 
 
 def test_delay_bounds_open_below_default_latency_bounds():

@@ -77,7 +77,7 @@ def test_obs_smoke(capsys):
             text = client.metrics()
             assert text.endswith("\n")
             assert "# TYPE repro_op_latency_ms histogram" in text
-            assert "# TYPE repro_cursors_opened_total gauge" in text
+            assert "# TYPE repro_cursors_opened_total counter" in text
             assert "repro_cursors_opened_total 1" in text
             assert 'repro_op_latency_ms_count{op="fetch"}' in text
             assert "repro_result_delay_ms_bucket" in text
