@@ -73,8 +73,9 @@ METHODS: tuple[str, ...] = tuple(
 #: One any-k method: a T-DP -> iterator of ``(row, weight)``.
 EnumeratorFactory = Callable[[TDP], Iterator[tuple[tuple, Any]]]
 
-#: A T-DP and its row assembler (None: rows already in query order).
-Part = tuple[TDP, Optional[Callable[[tuple], tuple]]]
+#: A source and its row assembler (None: rows already in query order) —
+#: a T-DP in a :class:`Program`, a shard feed in :mod:`repro.parallel`.
+Part = tuple[Any, Optional[Callable[[tuple], tuple]]]
 
 
 def _enumerator_factory(method: str) -> EnumeratorFactory:
@@ -203,9 +204,12 @@ def merge_parts(
     enumerator: EnumeratorFactory,
     counters: Optional[Counters] = None,
 ) -> Iterator[tuple[tuple, Any]]:
-    """One ranked stream from answer-disjoint parts: each part's stream is
-    nondecreasing, so a heap holding one head per stream yields the global
-    order.  No stream starts before the first pull."""
+    """One ranked stream from answer-disjoint parts, each a source and its
+    row assembler: ``enumerator(source)`` is nondecreasing, so a heap
+    holding one head per stream yields the global order.  Equal weights
+    leave in part order; callers that need the tie order apply
+    :func:`~repro.anyk.ranking.stabilize_ties`.  No stream starts before
+    the first pull."""
     streams = [enumerator(tdp) for tdp, _ in parts]
     heap = BinaryHeap(counters)
     for index, stream in enumerate(streams):

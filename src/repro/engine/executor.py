@@ -135,7 +135,7 @@ def execute(
     cost.  ``memory`` (a :class:`repro.obs.memory.MemoryProfile`) rides
     the execution's counters as a space tracker; the engines' structures
     report entry counts into it at O(1) cost, and parallel plans ship
-    per-shard snapshots home in the worker done frames.  Its live entries
+    per-shard peak entries home in the worker done frames.  Its live entries
     return to zero when the stream is drained, closed or evicted (the
     peaks stay, for the per-engine peak histogram).  The setup work
     (shard materialization) lands in a tracer span when

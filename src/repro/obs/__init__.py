@@ -14,10 +14,9 @@ Five pieces, one per module:
   place its server-wide numbers accumulate: the ``stats`` and
   ``metrics`` ops both read it.
 - :mod:`repro.obs.delay` — the anytime-delay profiler: per-cursor
-  inter-result delay, TTF, and TT(k) histograms recorded *inside* the
-  engines (PART/REC/batch and the parallel merge), with worker
-  snapshots shipped back across process boundaries for per-shard
-  attribution.
+  inter-result delay histogram, TTF and TT(k) recorded *inside* the
+  engines (PART/REC/batch and the parallel merge), with each shard
+  worker's result count and busy time filed for per-shard attribution.
 - :mod:`repro.obs.analyze` — ``EXPLAIN ANALYZE``: run the statement and
   report per-stage/per-operator wall time, tuples produced, cache and
   shard attribution, the delay profile and the planner's Q-error.

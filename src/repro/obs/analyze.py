@@ -319,20 +319,17 @@ def render_analyze(report: dict) -> str:
     profile = report.get("profile", {})
     if profile.get("results"):
         delay = profile.get("delay_ms", {})
-        ttf = profile.get("ttf_ms", {})
         lines.append(
             "anytime:  "
-            f"ttf={_fmt_ms(ttf.get('max_ms', 0.0))}  "
+            f"ttf={_fmt_ms(profile.get('ttf_ms') or 0.0)}  "
             f"delay p50={_fmt_ms(delay.get('p50_ms', 0.0))}"
             f" p99={_fmt_ms(delay.get('p99_ms', 0.0))}"
             f" max={_fmt_ms(delay.get('max_ms', 0.0))}"
         )
-        for k, summary in sorted(
+        for k, ttk_ms in sorted(
             profile.get("ttk_ms", {}).items(), key=lambda kv: int(kv[0])
         ):
-            lines.append(
-                f"          tt({k})={_fmt_ms(summary.get('max_ms', 0.0))}"
-            )
+            lines.append(f"          tt({k})={_fmt_ms(ttk_ms)}")
         for shard in profile.get("shards", ()):
             lines.append(
                 f"          shard[{shard.get('shard', '?')}]"

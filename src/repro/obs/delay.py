@@ -10,7 +10,7 @@ wrapped around the engine's ranked stream, charging each result with the
 time spent *inside* the enumeration (``next()`` on the engine iterator)
 and tracking wall time from stream start for TTF/TT(k).
 
-Two clocks per result, deliberately:
+Two clocks, deliberately:
 
 - ``delay`` (histogram) — busy time producing this result.  Paused
   cursors do not pollute it: a page fetched an hour after the last one
@@ -19,13 +19,13 @@ Two clocks per result, deliberately:
   1st / k-th result, the quantity an end user experiences and the one
   ``tests/test_obs.py`` cross-checks against an external clock.
 
-A profile measures exactly one stream.  The server folds a retiring
-cursor's delay and TTF histograms into its per-engine registry families
-(``repro_result_delay_ms`` / ``repro_ttf_ms``), which are the only
-cross-query aggregate.  :mod:`repro.parallel` shard workers profile
-their own shard streams and ship each one's ``results`` and ``busy_ms``
-home in the final queue frame, where they are filed under ``shards`` —
-per-shard attribution for the merged stream, with no IPC on the
+A profile measures exactly one stream, so TTF and each TT(k) are one
+number apiece.  The server folds a retiring cursor's delay histogram and
+its TTF into its per-engine registry families (``repro_result_delay_ms``
+/ ``repro_ttf_ms``), which are the only cross-query aggregate.  Under
+:mod:`repro.parallel` the profile measures the merged stream; each shard
+worker's done frame carries its ``results`` and ``busy_ms``, which are
+filed under ``shards`` — per-shard attribution, with no IPC on the
 per-result path.
 """
 
@@ -49,14 +49,14 @@ class DelayProfile:
     """Delay/TTF/TT(k) measurements for one cursor's stream.
 
     Single-writer on the hot path (the enumerating thread); the owner
-    snapshots and summarizes after the stream quiesces.
+    summarizes after the stream quiesces.
     """
 
     __slots__ = (
         "engine",
         "delay",
-        "ttf",
-        "ttk",
+        "ttf_ms",
+        "ttk_ms",
         "results",
         "busy_ms",
         "shards",
@@ -67,10 +67,10 @@ class DelayProfile:
         self.engine = engine
         #: Per-result production (busy) time, ms.
         self.delay = Histogram(DELAY_BOUNDS)
-        #: Wall time to the first result (at most one observation), ms.
-        self.ttf = Histogram()
-        #: checkpoint k -> Histogram of wall time to the k-th result, ms.
-        self.ttk: dict[int, Histogram] = {}
+        #: Wall time to the first result, ms (None before it).
+        self.ttf_ms: Optional[float] = None
+        #: checkpoint k -> wall time to the k-th result, ms.
+        self.ttk_ms: dict[int, float] = {}
         #: Results measured.
         self.results = 0
         #: Total busy enumeration time, ms.
@@ -111,23 +111,10 @@ class DelayProfile:
             self.results += 1
             wall_ms = (now - self._started) * 1000.0
             if self.results == 1:
-                self.ttf.record(wall_ms)
+                self.ttf_ms = wall_ms
             if self.results in TTK_CHECKPOINTS:
-                self.ttk.setdefault(self.results, Histogram()).record(wall_ms)
+                self.ttk_ms[self.results] = wall_ms
             yield item
-
-    def snapshot(self) -> dict:
-        """A picklable/JSON-ready dump of every measurement."""
-        return {
-            "engine": self.engine,
-            "delay": self.delay.to_dict(),
-            "ttf": self.ttf.to_dict(),
-            "ttk": {k: hist.to_dict() for k, hist in self.ttk.items()},
-            "results": self.results,
-            "streams": self.streams,
-            "busy_ms": self.busy_ms,
-            "shards": list(self.shards),
-        }
 
     # ------------------------------------------------------------------
     # Reading
@@ -140,9 +127,9 @@ class DelayProfile:
             "results": self.results,
             "busy_ms": round(self.busy_ms, 4),
             "delay_ms": self.delay.summary(),
-            "ttf_ms": self.ttf.summary(),
+            "ttf_ms": None if self.ttf_ms is None else round(self.ttf_ms, 4),
             "ttk_ms": {
-                str(k): self.ttk[k].summary() for k in sorted(self.ttk)
+                str(k): round(self.ttk_ms[k], 4) for k in sorted(self.ttk_ms)
             },
         }
         if self.shards:

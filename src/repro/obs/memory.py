@@ -10,8 +10,8 @@ output — and so does this module:
 - :class:`MemoryProfile` — the per-execution bundle of gauges with a
   concurrent live/peak entry total.  Profiles ride on the execution's
   :class:`~repro.util.counters.Counters` (a dynamic ``space`` attribute,
-  so no engine signature changes) and ship per-shard via worker done
-  frames exactly like :class:`~repro.obs.delay.DelayProfile`.
+  so no engine signature changes); a shard worker's done frame carries
+  its peak entries, filed per shard under ``shards``.
 
 A retired execution's structures are garbage, so nothing but its peak
 outlives it: the server observes each retiring profile's peak entries
@@ -83,7 +83,8 @@ class MemoryProfile:
     """Per-execution space profile: a bundle of gauges plus their total.
 
     Mirrors :class:`~repro.obs.delay.DelayProfile`'s lifecycle: one per
-    cursor, worker snapshots appended to ``shards`` for attribution.
+    cursor, shard workers' peak entries appended to ``shards`` for
+    attribution.
     """
 
     __slots__ = ("engine", "streams", "shards", "total", "_gauges")
@@ -128,8 +129,7 @@ class MemoryProfile:
         return dict(self._gauges)
 
     def snapshot(self) -> dict:
-        """JSON-ready, picklable state: stats payloads, EXPLAIN ANALYZE,
-        worker done frames."""
+        """JSON-ready state for EXPLAIN ANALYZE's ``memory`` section."""
         return {
             "engine": self.engine,
             "streams": self.streams,

@@ -1,4 +1,4 @@
-"""Partition-parallel any-k execution with ranked stream merge.
+"""Partition-parallel any-k execution: a sharded query is a union of streams.
 
 Single-threaded any-k caps every query at one core; this package scales
 ranked enumeration across worker processes without giving up a single
@@ -10,10 +10,11 @@ guarantee:
   global answer set;
 - :mod:`repro.parallel.workers` runs each shard's
   :func:`~repro.anyk.rank_enumerate` in its own process behind a bounded
-  queue (backpressure keeps the pool anytime);
-- :mod:`repro.parallel.merge` lazily k-way-merges the per-shard ranked
-  streams with deterministic tie-breaking, so the merged stream is
-  **byte-identical** to the serial one.
+  queue (backpressure keeps the pool anytime), and merges the per-shard
+  ranked streams as the parts of a union — the compile seam's
+  :func:`~repro.anyk.api.merge_parts`, then the
+  :func:`~repro.anyk.ranking.stabilize_ties` every serial stream gets —
+  so the merged stream is **byte-identical** to the serial one.
 
 Entry points: :func:`repro.anyk.rank_enumerate` grows a ``workers=N``
 argument, the cost-based router decides *whether* sharding pays off
@@ -23,7 +24,6 @@ serves merged streams through the same resumable cursors as serial ones.
 
 from repro.anyk.api import query_shape
 from repro.anyk.ranking import RANKINGS_BY_NAME, RankingFunction
-from repro.parallel.merge import merge_ranked_streams
 from repro.parallel.sharding import (
     Shard,
     ShardingSpec,
@@ -69,7 +69,6 @@ __all__ = [
     "ShardingSpec",
     "choose_shard_variable",
     "is_shardable",
-    "merge_ranked_streams",
     "parallel_rank_enumerate",
     "shard_database",
     "stable_hash",

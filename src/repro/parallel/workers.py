@@ -17,22 +17,20 @@ generator, e.g. a server cursor being evicted) terminates the pool.
 
 RAM-model accounting: each worker counts into a private
 :class:`~repro.util.counters.Counters` and ships the snapshot in its
-final ``("done", {"counters": ..., "delay": ..., "spans": ...})``
-frame; the parent
-folds finished workers' snapshots into the caller's counters, so a
-drained parallel run reports the same kind of totals a serial run does.
-When the caller passes a :class:`~repro.obs.delay.DelayProfile`, each
-worker additionally profiles its own shard stream (no IPC on that
-path) and ships back its ``results`` and ``busy_ms``, the two numbers
-the parent files per shard under ``profile.shards`` —
-attribution, not aggregation, so the parent's own measurement of the
-merged stream is never double counted.  A
-:class:`~repro.obs.memory.MemoryProfile` travels the same way: each
-worker space-accounts its own engine structures and ships the snapshot
-in the done frame; the parent files its peak entries under
-``memory.shards``.  Worker entries live in the worker *process*, so they
-are deliberately kept out of the parent's own live/peak totals (which
-feed the server's admission watermark for the server process).
+final ``("done", {"counters", "results", "busy_ms", "peak_entries",
+"spans"})`` frame; the parent folds finished workers' snapshots into the
+caller's counters, so a drained parallel run reports the same kind of
+totals a serial run does.  ``results`` and ``busy_ms`` (the enumerate
+loop's wall time minus its queue puts) are the two numbers the parent
+files per shard under a :class:`~repro.obs.delay.DelayProfile`'s
+``shards`` — attribution, not aggregation, so the parent's own
+measurement of the merged stream is never double counted.  When the
+caller passes a :class:`~repro.obs.memory.MemoryProfile`, each worker
+space-accounts its own engine structures and ships their
+``peak_entries``, which the parent files under ``memory.shards``.
+Worker entries live in the worker *process*, so they are deliberately
+kept out of the parent's own live/peak totals (which feed the server's
+admission watermark for the server process).
 
 Trace propagation: when :func:`parallel_rank_enumerate` is called while
 a span is open on the process-wide tracer (the executor's
@@ -55,10 +53,9 @@ import time
 from contextlib import nullcontext
 from typing import Any, Iterator, Optional, TYPE_CHECKING
 
-from repro.anyk.api import rank_enumerate
-from repro.anyk.ranking import RankingFunction, SUM, ranking_by_name
+from repro.anyk.api import merge_parts, rank_enumerate
+from repro.anyk.ranking import RankingFunction, SUM, ranking_by_name, stabilize_ties
 from repro.data.database import Database
-from repro.parallel.merge import merge_ranked_streams
 from repro.parallel.sharding import Shard, ShardingSpec, shard_database
 from repro.query.cq import ConjunctiveQuery
 from repro.util.counters import Counters
@@ -132,7 +129,6 @@ def _worker_main(
     method: str,
     k: Optional[int],
     chunk_size: int,
-    profile_delay: bool = False,
     trace_spans: bool = False,
     profile_memory: bool = False,
 ) -> None:
@@ -167,26 +163,18 @@ def _worker_main(
             stream = rank_enumerate(
                 db, query, ranking=ranking, method=method, k=k, counters=counters
             )
-            profile = None
-            if profile_delay:
-                from repro.obs.delay import DelayProfile
-
-                profile = DelayProfile(engine=method)
-                stream = profile.wrap(stream)
-        chunk: list[tuple[tuple, Any]] = []
         emitted = 0
+        put_s = 0.0
         with stage("enumerate") as enum_span:
-            for item in stream:
-                chunk.append(item)
-                if len(chunk) >= chunk_size:
-                    emitted += len(chunk)
-                    with stage("chunk_put", rows=len(chunk)):
-                        out_queue.put(("rows", chunk))
-                    chunk = []
-            if chunk:
+            started = time.perf_counter()
+            chunks = iter(lambda: list(itertools.islice(stream, chunk_size)), [])
+            for chunk in chunks:
                 emitted += len(chunk)
+                before = time.perf_counter()
                 with stage("chunk_put", rows=len(chunk)):
                     out_queue.put(("rows", chunk))
+                put_s += time.perf_counter() - before
+            busy_ms = (time.perf_counter() - started - put_s) * 1000.0
             if wtracer is not None:
                 enum_span.set(rows=emitted)
         spans = None
@@ -199,12 +187,9 @@ def _worker_main(
                 "done",
                 {
                     "counters": counters.snapshot(),
-                    # The parent files only these two per shard.
-                    "delay": None if profile is None else {
-                        "results": profile.results,
-                        "busy_ms": profile.busy_ms,
-                    },
-                    "memory": None if memory is None else memory.snapshot(),
+                    "results": emitted,
+                    "busy_ms": busy_ms,
+                    "peak_entries": None if memory is None else memory.peak_entries,
                     "spans": spans,
                 },
             )
@@ -254,7 +239,6 @@ class _ShardFeed:
                 method,
                 k,
                 chunk_size,
-                profile is not None,
                 trace_anchor is not None,
                 memory is not None,
             ),
@@ -277,22 +261,25 @@ class _ShardFeed:
         self._finished = True
         if self._counters is not None:
             _fold_counters(self._counters, payload["counters"])
-        delay = payload.get("delay")
-        if self._profile is not None and delay is not None:
+        if self._profile is not None:
             # Attribution only: the parent measures the merged stream
-            # itself, so worker measurements are filed per shard rather
-            # than folded into the parent's own histograms (which would
-            # double count every result).
-            delay["shard"] = self._shard_index
-            self._profile.shards.append(delay)
-        mem = payload.get("memory")
-        if self._memory is not None and mem is not None:
-            # Same attribution-only contract as the delay snapshots; the
-            # entries also live in the worker process, not this one.
-            self._memory.shards.append(
-                {"shard": self._shard_index, "peak_entries": mem["peak_entries"]}
+            # itself, so worker numbers are filed per shard rather than
+            # folded into the parent's own histograms (which would double
+            # count every result).
+            self._profile.shards.append(
+                {
+                    "shard": self._shard_index,
+                    "results": payload["results"],
+                    "busy_ms": payload["busy_ms"],
+                }
             )
-        spans = payload.get("spans")
+        if self._memory is not None:
+            # Same attribution-only contract; the entries also live in
+            # the worker process, not this one.
+            self._memory.shards.append(
+                {"shard": self._shard_index, "peak_entries": payload["peak_entries"]}
+            )
+        spans = payload["spans"]
         if self._anchor is not None and spans:
             # Graft the worker's subtree under the coordinator's execute
             # span; the shipped root is renamed to carry its shard index.
@@ -396,10 +383,19 @@ def parallel_rank_enumerate(
     """Shard, enumerate per shard in worker processes, merge ranked.
 
     Yields ``(row, weight)`` byte-identically to the serial
-    :func:`~repro.anyk.rank_enumerate` stream for the same arguments
-    (see :mod:`repro.parallel.merge` for the argument).  ``k`` is pushed
-    down to every worker — the global top-k draws at most k results from
-    any one shard — and also truncates the merged stream.
+    :func:`~repro.anyk.rank_enumerate` stream for the same arguments.
+    The shard feeds are the parts of a union, like a 4-cycle's
+    heavy/light trees: :func:`~repro.anyk.api.merge_parts` heap-merges
+    them and :func:`~repro.anyk.ranking.stabilize_ties` orders the ties,
+    as on every serial stream.  The answer sets are disjoint by the
+    sharding argument, the weights agree because per-answer folds are
+    computed by structurally identical join trees, and ties resolve by
+    tuple identity on both sides.  ``k`` is pushed down to every worker
+    (the global top-k draws at most k results from any one shard) and
+    also truncates the merged stream; a tie group one shard cut at its
+    k-th result lacks only rows ranked past the global k-th.  The parent
+    buffers one cross-shard tie group, as serial ``rank_enumerate``
+    does: under a ``LIMIT``, at most workers × k results.
 
     The returned generator owns the pool: exhausting it joins the
     workers, closing it early (``generator.close()``, which is what
@@ -445,7 +441,7 @@ def parallel_rank_enumerate(
             # limit, EAGAIN) must still shut the N-1 started ones down.
             for feed in feeds:
                 feed.start()
-            stream = merge_ranked_streams(feeds)
+            stream = stabilize_ties(merge_parts([(f, None) for f in feeds], iter))
             if k is not None:
                 stream = itertools.islice(stream, k)
             yield from stream

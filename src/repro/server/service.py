@@ -515,7 +515,7 @@ class QueryService:
         engine: str,
     ) -> None:
         """Fold one quiescent execution into the per-engine registry
-        families, exactly once: its delay and TTF histograms (when it
+        families, exactly once: its delay histogram and its TTF (when it
         produced a result) and one observation of its peak entries (when
         any structure reported).  Peaks are maxima, not sums, so their
         distribution across executions is the histogram itself."""
@@ -524,7 +524,7 @@ class QueryService:
             self._delay_metric.labels(engine=name).merge_histogram(
                 profile.delay
             )
-            self._ttf_metric.labels(engine=name).merge_histogram(profile.ttf)
+            self._ttf_metric.labels(engine=name).observe(profile.ttf_ms)
         if memory is not None and memory.touched:
             name = memory.engine or engine
             self._mem_metric.labels(engine=name).observe(

@@ -3,14 +3,12 @@
 The measurement primitive of the whole stack (the server, the
 engine-side delay profiler, and the metrics registry share one model):
 a histogram with *fixed, geometric* bucket boundaries shared by every
-instance, so per-worker shard histograms merge into a global one by
+instance, so per-cursor histograms merge into a per-engine one by
 plain element-wise addition — no rebinning, no approximation drift.
-That merge-equals-global property is what lets each thread (or shard
-worker process) record into a private histogram (no locks on the hot
-path) and the consumer fold them at the end; it is property-tested in
-``tests/test_histogram.py``.  :meth:`Histogram.to_dict` is the
-JSON-ready dump a ``repro.parallel`` worker ships home in its delay
-profile's snapshot (filed for per-shard attribution, never folded).
+That merge-equals-global property is what lets each thread or cursor
+record into a private histogram (no locks on the hot path) and the
+consumer fold them at the end; it is property-tested in
+``tests/test_histogram.py``.
 
 Percentiles come back as the *upper edge* of the bucket containing the
 requested rank, capped at the exact observed maximum (tracked alongside
@@ -134,24 +132,6 @@ class Histogram:
                     return self.max
                 return min(self.bounds[i], self.max)
         return self.max  # pragma: no cover - ranks never exceed count
-
-    def to_dict(self) -> dict:
-        """A picklable/JSON-ready snapshot (exact).
-
-        Buckets are run-length sparse (``index: count``) because most of
-        the ~140 geometric buckets are empty for any one workload.
-        Bounds travel as the ``(lo, ratio, len)``-free full tuple only
-        when they differ from :data:`DEFAULT_BOUNDS` — the common case
-        costs a marker string instead of 140 floats per snapshot.
-        """
-        return {
-            "bounds": "default" if self.bounds == DEFAULT_BOUNDS else list(self.bounds),
-            "buckets": {i: n for i, n in enumerate(self.buckets) if n},
-            "count": self.count,
-            "total": self.total,
-            "max": self.max,
-            "min": self.min if self.count else None,
-        }
 
     def summary(self) -> dict:
         """The JSON-ready digest the ``stats`` op embeds per op."""

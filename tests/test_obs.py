@@ -339,19 +339,18 @@ def test_delay_profile_records_ttf_ttk_and_per_result_delay():
     assert profile.results == 25
     assert profile.streams == 1
     assert profile.delay.count == 25
-    assert profile.ttf.count == 1
+    assert profile.ttf_ms is not None
     # Checkpoints crossed: 1 and 10 (25 < 100).
-    assert sorted(profile.ttk) == [1, 10]
-    assert all(k in TTK_CHECKPOINTS for k in profile.ttk)
+    assert sorted(profile.ttk_ms) == [1, 10]
+    assert all(k in TTK_CHECKPOINTS for k in profile.ttk_ms)
+    assert profile.ttk_ms[1] == profile.ttf_ms
     summary = profile.summary()
     assert summary["engine"] == "part:lazy"
     assert summary["busy_ms"] >= 0.0
     assert summary["delay_ms"]["count"] == 25
     assert set(summary["ttk_ms"]) == {"1", "10"}
     # Wall time to the 10th result is at least the wall time to the 1st.
-    assert (
-        summary["ttk_ms"]["10"]["max_ms"] >= summary["ttf_ms"]["max_ms"]
-    ) or summary["ttf_ms"]["max_ms"] == pytest.approx(0.0, abs=1e-3)
+    assert summary["ttk_ms"]["10"] >= summary["ttf_ms"]
 
 
 def test_delay_profile_pausing_does_not_pollute_delay():
@@ -365,20 +364,6 @@ def test_delay_profile_pausing_does_not_pollute_delay():
     # 50 ms of idling must not appear as a 50 ms inter-result delay.
     assert summary["delay_ms"]["max_ms"] < 50.0
     # But TT(k) wall time does include it — that is what a user waits.
-
-
-def test_delay_profile_snapshot_merge_roundtrip():
-    source = DelayProfile(engine="rec")
-    list(source.wrap(iter([((i,), float(i)) for i in range(15)])))
-    # Snapshots survive JSON (the worker's done-frame contract).
-    snap = json.loads(json.dumps(source.snapshot()))
-    assert snap["engine"] == "rec"
-    assert snap["results"] == source.results == 15
-    assert snap["streams"] == source.streams == 1
-    assert snap["busy_ms"] == pytest.approx(source.busy_ms)
-    assert snap["delay"]["count"] == source.delay.count
-    assert snap["ttf"]["count"] == 1
-    assert sorted(int(k) for k in snap["ttk"]) == sorted(source.ttk)
 
 
 def test_explain_analyze_files_two_numbers_per_shard():
@@ -432,8 +417,8 @@ def test_execute_with_profile_counts_every_emitted_row(path_db, engine):
     assert profile.engine == engine  # filled from the plan
     # The in-engine clocks start at the first pull, inside the external
     # one: a profile that exceeds it charges time nobody waited.
-    assert profile.ttf.max <= ttfr_ms
-    assert profile.ttk[10].max <= wall_ms
+    assert profile.ttf_ms <= ttfr_ms
+    assert profile.ttk_ms[10] <= wall_ms
 
 
 # ----------------------------------------------------------------------

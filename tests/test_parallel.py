@@ -6,8 +6,8 @@ import pytest
 
 from conftest import multiset_of
 
-from repro.anyk.api import PausableStream, rank_enumerate
-from repro.anyk.ranking import LEX, MAX, SUM, RankingFunction
+from repro.anyk.api import PausableStream, merge_parts, rank_enumerate
+from repro.anyk.ranking import LEX, MAX, SUM, RankingFunction, stabilize_ties
 from repro.data.database import Database
 from repro.data.generators import path_database, star_database
 from repro.data.relation import Relation
@@ -15,7 +15,6 @@ from repro.parallel import (
     ShardWorkerError,
     choose_shard_variable,
     is_shardable,
-    merge_ranked_streams,
     parallel_rank_enumerate,
     shard_database,
     stable_hash,
@@ -121,20 +120,22 @@ def test_shard_database_validates_arguments():
 
 
 # ----------------------------------------------------------------------
-# Merge
+# Merge: shard feeds are the parts of a union, ties ordered afterwards
 # ----------------------------------------------------------------------
+def _merge(streams):
+    return stabilize_ties(merge_parts([(s, None) for s in streams], iter))
+
+
 def test_merge_orders_globally_with_row_ties():
     a = [((1, 1), 1.0), ((2, 2), 3.0)]
     b = [((1, 0), 1.0), ((9, 9), 2.0)]
-    merged = list(merge_ranked_streams([iter(a), iter(b)]))
+    merged = list(_merge([iter(a), iter(b)]))
     assert merged == [((1, 0), 1.0), ((1, 1), 1.0), ((9, 9), 2.0), ((2, 2), 3.0)]
 
 
 def test_merge_handles_empty_and_single_streams():
-    assert list(merge_ranked_streams([])) == []
-    assert list(merge_ranked_streams([iter([]), iter([((1,), 0.5)])])) == [
-        ((1,), 0.5)
-    ]
+    assert list(_merge([])) == []
+    assert list(_merge([iter([]), iter([((1,), 0.5)])])) == [((1,), 0.5)]
 
 
 def test_merge_is_lazy():
@@ -144,7 +145,7 @@ def test_merge_is_lazy():
             yield (i,), float(i)
             i += 1
 
-    stream = merge_ranked_streams([endless()])
+    stream = _merge([endless()])
     assert next(stream) == ((0,), 0.0)
     assert next(stream) == ((1,), 1.0)
     stream.close()
