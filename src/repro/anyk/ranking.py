@@ -33,7 +33,11 @@ result (heap tick, bucket layout, shard assignment), so two executions
 over differently laid-out inputs would disagree on it; the row itself is
 a property of the *answer*.  :func:`stabilize_ties` enforces the order on
 any nondecreasing stream, and is what makes a hash-sharded parallel run
-(:mod:`repro.parallel`) byte-identical to a serial one.
+(:mod:`repro.parallel`) byte-identical to a serial one.  The price is
+buffering one tie group before emitting any of it: when every weight is
+equal the group is the whole join, so the first answer waits for the
+last (a zero-weight 4-path took 51.1 s to its first answer against
+5.6 ms with ``rank_enumerate(..., deterministic=False)``).
 """
 
 from __future__ import annotations
@@ -199,9 +203,10 @@ def stabilize_ties(
     Consecutive results of *equal* weight form a tie group; each group is
     emitted sorted by ``key`` of the row.  Since the input stream is
     nondecreasing, a group is complete as soon as a strictly heavier
-    result (or exhaustion) is seen, so the extra latency is one result of
-    lookahead and the extra memory one tie group — the anytime property
-    survives.  Weights are compared with ``==`` in the ranking carrier.
+    result (or exhaustion) is seen: the stream buffers one tie group, and
+    a group's first result waits for its last.  That is one result of
+    lookahead on distinct weights, and the whole join when every weight
+    is equal.  Weights are compared with ``==`` in the ranking carrier.
     """
     iterator = iter(stream)
     head = next(iterator, None)

@@ -4,10 +4,9 @@ Five pieces, one per module:
 
 - :mod:`repro.obs.trace` — lightweight span tracing around the request
   pipeline (parse → plan → cache lookup → shard/enumerate → merge →
-  page fetch), with a bounded ring buffer of recent traces,
-  W3C-traceparent-style context propagation (client spans, server
-  spans, and grafted per-shard worker subtrees form one tree), and
-  near-zero cost while disabled.
+  page fetch), with a bounded ring buffer of recent server-side
+  request trees (per-shard worker subtrees grafted under the
+  coordinator's span), and near-zero cost while disabled.
 - :mod:`repro.obs.registry` — the metrics registry (counter and
   histogram families plus pull-time collector gauges) with
   Prometheus-text and JSON exporters.  A server's registry is the only
@@ -28,9 +27,8 @@ Five pieces, one per module:
 
 The server (:mod:`repro.server`) exposes all of it on the wire:
 ``metrics`` and ``trace`` ops, ``trace_id`` echoed on every
-response, ``trace_context`` adoption on every request, and the
-``repro-obs`` CLI (:mod:`repro.obs.cli`) to snapshot or tail a running
-``repro-serve``.
+response, and the ``repro-obs`` CLI (:mod:`repro.obs.cli`) to
+snapshot or tail a running ``repro-serve``.
 """
 
 from __future__ import annotations
@@ -49,10 +47,7 @@ from repro.obs.trace import (
     NOOP_SPAN,
     Span,
     Tracer,
-    format_traceparent,
-    join_traces,
     new_trace_id,
-    parse_traceparent,
     render_trace_tree,
     tracer,
 )
@@ -70,11 +65,8 @@ __all__ = [
     "Tracer",
     "analyze_plan",
     "attach_tracker",
-    "format_traceparent",
-    "join_traces",
     "new_trace_id",
     "q_error",
-    "parse_traceparent",
     "render_analyze",
     "render_trace_tree",
     "run_analyze",

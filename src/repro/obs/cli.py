@@ -209,8 +209,7 @@ def render_summary(stats: dict) -> str:
     if tracer_info:
         lines.append(
             f"tracer: {tracer_info.get('buffered', 0)} buffered traces "
-            f"({tracer_info.get('dropped', 0)} dropped, "
-            f"{tracer_info.get('joined', 0)} joined)"
+            f"({tracer_info.get('dropped', 0)} dropped)"
         )
     return "\n".join(lines)
 

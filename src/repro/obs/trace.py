@@ -4,9 +4,10 @@ A *span* is one timed stage of a request — ``parse``, ``plan``,
 ``cache_lookup``, ``execute.setup``, ``page_fetch`` — with a monotonic
 start/duration, key/value attributes, and a link to its parent span.
 Spans with the same ``trace_id`` form a *trace*: the tree of stages one
-protocol request (or one library call) went through, which is what
-turns "wire p99 is 25 ms but the engine averages 2.8 ms" from a mystery
-into a per-stage attribution.
+protocol request (or one library call) went through in this process,
+with shard workers' subtrees grafted in (:meth:`Tracer.graft`), which
+is what turns "wire p99 is 25 ms but the engine averages 2.8 ms" from a
+mystery into a per-stage attribution.
 
 Design constraints, in order:
 
@@ -36,6 +37,7 @@ import itertools
 import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from typing import Any, Iterator, Optional
 
@@ -52,44 +54,6 @@ def new_trace_id() -> str:
     return f"t{os.getpid():x}-{next(_ids):x}"
 
 
-#: The traceparent version prefix we emit (W3C-style ``version-traceid-
-#: parentid-flags``; our ids are process-scoped strings, not 16-byte hex).
-TRACEPARENT_VERSION = "00"
-
-
-def format_traceparent(trace_id: str, span_id: str) -> str:
-    """Render a W3C-traceparent-style context string for the wire.
-
-    The protocol's ``trace_context`` request field carries this; the
-    server adopts ``trace_id`` and parents its root span under
-    ``span_id``, so client-side and server-side spans form one tree.
-    """
-    return f"{TRACEPARENT_VERSION}-{trace_id}-{span_id}-01"
-
-
-def parse_traceparent(value: Any) -> Optional[tuple[str, str]]:
-    """``(trace_id, parent_span_id)`` from a traceparent string, or None.
-
-    Lenient by design — a malformed context must degrade to "no
-    propagation", never fail the request.  Trace ids may themselves
-    contain dashes (ours do: ``t<pid>-<n>``), so the parent id and the
-    flags are split from the *right*.
-    """
-    if not isinstance(value, str):
-        return None
-    parts = value.split("-")
-    if len(parts) < 4:
-        return None
-    version = parts[0]
-    if len(version) != 2 or not all(c in "0123456789abcdef" for c in version):
-        return None
-    trace_id = "-".join(parts[1:-2])
-    parent_id = parts[-2]
-    if not trace_id or not parent_id:
-        return None
-    return trace_id, parent_id
-
-
 class Span:
     """One timed, attributed stage of a trace.
 
@@ -100,6 +64,7 @@ class Span:
 
     __slots__ = (
         "trace_id",
+        "record",
         "span_id",
         "parent_id",
         "name",
@@ -112,13 +77,16 @@ class Span:
 
     def __init__(
         self,
-        trace_id: str,
+        record: "_TraceRecord",
         span_id: str,
         parent_id: Optional[str],
         name: str,
         attrs: dict,
     ) -> None:
-        self.trace_id = trace_id
+        self.trace_id = record.trace_id
+        # Weak: the record lists its spans, and the ring alone owns a
+        # trace, so evicting it frees it by reference counting.
+        self.record = weakref.ref(record)
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
@@ -201,25 +169,37 @@ _current_span: contextvars.ContextVar[Optional[Span]] = contextvars.ContextVar(
 
 
 class _TraceRecord:
-    """One finished (or in-flight) trace in the ring buffer."""
+    """One finished (or in-flight) trace in the ring buffer.
 
-    __slots__ = ("trace_id", "started_at", "spans", "request_id", "op")
+    ``request_id`` is the protocol envelope id, kept for display only:
+    envelope ids are per connection, so they name no trace on their own.
+    """
 
-    def __init__(self, trace_id: str) -> None:
-        self.trace_id = trace_id
+    __slots__ = (
+        "trace_id",
+        "started_at",
+        "spans",
+        "request_id",
+        "op",
+        "__weakref__",
+    )
+
+    def __init__(self, op: str, request_id: Any) -> None:
+        self.trace_id = new_trace_id()
         self.started_at = time.time()
         self.spans: list[Span] = []
-        self.request_id: Any = None
-        self.op: Optional[str] = None
+        self.request_id = request_id
+        self.op = op
 
 
 class Tracer:
     """Span factory plus a bounded ring buffer of recent traces.
 
     One instance per process is the normal deployment (the module-level
-    :data:`tracer`); tests may build private instances.  All state
-    transitions take an internal lock; span *creation* on a disabled
-    tracer takes none.
+    :data:`tracer`); tests may build private instances.  Opening a trace
+    takes the ring lock once; child spans and grafts reach their trace
+    through the parent span's reference to its record and take no lock,
+    and span *creation* on a disabled tracer takes none either.
     """
 
     def __init__(self, capacity: int = 256, enabled: bool = False) -> None:
@@ -230,8 +210,6 @@ class Tracer:
         self._lock = threading.Lock()
         #: trace_id -> record, in insertion order (the ring).
         self._ring: "OrderedDict[str, _TraceRecord]" = OrderedDict()
-        #: request id (as string) -> trace_id, bounded alongside the ring.
-        self._by_request: "OrderedDict[str, str]" = OrderedDict()
         self._span_ids = itertools.count(1)
         # Captured at construction (not import) so a Tracer built inside
         # a fork-spawned shard worker carries the *worker's* pid — span
@@ -240,13 +218,9 @@ class Tracer:
         # tree cyclic).
         self._id_prefix = f"{os.getpid():x}"
         self.traces_started = 0
-        self.traces_joined = 0
         self.traces_dropped = 0
 
     def _new_span_id(self) -> str:
-        # Process-prefixed (dot-separated: dashes would break traceparent
-        # splitting) so client and server span ids never collide when a
-        # propagated trace is joined across processes.
         return f"s{self._id_prefix}.{next(self._span_ids):x}"
 
     # ------------------------------------------------------------------
@@ -265,84 +239,41 @@ class Tracer:
             raise ValueError("trace ring capacity must be >= 1")
         with self._lock:
             self.capacity = capacity
-            while len(self._ring) > self.capacity:
-                self._evict_oldest_locked()
+            self._trim_locked()
 
-    def _evict_oldest_locked(self) -> None:
-        dropped_id, _ = self._ring.popitem(last=False)
-        self.traces_dropped += 1
-        # Drop the request index entries too (linear scan is fine: it
-        # runs once per evicted trace, over a bounded dict).
-        for key, value in list(self._by_request.items()):
-            if value == dropped_id:
-                del self._by_request[key]
+    def _trim_locked(self) -> None:
+        while len(self._ring) > self.capacity:
+            self._ring.popitem(last=False)
+            self.traces_dropped += 1
 
-    def start_trace(
-        self,
-        name: str,
-        request_id: Any = None,
-        trace_id: Optional[str] = None,
-        parent_id: Optional[str] = None,
-        **attrs: Any,
-    ):
-        """Open a root span under a (possibly propagated) trace.
-
-        ``request_id`` (the protocol envelope id) indexes the trace for
-        ``trace`` op lookup by request.  A caller-provided ``trace_id``
-        (e.g. from a ``trace_context`` request field) is *adopted*: if
-        the ring already buffers that trace — the caller lives in this
-        process — the new root span joins the existing record instead of
-        replacing it, so client-side and server-side spans of one
-        request land in one tree.  ``parent_id`` (the traceparent's
-        parent span id) links this root under the propagating caller's
-        span even across process boundaries.
-        """
+    def start_trace(self, name: str, request_id: Any = None, **attrs: Any):
+        """Open a new trace's root span; ``request_id`` is shown with it."""
         if not self.enabled:
             return NOOP_SPAN
-        tid = trace_id or new_trace_id()
-        with self._lock:
-            record = self._ring.get(tid) if trace_id is not None else None
-            if record is None:
-                record = _TraceRecord(tid)
-                record.op = name
-                self.traces_started += 1
-                self._ring[tid] = record
-            else:
-                # Joining an adopted trace keeps it hot in the ring.
-                self.traces_joined += 1
-                self._ring.move_to_end(tid)
-            if request_id is not None:
-                record.request_id = request_id
-                self._by_request[str(request_id)] = tid
-            while len(self._ring) > self.capacity:
-                self._evict_oldest_locked()
-        span = Span(tid, self._new_span_id(), parent_id, name, attrs)
-        span._token = _current_span.set(span)
+        record = _TraceRecord(name, request_id)
+        span = Span(record, self._new_span_id(), None, name, attrs)
         record.spans.append(span)
+        with self._lock:
+            self.traces_started += 1
+            self._ring[record.trace_id] = record
+            self._trim_locked()
+        span._token = _current_span.set(span)
         return span
 
     def span(self, name: str, **attrs: Any):
         """Open a child span of the context's current span.
 
         Outside any trace (or with tracing disabled) this is free: the
-        shared no-op span is returned and nothing is recorded.
+        shared no-op span is returned and nothing is recorded; so is a
+        span of a trace the ring has already evicted.
         """
         if not self.enabled:
             return NOOP_SPAN
         parent = _current_span.get()
-        if parent is None:
+        record = parent.record() if parent is not None else None
+        if record is None:
             return NOOP_SPAN
-        span = Span(
-            parent.trace_id,
-            self._new_span_id(),
-            parent.span_id,
-            name,
-            attrs,
-        )
-        with self._lock:
-            record = self._ring.get(parent.trace_id)
-        if record is None:  # trace already evicted mid-flight
-            return NOOP_SPAN
+        span = Span(record, self._new_span_id(), parent.span_id, name, attrs)
         record.spans.append(span)
         span._token = _current_span.set(span)
         return span
@@ -376,8 +307,7 @@ class Tracer:
         """
         if not self.enabled or not spans or not isinstance(anchor, Span):
             return 0
-        with self._lock:
-            record = self._ring.get(anchor.trace_id)
+        record = anchor.record()
         if record is None:  # trace already evicted mid-flight
             return 0
         if base_start_s is None:
@@ -392,7 +322,7 @@ class Tracer:
             if parent_id not in shipped_ids:
                 parent_id = anchor.span_id
             span = Span(
-                anchor.trace_id,
+                record,
                 span_id,
                 parent_id,
                 str(shipped.get("name", "?")),
@@ -416,11 +346,6 @@ class Tracer:
             return None
         return _render_record(record)
 
-    def find_by_request(self, request_id: Any) -> Optional[dict]:
-        with self._lock:
-            trace_id = self._by_request.get(str(request_id))
-        return self.get(trace_id) if trace_id is not None else None
-
     def recent(self, n: int = 20) -> list[dict]:
         """The last ``n`` traces, newest first."""
         with self._lock:
@@ -438,14 +363,12 @@ class Tracer:
                 "capacity": self.capacity,
                 "buffered": len(self._ring),
                 "started": self.traces_started,
-                "joined": self.traces_joined,
                 "dropped": self.traces_dropped,
             }
 
     def clear(self) -> None:
         with self._lock:
             self._ring.clear()
-            self._by_request.clear()
 
 
 def _render_record(record: _TraceRecord) -> dict:
@@ -467,15 +390,9 @@ def _render_record(record: _TraceRecord) -> dict:
 def render_trace_tree(trace: dict) -> str:
     """A human-readable indented rendering of one :meth:`Tracer.get` dict."""
     spans = trace.get("spans", ())
-    known = {span["span_id"] for span in spans}
     children: dict[Optional[str], list[dict]] = {}
     for span in spans:
-        parent = span.get("parent_id")
-        if parent is not None and parent not in known:
-            # A propagated root whose parent lives in another process's
-            # buffer (the traceparent's span id): render it as a root.
-            parent = None
-        children.setdefault(parent, []).append(span)
+        children.setdefault(span.get("parent_id"), []).append(span)
 
     lines = [
         f"trace {trace['trace_id']}"
@@ -499,32 +416,6 @@ def render_trace_tree(trace: dict) -> str:
 
     lines.extend(walk(None, 1))
     return "\n".join(lines)
-
-
-def join_traces(local: Optional[dict], remote: Optional[dict]) -> Optional[dict]:
-    """Merge two rendered trace dicts for the *same* trace id.
-
-    ``local`` is the caller's view (e.g. the client's connect/serialize/
-    wait spans), ``remote`` the server's.  Used by
-    :meth:`repro.server.client.Client.trace` to present one tree when
-    the two processes each buffered half of a propagated trace.  Spans
-    are concatenated local-first with de-duplicated ids; ``start_ms``
-    offsets stay per-origin (they share a root only logically — the
-    clocks are different processes'), which is fine for tree rendering
-    because parenting is by span id, not by time.
-    """
-    if not local:
-        return remote
-    if not remote or remote.get("trace_id") != local.get("trace_id"):
-        return local
-    seen = {span["span_id"] for span in local.get("spans", ())}
-    merged = dict(remote)
-    merged["spans"] = list(local.get("spans", ())) + [
-        span for span in remote.get("spans", ()) if span["span_id"] not in seen
-    ]
-    if local.get("request_id") is not None and merged.get("request_id") is None:
-        merged["request_id"] = local["request_id"]
-    return merged
 
 
 #: The process-wide tracer every instrumentation seam reports to.

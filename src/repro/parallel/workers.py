@@ -32,7 +32,7 @@ Worker entries live in the worker *process*, so they are deliberately
 kept out of the parent's own live/peak totals (which feed the server's
 admission watermark for the server process).
 
-Trace propagation: when :func:`parallel_rank_enumerate` is called while
+Shard span subtrees: when :func:`parallel_rank_enumerate` is called while
 a span is open on the process-wide tracer (the executor's
 ``execute.setup``), each worker records real spans — ``setup``,
 ``enumerate``, per-chunk ``chunk_put`` — in a private tracer, ships the

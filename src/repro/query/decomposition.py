@@ -36,6 +36,7 @@ from repro.query.agm import fractional_edge_cover
 from repro.query.cq import Atom, ConjunctiveQuery, QueryError
 from repro.query.hypergraph import Hypergraph, gyo_reduction
 from repro.util.counters import Counters
+from repro.util.lru import LruCache
 
 
 @dataclass
@@ -240,6 +241,36 @@ def min_fill_decomposition(query: ConjunctiveQuery) -> TreeDecomposition:
     return decomposition_from_order(query, min_fill_order(query))
 
 
+#: Winning elimination orders of the default objective, keyed on the
+#: query's structure (the atoms' variable tuples and ``query.variables``,
+#: whose order breaks score ties).  The search runs over every order of
+#: the variables, and both the router and the rewrite ask for it on every
+#: plan and every execution of one query shape.
+_ORDER_CACHE = LruCache(1024)
+
+
+def _fhw_then_width(td: TreeDecomposition) -> tuple[float, int]:
+    return td.fractional_hypertree_width(), td.width
+
+
+def _best_order(
+    query: ConjunctiveQuery,
+    objective: Callable[[TreeDecomposition], float],
+    max_exhaustive_variables: int,
+) -> Sequence[str]:
+    """The elimination order :func:`best_decomposition` builds from."""
+    variables = list(query.variables)
+    if len(variables) > max_exhaustive_variables:
+        return min_fill_order(query)
+    best_order, best_score = None, None
+    for order in itertools.permutations(variables):
+        score = objective(decomposition_from_order(query, order))
+        if best_score is None or score < best_score:
+            best_order, best_score = order, score
+    assert best_order is not None
+    return best_order
+
+
 def best_decomposition(
     query: ConjunctiveQuery,
     objective: Callable[[TreeDecomposition], float] | None = None,
@@ -249,22 +280,22 @@ def best_decomposition(
 
     Queries are constant-size in data complexity (§1), so for up to
     ``max_exhaustive_variables`` variables we search all elimination orders;
-    beyond that we fall back to min-fill.
+    beyond that we fall back to min-fill.  The default objective's order
+    is searched once per query structure and remembered.
     """
-    if objective is None:
-        objective = lambda td: (td.fractional_hypertree_width(), td.width)
-    variables = list(query.variables)
-    if len(variables) > max_exhaustive_variables:
-        return min_fill_decomposition(query)
-    best_td: Optional[TreeDecomposition] = None
-    best_score = None
-    for order in itertools.permutations(variables):
-        td = decomposition_from_order(query, order)
-        score = objective(td)
-        if best_score is None or score < best_score:
-            best_td, best_score = td, score
-    assert best_td is not None
-    return best_td
+    if objective is not None:
+        order = _best_order(query, objective, max_exhaustive_variables)
+        return decomposition_from_order(query, order)
+    key = (
+        tuple(atom.variables for atom in query.atoms),
+        tuple(query.variables),
+        max_exhaustive_variables,
+    )
+    order = _ORDER_CACHE.get(key)
+    if order is None:
+        order = _best_order(query, _fhw_then_width, max_exhaustive_variables)
+        _ORDER_CACHE.put(key, order)
+    return decomposition_from_order(query, order)
 
 
 # ----------------------------------------------------------------------

@@ -25,13 +25,6 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Iterator, Optional
 
 import repro.server.protocol as protocol
-from repro.obs.trace import (
-    NOOP_SPAN,
-    format_traceparent,
-    join_traces,
-    render_trace_tree,
-    tracer,
-)
 
 
 class ServerError(Exception):
@@ -108,21 +101,11 @@ class Client:
         deadline_ms: Optional[int] = None,
         connect_timeout: Optional[float] = 10.0,
     ) -> None:
-        # Client-side spans record only when the process tracer is
-        # enabled (it never is for a plain wire client unless the
-        # application opts in) — the connect cost then shows up as its
-        # own little trace.
-        connect = (
-            tracer.start_trace("client.connect", host=host, port=port)
-            if tracer.enabled
-            else NOOP_SPAN
+        self._socket = socket.create_connection(
+            (host, port), timeout=connect_timeout
         )
-        with connect:
-            self._socket = socket.create_connection(
-                (host, port), timeout=connect_timeout
-            )
-            self._socket.settimeout(timeout)
-            self._file = self._socket.makefile("rwb")
+        self._socket.settimeout(timeout)
+        self._file = self._socket.makefile("rwb")
         self.timeout = timeout
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -142,41 +125,22 @@ class Client:
         return {"id": next(self._ids), "op": op, **fields}
 
     def call(self, op: str, **fields: Any) -> dict:
-        """One raw protocol round trip (public for protocol tinkering).
-
-        When the process tracer is enabled, the round trip records
-        client-side spans (``serialize``, ``wait``) under a
-        ``client.<op>`` root and propagates the trace id to the server
-        via the ``trace_context`` field — the server adopts it, so
-        :meth:`trace` can show one tree spanning both sides.
-        """
+        """One raw protocol round trip (public for protocol tinkering)."""
         request = self._envelope(op, fields)
-        root = (
-            tracer.start_trace(f"client.{op}", request_id=request["id"])
-            if tracer.enabled
-            else NOOP_SPAN
-        )
-        trace_id = getattr(root, "trace_id", None)
-        if trace_id is not None:
-            request["trace_context"] = format_traceparent(trace_id, root.span_id)
-        with root:
-            with self._lock:
-                try:
-                    with tracer.span("serialize"):
-                        payload = protocol.encode(request)
-                        self._file.write(payload)
-                        self._file.flush()
-                    with tracer.span("wait"):
-                        line = self._file.readline()
-                except socket.timeout as exc:
-                    # A half-read response is unrecoverable on a strict
-                    # request/response socket: poison the connection so
-                    # no later call pairs with this request's answer.
-                    self._close_locked()
-                    raise ClientTimeout(
-                        f"no response to op {op!r} within "
-                        f"{self.timeout}s; connection closed"
-                    ) from exc
+        with self._lock:
+            try:
+                self._file.write(protocol.encode(request))
+                self._file.flush()
+                line = self._file.readline()
+            except socket.timeout as exc:
+                # A half-read response is unrecoverable on a strict
+                # request/response socket: poison the connection so
+                # no later call pairs with this request's answer.
+                self._close_locked()
+                raise ClientTimeout(
+                    f"no response to op {op!r} within "
+                    f"{self.timeout}s; connection closed"
+                ) from exc
         if not line:
             raise ConnectionError("server closed the connection")
         return _unwrap(protocol.decode_line(line))
@@ -244,29 +208,15 @@ class Client:
         """
         return self.call("metrics", format=format)["metrics"]
 
-    def trace(
-        self, trace_id: Optional[str] = None, request: Any = None
-    ) -> dict:
-        """A buffered trace by trace id / request id (or the newest ones).
+    def trace(self, trace_id: Optional[str] = None) -> dict:
+        """A buffered server trace by trace id (or the newest ones).
 
         Every response carries a ``trace_id`` field; pass it here to get
-        the request's span tree (``trace``) plus a rendered view
-        (``rendered``).  With no arguments, returns ``recent`` traces.
+        the request's server-side span tree (``trace``) plus a rendered
+        view (``rendered``).  With no argument, returns ``recent`` traces.
         """
-        fields: dict[str, Any] = {}
-        if trace_id is not None:
-            fields["trace"] = trace_id
-        if request is not None:
-            fields["request"] = request
-        out = _payload(self.call("trace", **fields))
-        if trace_id is not None and tracer.enabled and "trace" in out:
-            # This process may hold the client half of a propagated
-            # trace (connect/serialize/wait spans); present one tree.
-            joined = join_traces(tracer.get(trace_id), out["trace"])
-            if joined is not None and joined is not out["trace"]:
-                out["trace"] = joined
-                out["rendered"] = render_trace_tree(joined)
-        return out
+        fields = {} if trace_id is None else {"trace": trace_id}
+        return _payload(self.call("trace", **fields))
 
     def mutate(self, sql: str) -> dict:
         """Commit one ``INSERT INTO`` / ``DELETE FROM`` statement.
@@ -432,8 +382,7 @@ class PipelinedClient(Client):
     Unlike :class:`Client`, a read ``timeout`` here does *not* poison
     the connection: the reader thread keeps consuming responses in
     arrival order, so a late answer completes its (abandoned) future
-    harmlessly instead of desynchronizing the stream.  Requests carry
-    no ``trace_context``; the server starts a fresh trace for each.
+    harmlessly instead of desynchronizing the stream.
     """
 
     def __init__(

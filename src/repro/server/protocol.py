@@ -20,8 +20,7 @@ independent requests out of order.  All requests share the envelope::
     {"id": <any>, "op": "query" | "fetch" | "explain" | "mutate" | "close"
      | "hello" | "stats" | "metrics" | "trace",
      ...op fields...,
-     "deadline_ms": <optional int>,
-     "trace_context": <optional W3C-traceparent-style string>}
+     "deadline_ms": <optional int>}
 
 and all responses echo the id::
 
@@ -71,16 +70,11 @@ Op fields (see :class:`repro.server.service.QueryService` for semantics):
     histograms, and per-engine delay/TTF histograms.
 ``trace``
     ``trace`` (optional: a trace id, as echoed in every response's
-    ``trace_id``) or ``request`` (optional: a request envelope id).
-    Returns the buffered span tree; with neither field, the newest
-    buffered traces.  A trace/request id the ring no longer (or never)
-    buffered answers with an ``unknown_trace`` error.
+    ``trace_id``).  Returns the server's buffered span tree for that
+    request; with no id, the newest buffered traces.  An id the ring no
+    longer (or never) buffered answers with an ``unknown_trace`` error.
 
-``trace_context`` (any op) carries a W3C-traceparent-style string
-(``00-<trace_id>-<parent_span_id>-01``): the server *adopts* the
-caller's trace id and parents its request root span under the caller's
-span, so client-side and server-side spans form one tree retrievable
-via the ``trace`` op.  Malformed contexts are ignored, never an error.
+A field the protocol does not know is ignored.
 
 ``deadline_ms`` bounds row production for this request: the server stops
 pulling results once the deadline passes and returns the partial batch
@@ -241,9 +235,6 @@ def validate_request(request: dict) -> str:
         if frames not in FRAMES:
             known = " or ".join(repr(f) for f in FRAMES)
             raise ProtocolError(f"'frames' must be {known}")
-    context = request.get("trace_context")
-    if context is not None and not isinstance(context, str):
-        raise ProtocolError("'trace_context' must be a traceparent string")
     return op
 
 

@@ -25,7 +25,7 @@ from repro.engine.planner import plan_compiled
 from repro.obs.delay import DELAY_BOUNDS, DelayProfile
 from repro.obs.memory import ENTRY_BOUNDS, MemoryProfile
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import parse_traceparent, render_trace_tree, tracer
+from repro.obs.trace import render_trace_tree, tracer
 from repro.query.cq import QueryError
 # Submodule-style import: safe under the package's partially-initialized
 # state when ``repro.server/__init__`` pulls this module in (PEP 328's
@@ -744,24 +744,18 @@ class QueryService:
             "metrics": self.registry.render_prometheus(),
         }
 
-    def trace(
-        self, trace_id: Optional[str] = None, request: Any = None
-    ) -> dict:
-        """Look up a buffered trace by trace id or by request id.
+    def trace(self, trace_id: Optional[str] = None) -> dict:
+        """Look up a buffered trace by trace id.
 
-        With neither given, returns the newest buffered traces plus the
-        tracer's ring statistics (what ``repro-obs --traces`` lists).
+        With no id, returns the newest buffered traces plus the tracer's
+        ring statistics (what ``repro-obs --traces`` lists).
         """
-        if trace_id is not None:
-            found = tracer.get(trace_id)
-        elif request is not None:
-            found = tracer.find_by_request(request)
-        else:
+        if trace_id is None:
             return {"recent": tracer.recent(20), "tracer": tracer.info()}
+        found = tracer.get(trace_id)
         if found is None:
-            wanted = trace_id if trace_id is not None else f"request {request!r}"
             raise protocol.ProtocolError(
-                f"no buffered trace for {wanted} (the ring keeps the last "
+                f"no buffered trace for {trace_id} (the ring keeps the last "
                 f"{tracer.capacity} traces)",
                 code=protocol.UNKNOWN_TRACE,
             )
@@ -849,18 +843,7 @@ class QueryService:
             else None
         )
         started = time.perf_counter()
-        # Trace propagation: a caller-supplied traceparent adopts the
-        # caller's trace id and parents this request's root span under
-        # the caller's span — client-side and server-side spans of one
-        # request form one tree.  Malformed contexts degrade to a fresh
-        # trace, never an error.
-        context = parse_traceparent(request.get("trace_context"))
-        root = tracer.start_trace(
-            op,
-            request_id=request_id,
-            trace_id=context[0] if context else None,
-            parent_id=context[1] if context else None,
-        )
+        root = tracer.start_trace(op, request_id=request_id)
         response: dict = {}
         try:
             with root:
@@ -920,10 +903,7 @@ class QueryService:
                     format=request.get("format", "prometheus")
                 )
             elif op == "trace":
-                payload = self.trace(
-                    trace_id=request.get("trace"),
-                    request=request.get("request"),
-                )
+                payload = self.trace(trace_id=request.get("trace"))
             else:  # "stats" — validate_request admits nothing else
                 payload = self.stats()
         except protocol.ProtocolError as exc:

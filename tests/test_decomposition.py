@@ -9,6 +9,8 @@ from repro.data.generators import random_graph_database
 from repro.joins.base import multiset, reorder_to_query_schema
 from repro.joins.generic_join import evaluate as generic_join
 from repro.joins.yannakakis import evaluate as yannakakis_join
+import repro.sql as repro_sql
+from repro.query import decomposition
 from repro.query.cq import QueryError, cycle_query, path_query, triangle_query
 from repro.query.decomposition import (
     best_decomposition,
@@ -18,6 +20,7 @@ from repro.query.decomposition import (
     min_fill_order,
 )
 from repro.query.hypergraph import is_acyclic
+from repro.util.lru import LruCache
 
 from conftest import graph_db_strategy
 
@@ -128,3 +131,36 @@ def test_children_mapping_consistent():
     for child, parent in enumerate(td.parent):
         if parent is not None:
             assert child in kids[parent]
+
+
+CYCLE5_SQL = (
+    "SELECT * FROM E AS e1 JOIN E AS e2 ON e1.dst = e2.src "
+    "JOIN E AS e3 ON e2.dst = e3.src JOIN E AS e4 ON e3.dst = e4.src "
+    "JOIN E AS e5 ON e4.dst = e5.src AND e5.dst = e1.src "
+    "ORDER BY weight LIMIT 10"
+)
+
+
+def test_one_search_per_cyclic_query_shape(monkeypatch):
+    """Planning and running one 5-cycle shape twice searches its
+    elimination orders once (the router and the rewrite both ask), and
+    the remembered order streams what the search did."""
+    searches = []
+    search = decomposition._best_order
+    monkeypatch.setattr(decomposition, "_ORDER_CACHE", LruCache(8))
+    monkeypatch.setattr(
+        decomposition,
+        "_best_order",
+        lambda *args: searches.append(args) or search(*args),
+    )
+    db = random_graph_database(num_edges=40, num_nodes=12, seed=5)
+    streams = []
+    for _ in range(2):
+        result = repro_sql.query(db, CYCLE5_SQL)
+        streams.append(list(result))
+        assert result.plan.estimates.full_join
+    assert len(searches) == 1
+    assert len(streams[0]) == 10 and streams[1] == streams[0]
+    # A query of another shape is searched on its own.
+    best_decomposition(cycle_query(4))
+    assert len(searches) == 2

@@ -1,11 +1,12 @@
-"""Observability layer 2: trace propagation across process boundaries.
+"""Observability layer 2: one process's request trees, and across a
+process boundary only downward.
 
-W3C-traceparent-style ``trace_context`` round-trips, server-side
-adoption of a caller's trace id, same-process client/server joins, and
-the grafting of per-shard worker span trees under the coordinator's
-execute span (the acceptance criterion: a ``workers=4`` query yields
-ONE tree with four shard subtrees), plus the obs ops a ``--readonly``
-server keeps serving.
+The server keeps its own requests' span trees, looked up by the
+``trace_id`` it echoes — never by the per-connection envelope id, and
+never adopting a caller's trace; shard workers' span trees graft under
+the coordinator's execute span (the acceptance criterion: a
+``workers=4`` query yields ONE tree with four shard subtrees); and the
+obs ops a ``--readonly`` server keeps serving.
 """
 
 from __future__ import annotations
@@ -15,12 +16,6 @@ import json
 import pytest
 
 from repro.data.generators import path_database
-from repro.obs.trace import (
-    format_traceparent,
-    new_trace_id,
-    parse_traceparent,
-    tracer,
-)
 from repro.server import QueryService
 
 PATH_SQL = (
@@ -34,94 +29,71 @@ def path_db():
     return path_database(length=3, size=120, domain=18, seed=23)
 
 
-@pytest.fixture()
-def global_tracer_restored():
-    prev = tracer.enabled
-    yield tracer
-    tracer.enabled = prev
-
-
 # ----------------------------------------------------------------------
-# Trace context propagation
+# Server-side request trees
 # ----------------------------------------------------------------------
-def test_traceparent_roundtrips_dashed_trace_ids():
-    trace_id = new_trace_id()
-    assert "-" in trace_id  # the format the parser must survive
-    header = format_traceparent(trace_id, "sdeadbeef.2a")
-    parsed = parse_traceparent(header)
-    assert parsed == (trace_id, "sdeadbeef.2a")
-
-
 @pytest.mark.parametrize(
-    "garbage",
-    ["", "00", "zz-abc-def-01", "00-only-two", 42, None],
+    "context",
+    [
+        "",
+        "00",
+        "zz-abc-def-01",
+        "00-only-two",
+        42,
+        None,
+        "00-tcaller-1-sclient.1-01",
+        ["not", "a", "string"],
+    ],
 )
-def test_parse_traceparent_rejects_garbage(garbage):
-    assert parse_traceparent(garbage) is None
-
-
-def test_server_adopts_propagated_trace_context(path_db):
+def test_old_trace_context_is_ignored(path_db, context):
+    """A ``trace_context`` field is an unknown field like any other: the
+    request is answered ``ok`` under a trace id the server minted."""
     service = QueryService(path_db)
-    joined_before = tracer.info()["joined"]
-    trace_id = new_trace_id()
-    header = format_traceparent(trace_id, "sclient.1")
     response = service.handle(
         {
             "id": 1,
             "op": "query",
             "sql": PATH_SQL.format(k=3),
             "fetch": 3,
-            "trace_context": header,
+            "trace_context": context,
         }
     )
-    assert response["ok"]
-    # The server adopted the caller's trace id instead of minting one.
-    assert response["trace_id"] == trace_id
-    looked_up = service.handle({"id": 2, "op": "trace", "trace": trace_id})
-    assert looked_up["ok"]
-    spans = looked_up["trace"]["spans"]
-    root = spans[0]
-    assert root["name"] == "query"
-    # The server root is parented under the caller's span id, so a
-    # joined rendering hangs the server subtree off the client span.
-    assert root["parent_id"] == "sclient.1"
-    # Adoption is not a join: nothing local was grafted onto.
-    assert tracer.info()["joined"] == joined_before
-
-
-def test_bad_trace_context_is_a_bad_request(path_db):
-    service = QueryService(path_db)
-    response = service.handle(
-        {"id": 1, "op": "stats", "trace_context": ["not", "a", "string"]}
+    assert response["ok"] and len(response["rows"]) == 3
+    assert response["trace_id"] != "tcaller-1"
+    looked_up = service.handle(
+        {"id": 2, "op": "trace", "trace": response["trace_id"]}
     )
-    assert not response["ok"]
-    assert response["error"]["code"] == "bad_request"
+    root = looked_up["trace"]["spans"][0]
+    assert root["name"] == "query" and root["parent_id"] is None
 
 
-def test_client_and_server_spans_join_over_the_wire(
-    path_db, global_tracer_restored
-):
+def test_each_connection_gets_its_own_server_trace(path_db):
+    """Two connections both send envelope id 1; each finds its own
+    server-side tree by the ``trace_id`` its response echoed."""
     from repro.server import Client, serve_background
 
     server, port = serve_background(path_db)
     try:
-        tracer.enabled = True  # the application opts into client spans
-        with Client(port=port) as client:
-            cursor = client.execute(PATH_SQL.format(k=4), batch=4)
-            # The opening request's trace id (fetch round trips refresh
-            # cursor.trace_id with their own).
-            query_trace_id = cursor.trace_id
-            rows = cursor.fetchall()
-            assert len(rows) == 4
-            looked_up = client.trace(trace_id=query_trace_id)
-        names = [span["name"] for span in looked_up["trace"]["spans"]]
-        # One tree: the client's round-trip spans AND the server's
-        # stage spans, under the same trace id.
-        assert "client.query" in names
-        assert "serialize" in names and "wait" in names
-        assert "query" in names and "plan" in names
-        rendered = looked_up["rendered"]
-        assert "client.query" in rendered and "page_fetch" in rendered
+        with Client(port=port) as first, Client(port=port) as second:
+            cursors = [
+                client.execute(PATH_SQL.format(k=k), batch=k)
+                for client, k in ((first, 2), (second, 5))
+            ]
+            trace_ids = [cursor.trace_id for cursor in cursors]
+            assert trace_ids[0] != trace_ids[1]
+            looked_up = [
+                client.trace(trace_id)
+                for client, trace_id in zip((first, second), trace_ids)
+            ]
+        for found, trace_id, k in zip(looked_up, trace_ids, (2, 5)):
+            trace = found["trace"]
+            assert trace["trace_id"] == trace_id
+            assert trace["request_id"] == 1  # both connections' first id
+            names = [span["name"] for span in trace["spans"]]
+            assert names[0] == "query" and "cache_lookup" in names
+            pages = [s for s in trace["spans"] if s["name"] == "page_fetch"]
+            assert [page["attrs"]["rows"] for page in pages] == [k]
+            assert "page_fetch" in found["rendered"]
     finally:
         server.shutdown()
         server.server_close()

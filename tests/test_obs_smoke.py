@@ -128,9 +128,9 @@ def test_obs_smoke(capsys):
 @pytest.mark.slow
 def test_obs_smoke_layer2_propagation(capsys):
     """Layer 2 over a real wire: a sharded (``--workers 4``) query whose
-    client, server, and per-worker spans join into ONE trace tree, and
-    the clean ``unknown_trace`` answer for an id the ring never held —
-    against a ``repro-serve`` subprocess."""
+    server and per-worker spans form ONE trace tree, and the clean
+    ``unknown_trace`` answer for an id the ring never held — against a
+    ``repro-serve`` subprocess."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
 
@@ -161,53 +161,41 @@ def test_obs_smoke_layer2_propagation(capsys):
         assert port, "repro-serve never printed its listening line"
 
         from repro.obs.cli import main as obs_main
-        from repro.obs.trace import tracer
         from repro.server import Client
 
-        prev_enabled = tracer.enabled
-        tracer.enabled = True  # opt into client-side spans for the join
-        try:
-            with Client(port=port, timeout=60.0) as client:
-                cursor = client.execute(SQL, batch=20)
-                query_trace_id = cursor.trace_id
-                rows = cursor.fetchall()
-                assert len(rows) == 40
+        with Client(port=port, timeout=60.0) as client:
+            cursor = client.execute(SQL, batch=20)
+            query_trace_id = cursor.trace_id
+            rows = cursor.fetchall()
+            assert len(rows) == 40
 
-                # -- one joined client -> server -> worker trace tree --
-                looked_up = client.trace(query_trace_id)
-                spans = looked_up["trace"]["spans"]
-                names = [span["name"] for span in spans]
-                assert "client.query" in names  # this process
-                assert "serialize" in names and "wait" in names
-                assert "query" in names  # the server subprocess
-                by_id = {span["span_id"]: span for span in spans}
-                execute = [s for s in spans if s["name"] == "execute.setup"]
-                assert len(execute) == 1
-                shard_roots = [
-                    s for s in spans if s["name"].startswith("shard[")
-                ]
-                assert len(shard_roots) >= 4, (
-                    "per-worker span subtrees must graft into the trace"
-                )
-                for shard in shard_roots:
-                    assert shard["parent_id"] == execute[0]["span_id"]
-                shard_ids = {s["span_id"] for s in shard_roots}
-                assert any(
-                    s["name"] == "enumerate" and s["parent_id"] in shard_ids
-                    for s in spans
-                )
-                rendered = looked_up["rendered"]
-                assert "client.query" in rendered and "shard[0]" in rendered
+            # -- one server -> worker trace tree -----------------------
+            looked_up = client.trace(query_trace_id)
+            spans = looked_up["trace"]["spans"]
+            assert spans[0]["name"] == "query"  # the server subprocess
+            execute = [s for s in spans if s["name"] == "execute.setup"]
+            assert len(execute) == 1
+            shard_roots = [s for s in spans if s["name"].startswith("shard[")]
+            assert len(shard_roots) >= 4, (
+                "per-worker span subtrees must graft into the trace"
+            )
+            for shard in shard_roots:
+                assert shard["parent_id"] == execute[0]["span_id"]
+            shard_ids = {s["span_id"] for s in shard_roots}
+            assert any(
+                s["name"] == "enumerate" and s["parent_id"] in shard_ids
+                for s in spans
+            )
+            rendered = looked_up["rendered"]
+            assert "page_fetch" in rendered and "shard[0]" in rendered
 
-                # A propagated-but-evicted (or bogus) id answers with the
-                # clean error code, not an empty 200 or an internal error.
-                from repro.server.client import ServerError
+            # An evicted (or bogus) id answers with the clean error
+            # code, not an empty 200 or an internal error.
+            from repro.server.client import ServerError
 
-                with pytest.raises(ServerError) as excinfo:
-                    client.trace("t-never-existed")
-                assert excinfo.value.code == "unknown_trace"
-        finally:
-            tracer.enabled = prev_enabled
+            with pytest.raises(ServerError) as excinfo:
+                client.trace("t-never-existed")
+            assert excinfo.value.code == "unknown_trace"
 
         # -- repro-obs renders the unknown id as a plain miss ----------
         assert obs_main(["--port", str(port), "--trace", "nope"]) == 1
