@@ -5,8 +5,9 @@ walks a client through the service's three headline behaviors:
 
 1. resumable cursors — a paused enumeration resumed across *separate
    connections* yields the exact continuation of the ranked stream;
-2. the warm plan cache — the second submission of a statement skips
-   parse/analyze/route entirely (watch `plan_cached` flip);
+2. the warm plan cache — a `?` statement is analyzed once; a second
+   submission with other params skips parse and analysis and is routed
+   on its own values (watch `plan_cached` flip);
 3. deadlines and admission — a 1 ms deadline returns a partial page with
    `deadline_exceeded`, and the open-cursor limit rejects the overflow
    query with a clean `cursor_limit` error.
@@ -52,18 +53,14 @@ def main() -> None:
     with Client(port=port) as client:
         three_hop = (
             "SELECT * FROM E AS e1 JOIN E AS e2 ON e1.dst = e2.src "
-            "JOIN E AS e3 ON e2.dst = e3.src ORDER BY weight LIMIT 50"
+            "JOIN E AS e3 ON e2.dst = e3.src WHERE e1.src > ? "
+            "ORDER BY weight LIMIT ?"
         )
-        cold = client.execute(three_hop, batch=3, prefetch=3)
-        reformatted = (
-            "select * from E as e1, E as e2, E as e3 "
-            "where e1.dst = e2.src and e2.dst = e3.src "
-            "order by   weight limit 50"
-        )
-        warm = client.execute(reformatted, batch=3, prefetch=3)
+        cold = client.execute(three_hop, params=[10, 50], batch=3, prefetch=3)
+        warm = client.execute(three_hop, params=[40, 20], batch=3, prefetch=3)
         print(f"  first submission  plan_cached={cold.plan_cached}")
         print(f"  second submission plan_cached={warm.plan_cached} "
-              "(reformatted text: keyed on the normalized AST)")
+              "(same text, other params: keyed on the SQL text)")
         info = client.stats()["plan_cache"]
         print(f"  cache: {info['hits']} hits / {info['misses']} misses")
         cold.close()

@@ -141,10 +141,8 @@ class KernelTemplate:
 class KernelSlot:
     """The per-plan kernel pin, stored on ``Plan.kernel_slot``.
 
-    A cached plan's slot survives re-binds (the service's soft-hit path
-    copies the plan dataclass, sharing this field by reference), so the
-    first execution warms it and every later execution of the same
-    template skips even the global template-cache lookup.
+    The plan's first execution warms it, and every later execution of
+    the same plan skips even the global template-cache lookup.
     """
 
     template: Optional[KernelTemplate] = None
@@ -168,7 +166,7 @@ def install_kernels(
 ) -> None:
     """Shadow ``tdp.solution_row`` with the shape's compiled closure.
 
-    ``slot`` pins the template on a cached plan; ``engine`` labels the
+    ``slot`` pins the template on a plan; ``engine`` labels the
     per-engine counters.
     """
     signature = kernel_signature(tdp)

@@ -68,9 +68,8 @@ class Relation:
         #: Version annotation stamped by :mod:`repro.dynamic` when a
         #: mutation publishes a new copy-on-write generation of this
         #: relation.  0 means "static" (never mutated through the
-        #: versioned layer); the engine catalog's fingerprints include it
-        #: so equal-cardinality states with different contents (delete one
-        #: row, insert another) never collide in the plan cache.
+        #: versioned layer); it tells equal-cardinality states with
+        #: different contents (delete one row, insert another) apart.
         self.version: int = 0
         self._indexes: dict[tuple[str, ...], dict] = {}
         # Memoized attribute-tuple -> column-position resolutions.  The
@@ -241,7 +240,8 @@ class Relation:
         or re-validating them — they come out of relations whose tuples
         passed :meth:`add`/:meth:`bulk_load` at base insertion — and
         carries the data generation (``version``) over, so a derived
-        relation never aliases a static fingerprint in the plan cache.  Passing this relation's own lists makes an O(1) *view*
+        relation reports the generation it was derived from.  Passing
+        this relation's own lists makes an O(1) *view*
         (another name/schema over the same storage); a view is read-only,
         which is safe because published snapshots are never mutated in
         place (:mod:`repro.dynamic` is copy-on-write).

@@ -8,9 +8,9 @@ with monotonically increasing version ids; mutations
 ``DELETE FROM`` through :func:`repro.sql.mutate`) build the next
 snapshot without touching the previous one, so every open cursor keeps
 enumerating the exact generation it was planned on while new queries see
-the newest data.  Version ids flow into the engine catalog's
-fingerprints, which is what the plan cache validates its entries
-against.
+the newest data.  Plans record the version they were costed on
+(EXPLAIN prints it), and the server routes each request on its own
+snapshot.
 
 Quickstart::
 

@@ -7,8 +7,8 @@ isolation via copy-on-write**:
 
 - A :class:`VersionedDatabase` holds one *published snapshot*: an
   ordinary :class:`~repro.data.database.Database` whose relations are
-  treated as immutable (the library-wide contract the plan cache and the
-  enumeration engines already rely on).
+  treated as immutable (the library-wide contract the enumeration
+  engines already rely on).
 - Applying a mutation never touches a published relation object.  It
   builds a *new* :class:`~repro.data.relation.Relation` for the one
   relation the mutation names (rows shared where possible), stamps it
@@ -20,14 +20,12 @@ isolation via copy-on-write**:
   was planned on — never truncated, never contaminated by concurrent
   writes — while new queries plan against the newest snapshot.
 
-Version ids feed the engine catalog's fingerprints
-(:func:`repro.engine.catalog.database_fingerprint`): a mutation bumps the
-touched relation's version, so stale plans and statistics *miss* their
-caches even when cardinalities happen to match (delete one row, insert
-another), while untouched relations keep their cached entries.  There is
-deliberately no "re-cost threshold": *every* delta re-costs the affected
-queries on next planning, because a fingerprint that sometimes matched
-stale data would silently serve wrong plans.
+Version ids tell generations apart even when cardinalities happen to
+match (delete one row, insert another): EXPLAIN reports the version a
+plan was costed on, and shard payloads carry it.  Nothing derived from
+the data outlives a request's snapshot: the server caches only analyzed
+statements, which read relation schemas, and routes every request on its
+own snapshot.
 
 Thread-safety: mutations serialize on a lock; reading the published
 snapshot is a single attribute load (atomic), so readers never block

@@ -9,7 +9,7 @@ AGM/width estimates over the actual catalog.  The SQL front-end
 ``method="auto"``.
 """
 
-from repro.engine.catalog import AtomStats, CatalogStats, database_fingerprint
+from repro.engine.catalog import AtomStats, CatalogStats
 from repro.engine.executor import execute, filtered_database
 from repro.engine.planner import (
     Plan,
@@ -21,7 +21,6 @@ from repro.engine.planner import (
 __all__ = [
     "AtomStats",
     "CatalogStats",
-    "database_fingerprint",
     "Plan",
     "PlanEstimates",
     "route",

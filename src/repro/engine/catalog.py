@@ -52,38 +52,3 @@ class CatalogStats:
 
     def any_empty(self) -> bool:
         return any(a.size == 0 for a in self.atoms)
-
-
-def database_fingerprint(db: Database, only=None) -> tuple:
-    """A cheap, hashable token identifying the catalog's *shape*.
-
-    Covers relation names, schemas, cardinalities, and copy-on-write
-    version ids — everything the router's statistics read, plus the one
-    token that distinguishes equal-cardinality generations of mutated
-    data (delete one row, insert another: same length, different
-    contents, different version).  Relation objects are immutable after
-    registration (:meth:`Relation.copy` shares row storage on that
-    basis); mutations go through :class:`repro.dynamic.VersionedDatabase`,
-    which publishes *new* relation objects with bumped versions — so two
-    equal fingerprints mean a cached plan still describes the data.
-    O(#relations), not O(tuples): fingerprinting must stay far cheaper
-    than the planning it short-cuts.
-
-    ``only`` restricts the fingerprint to the named relations (the ones
-    a statement's FROM list references), so mutating relation ``S`` does
-    not invalidate cached plans for queries that only touch ``R`` —
-    names absent from the catalog contribute a distinct marker, so a
-    later-added relation of that name still changes the fingerprint.
-    """
-    if only is None:
-        return tuple(
-            sorted((r.name, r.schema, len(r), r.version) for r in db)
-        )
-    names = set(only)
-    items = [
-        (r.name, r.schema, len(r), r.version) for r in db if r.name in names
-    ]
-    items.extend(
-        (name, None, -1, -1) for name in names if name not in db
-    )
-    return tuple(sorted(items, key=lambda item: item[0]))

@@ -42,8 +42,8 @@ def apply_mutation(
     :class:`~repro.sql.analyzer.CompiledMutation` onto the dynamic
     layer's :class:`~repro.dynamic.Insert`/:class:`~repro.dynamic.Delete`
     and applies it, publishing a new copy-on-write snapshot.  Open
-    cursors keep draining the snapshot they were planned on; the new
-    version id makes stale plan-cache entries miss.
+    cursors keep draining the snapshot they were planned on; queries
+    planned afterwards are routed on the new version.
     """
     from repro.dynamic import Delete, Insert
 
@@ -97,8 +97,7 @@ def filtered_database(
                 position = relation.positions((f.column,))[0]
                 selected = selected.select(f.predicate(position), name=name)
             # select() carries the base's snapshot generation over, so
-            # cached statistics over the filtered copy invalidate exactly
-            # when the base relation is mutated.
+            # the filtered copy reports the version it was taken from.
             working.replace(selected)
             atoms.append(Atom(name, atom.variables))
         else:
@@ -193,7 +192,7 @@ def execute(
                     k=k,
                     counters=counters,
                     # The plan's kernel slot pins the compiled enumeration
-                    # template across executions of a cached plan (None for
+                    # template across executions of one plan (None for
                     # non-any-k engines: rank_enumerate ignores it then).
                     kernel_slot=plan.kernel_slot,
                 )

@@ -123,12 +123,13 @@ class Plan:
     #: version, so any plan reporting an older one is known-stale.
     snapshot_version: Optional[int] = None
     #: Compiled-kernel pin (:class:`repro.anyk.kernels.KernelSlot`) for
-    #: any-k engines: the first execution stores the shape's compiled
-    #: template here, and — because the plan cache's soft-hit re-bind
-    #: copies the dataclass sharing this field by reference — every
-    #: later execution of the cached plan reuses it without even a
-    #: template-cache lookup.  None for non-any-k engines and for plans
-    #: routed outside the SQL layer.
+    #: any-k engines: the plan's first execution stores the shape's
+    #: compiled template here (EXPLAIN ANALYZE reports ``slot=warm``),
+    #: and a later execution of the same plan reuses it without a
+    #: template-cache lookup.  A slot lives as long as its plan, which in
+    #: the server is one request; across requests the process-wide
+    #: template cache serves the shape.  None for non-any-k engines and
+    #: for plans routed outside the SQL layer.
     kernel_slot: Optional[Any] = None
 
     @property

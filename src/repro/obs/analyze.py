@@ -20,7 +20,7 @@ completion (honoring its LIMIT) and reports what actually happened:
 - the RAM-model counters the engines maintain anyway.
 
 The report is a plain JSON-ready dict (:func:`run_analyze`; the server
-runs a cached plan through the same :func:`analyze_plan`) with a text
+runs its own plan through the same :func:`analyze_plan`) with a text
 rendering (:func:`render_analyze`) — the server's ``explain`` op ships
 the dict and the CLIs render it, so both views can never disagree.
 """

@@ -1,8 +1,9 @@
 """Lightweight end-to-end span tracing.
 
-A *span* is one timed stage of a request — ``parse``, ``plan``,
-``cache_lookup``, ``execute.setup``, ``page_fetch`` — with a monotonic
-start/duration, key/value attributes, and a link to its parent span.
+A *span* is one timed stage of a request — ``cache_lookup``,
+``parse``, ``analyze``, ``plan``, ``execute.setup``, ``page_fetch`` —
+with a monotonic start/duration, key/value attributes, and a link to
+its parent span.
 Spans with the same ``trace_id`` form a *trace*: the tree of stages one
 protocol request (or one library call) went through in this process,
 with shard workers' subtrees grafted in (:meth:`Tracer.graft`), which

@@ -9,15 +9,14 @@ first left off instead of recomputing a larger top-k from scratch.
 
 Layers (transport-agnostic core first, wire last):
 
-- :mod:`repro.server.plancache` — parameterized plan cache: literals are
-  lifted into a bound-parameter vector during normalization (and ``?``
-  placeholders bind explicitly), so every instantiation of a query
-  template shares one LRU entry, validated against a catalog fingerprint
-  on each hit;
 - :mod:`repro.server.cursors` — the session/cursor manager with an
   admission limit and idle eviction;
 - :mod:`repro.server.service` — :class:`QueryService`, the dict-in /
-  dict-out request handler (usable in-process, no sockets);
+  dict-out request handler (usable in-process, no sockets), with the
+  plan cache: an LRU of analyzed statements keyed on the SQL text, so a
+  repeated text (``?`` placeholders bound per request from ``params``)
+  skips parse and analysis, while every request binds and routes on its
+  own snapshot;
 - :mod:`repro.server.protocol` — the wire protocol: JSON-lines by
   default, length-prefixed binary frames after a ``hello`` negotiation,
   ``params`` vectors, pipelined requests matched by id, and a frame
@@ -57,7 +56,6 @@ from repro.server.client import (
     ServerError,
 )
 from repro.server.cursors import CursorLimitError, UnknownCursorError
-from repro.server.plancache import PlanCache, normalize_sql, parameterize_sql
 from repro.server.service import QueryService
 from repro.server.tcp import AnykTCPServer, serve_background
 
@@ -68,12 +66,9 @@ __all__ = [
     "CursorLimitError",
     "DeadlineExceeded",
     "PipelinedClient",
-    "PlanCache",
     "QueryService",
     "ResultCursor",
     "ServerError",
     "UnknownCursorError",
-    "normalize_sql",
-    "parameterize_sql",
     "serve_background",
 ]

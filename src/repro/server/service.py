@@ -13,15 +13,13 @@ entry point the wire handler calls per line.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Optional, Sequence
 
 from repro.anyk.api import PausableStream, StreamClosed
 from repro.data.database import Database
 from repro.dynamic import MutationError, VersionedDatabase
-from repro.engine.catalog import database_fingerprint
 from repro.engine.executor import apply_mutation, execute
-from repro.engine.planner import plan_compiled
+from repro.engine.planner import Plan, plan_compiled
 from repro.obs.delay import DELAY_BOUNDS, DelayProfile
 from repro.obs.memory import ENTRY_BOUNDS, MemoryProfile
 from repro.obs.registry import MetricsRegistry
@@ -37,34 +35,17 @@ from repro.server.cursors import (
     MemoryPressureError,
     UnknownCursorError,
 )
-from repro.server.plancache import (
-    RECOST_DRIFT,
-    CachedPlan,
-    CostedPlan,
-    PlanCache,
-    bind_compiled,
-    fingerprint_drift,
-    parameterize_sql,
-)
 from repro.sql import _check_engine
-from repro.sql.analyzer import analyze_mutation, analyze_statement
+from repro.sql.analyzer import (
+    CompiledQuery,
+    analyze_mutation,
+    analyze_statement,
+    bind_compiled,
+)
 from repro.sql.errors import SqlError
+from repro.sql.parser import parse
 from repro.util.counters import Counters
-
-
-@dataclass
-class BoundPlan:
-    """One request's executable view of a cached template entry.
-
-    ``compiled`` is fully concrete (every parameter bound), ``plan`` is
-    either the entry's own costed plan (the fast path: same catalog
-    generation, same bound values) or a cheap per-request copy whose
-    working instance is rebuilt from the request snapshot at execution
-    time.
-    """
-
-    compiled: Any
-    plan: Any
+from repro.util.lru import LruCache
 
 
 class QueryService:
@@ -78,9 +59,8 @@ class QueryService:
         existing ``VersionedDatabase`` to share with in-process writers.
         Mutations arrive through the ``mutate`` op and publish
         copy-on-write snapshots: open cursors keep draining the exact
-        snapshot they were planned on, new queries see the newest
-        version, and per-version fingerprints invalidate stale plan-cache
-        entries while untouched relations keep theirs.
+        snapshot they were planned on, and new queries are planned on
+        the newest version.
     max_cursors:
         Admission limit on concurrently open cursors.
     max_mem_mb:
@@ -96,7 +76,8 @@ class QueryService:
         Minimum idle age before memory pressure may evict a cursor
         (protects sessions a client is actively paging through).
     plan_cache_size:
-        LRU capacity of the plan cache.
+        LRU capacity of the plan cache (analyzed statements, one per
+        distinct SQL text).
     default_batch:
         Rows per ``fetch`` when the request does not say.
     idle_evict_s:
@@ -133,7 +114,10 @@ class QueryService:
         )
         self.workers = workers
         self.readonly = readonly
-        self.plan_cache = PlanCache(plan_cache_size)
+        #: SQL text -> analyzed statement.  Analysis reads only relation
+        #: schemas, which no mutation changes, so an entry never goes
+        #: stale; everything that reads the data runs per request.
+        self.plan_cache = LruCache(plan_cache_size)
         self.cursors = CursorManager(
             max_cursors,
             idle_evict_s=idle_evict_s,
@@ -221,7 +205,7 @@ class QueryService:
         return self.versioned.snapshot()
 
     # ------------------------------------------------------------------
-    # Planning (cached)
+    # Planning
     # ------------------------------------------------------------------
     def plan(
         self,
@@ -229,102 +213,37 @@ class QueryService:
         engine: Optional[str] = None,
         db: Optional[Database] = None,
         params: Optional[Sequence[Any]] = None,
-    ) -> tuple[BoundPlan, bool]:
-        """The (possibly cached) compiled statement + routed plan.
+    ) -> tuple[CompiledQuery, Plan, bool]:
+        """Analyze (cached), bind and route ``sql`` on one snapshot.
 
-        Returns ``(bound, was_cached)``.  The cache keys on the
-        statement's *parameterized template* — every comparison literal
-        and the LIMIT lifted into a bound-value vector, explicit ``?``
-        placeholders resolved from ``params`` — so all instantiations of
-        one shape share a single entry.  The full pipeline (analyze →
-        route, including filter materialization) runs only on a true
-        miss; every other request costs one parse plus a cheap re-bind.
-
-        Staleness is validated on hit against the request snapshot's
-        fingerprint of the referenced relations:
-
-        - identical fingerprint (relation versions included) + identical
-          bound values: the entry's plan (with its materialized working
-          instance) is served as-is;
-        - any other generation within
-          :data:`~repro.server.plancache.RECOST_DRIFT` or different
-          values: the routing is reused on a per-request plan
-          copy whose filtered instance is rebuilt from the snapshot;
-        - larger drift or an empty/non-empty flip: the entry is
-          re-costed in place (counted as a miss — the cache saved no
-          routing work).
-
-        ``db`` pins the snapshot to plan against (defaults to newest).
+        Returns ``(compiled, plan, was_cached)``, where ``was_cached``
+        says the analysis came from the plan cache.  The cache keys on
+        the SQL text as sent; statements that differ only in a literal
+        are different entries, and ``?`` placeholders bound from
+        ``params`` share one.  Binding and routing run on every request,
+        against ``db`` (default: the newest snapshot): the plan, its
+        filtered working instance and its engine are what a cold plan of
+        the same statement on that snapshot would be, whatever the cache
+        holds.
         """
         _check_engine(engine)
-        with tracer.span("parse"):
-            parameterized = parameterize_sql(sql)
-        values = parameterized.resolve(params)
         snapshot = db if db is not None else self.versioned.snapshot()
-        referenced = frozenset(
-            t.relation for t in parameterized.statement.tables
-        )
-        fingerprint = database_fingerprint(snapshot, only=referenced)
-        key = PlanCache.key(parameterized.template, engine, self.workers)
         with tracer.span("cache_lookup") as lookup_span:
-            entry = self.plan_cache.lookup(key)
-            lookup_span.set(hit=entry is not None)
-        if entry is None:
-            with tracer.span("plan"):
-                template = analyze_statement(
-                    snapshot, sql, parameterized.statement
-                )
-                bound = bind_compiled(template, values, sql)
-                routed = plan_compiled(
-                    snapshot,
-                    bound,
-                    engine=engine,
-                    workers=self.workers,
-                )
-            entry = CachedPlan(
-                template, CostedPlan(routed, fingerprint, values)
+            analyzed = self.plan_cache.get(sql)
+            lookup_span.set(hit=analyzed is not None)
+        was_cached = analyzed is not None
+        if analyzed is None:
+            with tracer.span("parse"):
+                statement = parse(sql)
+            with tracer.span("analyze"):
+                analyzed = analyze_statement(snapshot, sql, statement)
+            self.plan_cache.put(sql, analyzed)
+        with tracer.span("plan"):
+            compiled = bind_compiled(analyzed, params)
+            plan = plan_compiled(
+                snapshot, compiled, engine=engine, workers=self.workers
             )
-            self.plan_cache.store(key, entry)
-            return BoundPlan(bound, routed), False
-        bound = bind_compiled(entry.compiled, values, sql)
-        # One read of the costed record: a concurrent recost publishes a
-        # whole new record, never a plan beside a stale fingerprint.
-        costed = entry.costed
-        drift = fingerprint_drift(costed.fingerprint, fingerprint)
-        if drift > RECOST_DRIFT:
-            # The data moved enough that the cached routing may be
-            # genuinely wrong (e.g. part:lazy over a since-emptied
-            # input, where batch finishes at once); re-cost from fresh
-            # statistics, in place.
-            with tracer.span("plan") as span:
-                span.set(recost=True, drift=round(drift, 4))
-                routed = plan_compiled(
-                    snapshot,
-                    bound,
-                    engine=engine,
-                    workers=self.workers,
-                )
-            entry.recost(CostedPlan(routed, fingerprint, values))
-            self.plan_cache.note_recost()
-            return BoundPlan(bound, routed), False
-        if fingerprint == costed.fingerprint and values == costed.costed_values:
-            # Fast path: same data generation, same binding — the
-            # entry's materialized working instance is exactly right.
-            # (Zero drift is not enough: an INSERT plus a DELETE keeps
-            # every cardinality and changes the rows.)
-            return BoundPlan(bound, costed.plan), True
-        # Soft hit: the routing holds, but the filtered working instance
-        # was materialized for other values (or a slightly different
-        # generation) — drop it so execute() rebuilds the selections
-        # from this request's own snapshot.
-        plan = dc_replace(
-            costed.plan,
-            k=bound.k,
-            working_db=None,
-            working_cq=None,
-            snapshot_version=snapshot.version,
-        )
-        return BoundPlan(bound, plan), True
+        return compiled, plan, was_cached
 
     # ------------------------------------------------------------------
     # Ops
@@ -352,7 +271,7 @@ class QueryService:
         # generation even if a mutation commits mid-request, and the
         # cursor stays pinned to it for its whole lifetime.
         snapshot = self.versioned.snapshot()
-        entry, was_cached = self.plan(
+        compiled, plan, was_cached = self.plan(
             sql, engine=engine, db=snapshot, params=params
         )
         session_counters = Counters()
@@ -368,8 +287,8 @@ class QueryService:
         stream = PausableStream(
             execute(
                 snapshot,
-                entry.compiled,
-                entry.plan,
+                compiled,
+                plan,
                 counters=session_counters,
                 profile=profile,
                 memory=memory,
@@ -377,8 +296,8 @@ class QueryService:
         )
         cursor = self.cursors.open(
             sql=sql,
-            engine=entry.plan.engine,
-            columns=entry.compiled.output_columns,
+            engine=plan.engine,
+            columns=compiled.output_columns,
             stream=stream,
             counters=session_counters,
             profile=profile,
@@ -386,8 +305,8 @@ class QueryService:
         )
         payload: dict[str, Any] = {
             "cursor": cursor.id,
-            "columns": list(entry.compiled.output_columns),
-            "engine": entry.plan.engine,
+            "columns": list(compiled.output_columns),
+            "engine": plan.engine,
             "plan_cached": was_cached,
             # The snapshot generation the cursor is pinned to — every
             # page it ever serves drains exactly this version, so a client
@@ -538,7 +457,7 @@ class QueryService:
         analyze: bool = False,
         params: Optional[Sequence[Any]] = None,
     ) -> dict:
-        """The routed plan as text (cached like ``query`` plans).
+        """The routed plan as text (planned like a ``query``).
 
         With ``analyze=True`` the statement is additionally *run to
         completion* (honoring its LIMIT) and the response carries the
@@ -549,21 +468,21 @@ class QueryService:
         from repro.sql import render_explain
 
         if not analyze:
-            entry, was_cached = self.plan(sql, engine=engine, params=params)
+            compiled, plan, was_cached = self.plan(
+                sql, engine=engine, params=params
+            )
             return {
-                "explain": render_explain(entry.compiled, entry.plan),
-                "engine": entry.plan.engine,
+                "explain": render_explain(compiled, plan),
+                "engine": plan.engine,
                 "plan_cached": was_cached,
-                # Which data generation the plan was costed on — with the
-                # versioned fingerprints this is also the newest generation
-                # of every relation the statement reads.
-                "version": entry.plan.snapshot_version,
+                # The data generation the plan was costed on: the newest.
+                "version": plan.snapshot_version,
             }
         from repro.obs.analyze import analyze_plan, render_analyze
 
         snapshot = self.versioned.snapshot()
         started = time.perf_counter()
-        entry, was_cached = self.plan(
+        compiled, plan, was_cached = self.plan(
             sql, engine=engine, db=snapshot, params=params
         )
         plan_ms = (time.perf_counter() - started) * 1000.0
@@ -572,8 +491,8 @@ class QueryService:
         memory = MemoryProfile()
         report = analyze_plan(
             snapshot,
-            entry.compiled,
-            entry.plan,
+            compiled,
+            plan,
             stages_ms={"plan": round(plan_ms, 4)},
             started=started,
             counters=counters,
@@ -584,13 +503,13 @@ class QueryService:
         # The analyzed run is real engine work; it lands in the same
         # aggregates a drained cursor would.
         self.counters.merge(counters)
-        self._fold_profiles(profile, memory, entry.plan.engine)
+        self._fold_profiles(profile, memory, plan.engine)
         return {
             "explain": render_analyze(report),
             "analyze": report,
-            "engine": entry.plan.engine,
+            "engine": plan.engine,
             "plan_cached": was_cached,
-            "version": entry.plan.snapshot_version,
+            "version": plan.snapshot_version,
         }
 
     def mutate(self, sql: str) -> dict:
@@ -598,8 +517,7 @@ class QueryService:
 
         Publishes a new copy-on-write snapshot: cursors opened earlier
         keep draining their own snapshot untouched; queries planned
-        afterwards see the new version (and re-cost, because the mutated
-        relation's fingerprint changed).
+        afterwards are routed on the new version.
         """
         if self.readonly:
             raise SqlError(
@@ -659,7 +577,9 @@ class QueryService:
             "mutations": self._mutations_metric.total(),
             "requests": self._op_latency.total(),
             "errors": self._errors_metric.total(),
-            "plan_cache": self.plan_cache.info(),
+            # The benchmark reads ``recosts``; with routing on every
+            # request it is always 0.
+            "plan_cache": {**self.plan_cache.info(), "recosts": 0},
             "cursors": self.cursors.stats(),
             "counters": self.counters.snapshot(),
             "op_latency_ms": self._op_latency_summary(),

@@ -17,8 +17,8 @@ read naturally in EXPLAIN output, e.g.::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Optional, Sequence
 
 from repro.anyk.ranking import ALL_RANKINGS, DESC_RANKINGS, SUM, RankingFunction
 from repro.data.database import Database
@@ -54,10 +54,10 @@ _FILTER_OPS: dict[str, Callable[[Any, Any], bool]] = {
 class Filter:
     """One constant filter ``table.column op literal`` on a FROM entry.
 
-    In a cached statement *template* the value may be a
+    In a statement with ``?`` placeholders the value may be a
     :class:`~repro.sql.nodes.Parameter` sentinel; such filters describe
     the statement's shape only and must be bound to a concrete value
-    (:func:`repro.server.plancache.bind_compiled`) before execution.
+    (:func:`bind_compiled`) before execution.
     """
 
     table: str  # resolved alias
@@ -338,6 +338,75 @@ def analyze_statement(
         filters=tuple(filters),
         alias_to_relation={t.name: t.relation for t in tables},
     )
+
+
+def bind_compiled(
+    compiled: CompiledQuery, params: Optional[Sequence[Any]] = None
+) -> CompiledQuery:
+    """``compiled`` with its ``?`` placeholders bound to ``params``.
+
+    Placeholders bind positionally, in appearance order; a statement
+    without any comes back as itself.  A copy costs dataclass
+    replacements of the filters, the LIMIT and the statement, no parse
+    and no catalog read.  Raises :class:`SqlError` when the number of
+    values differs from the number of placeholders, when a value is not
+    a number or string, or when a LIMIT placeholder is bound to anything
+    but a positive integer.
+    """
+    values = tuple(params) if params is not None else ()
+    wanted = sum(f.is_template for f in compiled.filters) + isinstance(
+        compiled.k, Parameter
+    )
+    if len(values) != wanted:
+        raise SqlError(
+            f"statement has {wanted} bind parameter(s) (?) but "
+            f"{len(values)} value(s) were supplied"
+        )
+    if not wanted:
+        return compiled
+    for index, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise SqlError(
+                f"bind parameter {index + 1} must be a number or string, "
+                f"got {type(value).__name__}"
+            )
+    k = compiled.k
+    if isinstance(k, Parameter):
+        k = values[k.index]
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise SqlError(
+                f"LIMIT parameter must be a positive integer, got {k!r}"
+            )
+    return replace(
+        compiled,
+        statement=_bind_statement(compiled.statement, values),
+        k=k,
+        filters=tuple(
+            replace(f, value=values[f.value.index]) if f.is_template else f
+            for f in compiled.filters
+        ),
+    )
+
+
+def _bind_statement(
+    statement: SelectStatement, values: Sequence[Any]
+) -> SelectStatement:
+    """The AST with every parameter replaced by its value (what EXPLAIN
+    renders)."""
+
+    def concrete(operand: Any) -> Any:
+        if isinstance(operand, Parameter):
+            return Literal(values[operand.index], operand.pos)
+        return operand
+
+    predicates = tuple(
+        Comparison(concrete(p.left), p.op, concrete(p.right), p.pos)
+        for p in statement.predicates
+    )
+    limit = statement.limit
+    if isinstance(limit, Parameter):
+        limit = values[limit.index]
+    return replace(statement, predicates=predicates, limit=limit)
 
 
 # ----------------------------------------------------------------------

@@ -41,10 +41,10 @@ class Literal:
 class Parameter:
     """A positional bind parameter (``?``), numbered in appearance order.
 
-    Two sources produce these: explicit ``?`` placeholders typed by the
-    user (bound from the request's ``params`` vector), and literals the
-    plan cache lifts out of comparison predicates / LIMIT so that every
-    instantiation of a statement template shares one cached plan.
+    The parser makes one per ``?`` placeholder typed by the user, on the
+    literal side of a comparison or as the LIMIT count;
+    :func:`repro.sql.analyzer.bind_compiled` binds them from the
+    request's ``params`` vector.
     """
 
     index: int

@@ -37,19 +37,6 @@ class LruCache:
             self._entries.move_to_end(key)
             return value
 
-    def reclassify_hit_as_miss(self) -> None:
-        """Turn one recorded hit into a miss.
-
-        For validate-on-hit callers: a lookup that found an entry which
-        then failed validation (e.g. a stale plan needing a full re-cost)
-        did not save the caller any work, so it should count as a miss in
-        the hit-rate arithmetic.
-        """
-        with self._lock:
-            if self.hits > 0:
-                self.hits -= 1
-            self.misses += 1
-
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/refresh a value, evicting the least-recent overflow."""
         with self._lock:

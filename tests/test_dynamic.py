@@ -9,10 +9,10 @@ Three satellite suites in one file:
   byte-identical to a serial run on the pre-mutation snapshot — across
   ANYK-PART, ANYK-REC, batch, and the HRJN middleware, serial and
   4-way sharded.
-- **Cache staleness regressions**: a mutation must force a plan-cache
-  miss for affected statements and a stats refresh for touched
-  relations, while *unaffected* statements and *untouched* relations
-  stay warm (hit/miss counters asserted both ways).
+- **Cache staleness regressions**: the plan cache holds analyses only,
+  so after a mutation every statement still hits it, and each request
+  is routed on the newest snapshot (fresh version, fresh rows, fresh
+  routing).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.data.database import Database
 from repro.data.generators import path_database
 from repro.data.relation import Relation
 from repro.dynamic import Delete, Insert, MutationError, VersionedDatabase, insert
-from repro.engine.catalog import database_fingerprint
 from repro.server.service import QueryService
 
 
@@ -125,33 +124,6 @@ class TestVersionedDatabase:
 
 
 # ----------------------------------------------------------------------
-# Fingerprints: versions distinguish equal-cardinality generations
-# ----------------------------------------------------------------------
-class TestVersionedFingerprints:
-    def test_insert_delete_pair_changes_fingerprint(self):
-        vdb = VersionedDatabase(small_db())
-        before = database_fingerprint(vdb.snapshot())
-        vdb.delete("R", lambda row: row == (1, 2))
-        vdb.insert("R", [(1, 99)], weights=[0.1])
-        # Same name, schema, and cardinality — only the version differs.
-        assert len(vdb.snapshot()["R"]) == 3
-        assert database_fingerprint(vdb.snapshot()) != before
-
-    def test_only_restriction_ignores_other_relations(self):
-        vdb = VersionedDatabase(small_db())
-        before = database_fingerprint(vdb.snapshot(), only={"R"})
-        vdb.insert("S", [(4, 4)])
-        assert database_fingerprint(vdb.snapshot(), only={"R"}) == before
-        assert database_fingerprint(vdb.snapshot(), only={"S"}) != before
-
-    def test_missing_names_are_marked(self):
-        db = small_db()
-        with_missing = database_fingerprint(db, only={"R", "Ghost"})
-        without = database_fingerprint(db, only={"R"})
-        assert with_missing != without
-
-
-# ----------------------------------------------------------------------
 # Snapshot-isolation property test (the tentpole's acceptance bar)
 # ----------------------------------------------------------------------
 ISOLATION_SQL = (
@@ -233,7 +205,7 @@ def test_shards_pin_their_snapshot_version():
 
 
 # ----------------------------------------------------------------------
-# Cache staleness: misses where data moved, hits where it did not
+# Cache staleness: analyses stay warm, routing reads the new snapshot
 # ----------------------------------------------------------------------
 AFFECTED_SQL = "SELECT * FROM R JOIN S ON R.b = S.b ORDER BY weight LIMIT 5"
 UNAFFECTED_SQL = "SELECT * FROM T ORDER BY weight LIMIT 5"
@@ -246,24 +218,27 @@ def _three_relation_service() -> QueryService:
 
 
 class TestCacheStaleness:
-    def test_mutation_misses_affected_plan_keeps_unaffected_plan(self):
+    def test_mutation_keeps_analyses_and_serves_the_new_rows(self):
         service = _three_relation_service()
         assert not service.query(AFFECTED_SQL, fetch=5)["plan_cached"]
         assert not service.query(UNAFFECTED_SQL, fetch=5)["plan_cached"]
-        # Warm both.
-        assert service.query(AFFECTED_SQL, fetch=5)["plan_cached"]
-        assert service.query(UNAFFECTED_SQL, fetch=5)["plan_cached"]
 
         service.mutate("INSERT INTO S VALUES (2, 77)")
 
         hits_before = service.plan_cache.info()["hits"]
         misses_before = service.plan_cache.info()["misses"]
-        # The statement reading S must re-plan ...
-        assert not service.query(AFFECTED_SQL, fetch=5)["plan_cached"]
-        assert service.plan_cache.info()["misses"] == misses_before + 1
-        # ... while the statement over untouched T stays warm.
+        # Both statements hit their analyses; the one reading S streams
+        # the inserted row, exactly as a cold plan on the new snapshot.
+        affected = service.query(AFFECTED_SQL, fetch=5)
+        assert affected["plan_cached"] and affected["version"] == 2
+        assert [(tuple(r), w) for r, w in affected["rows"]] == (
+            repro.sql.query(service.db, AFFECTED_SQL).fetchall()
+        )
+        assert any(77 in row for row, _ in affected["rows"])
         assert service.query(UNAFFECTED_SQL, fetch=5)["plan_cached"]
-        assert service.plan_cache.info()["hits"] == hits_before + 1
+        info = service.plan_cache.info()
+        assert info["hits"] == hits_before + 2
+        assert info["misses"] == misses_before
 
     def test_explain_reports_snapshot_version(self):
         service = _three_relation_service()
@@ -276,8 +251,9 @@ class TestCacheStaleness:
         assert service.explain(AFFECTED_SQL)["plan_cached"]
 
     def test_mutation_recosts_routing_after_large_delta(self):
-        # A large delta (emptying a relation) must change the *routing*,
-        # not just miss the cache: proof that re-planning re-reads stats.
+        # A large delta (emptying a relation) must change the *routing*
+        # of a statement whose analysis is cached: proof that every
+        # request re-reads stats.
         db = path_database(length=2, size=200, domain=30, seed=5)
         service = QueryService(db)
         sql = "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 ORDER BY weight LIMIT 10"
@@ -285,7 +261,7 @@ class TestCacheStaleness:
         assert first["engine"] == "part:lazy"  # small k against the AGM bound
         service.mutate("DELETE FROM R2")
         second = service.explain(sql)
-        assert not second["plan_cached"]
+        assert second["plan_cached"]
         assert second["engine"] == "batch"  # empty input: batch finishes now
         assert second["version"] == 2
 

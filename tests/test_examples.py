@@ -64,7 +64,8 @@ def test_parallel_topk_runs():
 def test_serve_client_runs():
     out = _run("serve_client.py")
     assert "identical to one uninterrupted run: True" in out
-    assert "plan_cached=True" in out
+    assert "first submission  plan_cached=False" in out
+    assert "second submission plan_cached=True" in out
     assert "cursor_limit" in out
     assert "server stopped cleanly" in out
 

@@ -860,7 +860,7 @@ def test_stats_stay_bounded_under_sharded_queries():
         "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 JOIN R3 ON R2.A3 = R3.A3 "
         "WHERE R1.A1 > ? ORDER BY weight LIMIT 20"
     )
-    assert service.plan(sql, params=[0])[0].plan.workers == 2
+    assert service.plan(sql, params=[0])[1].workers == 2
     sizes = []
     for queries in (10, 40):
         for i in range(queries):

@@ -1,11 +1,12 @@
-"""Parameter binding and the template-keyed plan cache.
+"""Parameter binding and the text-keyed plan cache.
 
-The differential core: a statement served through a *bound template*
-(one cached entry, values substituted per request) must produce the
-byte-identical ranked stream to the same statement planned fresh with
-inline literals — across engines and parallelism budgets.  Plus the
+The differential core: a ``?`` statement served from one cached
+analysis, values bound per request, must produce the byte-identical
+ranked stream to the same statement planned fresh with inline literals —
+across engines and parallelism budgets.  The cache holds analyses only,
+so a routed stream does not depend on what the cache holds.  Plus the
 cache-key semantics (what shares an entry, what must not) and the
-thread-safety of the per-entry hit counter.
+thread-safety of the hit counter.
 """
 
 from __future__ import annotations
@@ -16,15 +17,10 @@ import pytest
 
 from repro.data.generators import path_database
 from repro.server import QueryService
-from repro.server.plancache import (
-    CachedPlan,
-    PlanCache,
-    bind_compiled,
-    fingerprint_drift,
-    normalize_sql,
-    parameterize_sql,
-)
+from repro.sql.analyzer import analyze_statement, bind_compiled
 from repro.sql.errors import SqlError
+from repro.sql.parser import parse
+from repro.util.lru import LruCache
 
 PARAM_SQL = (
     "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 JOIN R3 ON R2.A3 = R3.A3 "
@@ -41,7 +37,7 @@ def db():
     return path_database(length=3, size=120, domain=18, seed=23)
 
 
-def drain(service, sql, engine=None, params=None):
+def drain(service, sql, engine=None, params=None, engines=None):
     response = service.handle(
         {
             "id": 1,
@@ -53,6 +49,8 @@ def drain(service, sql, engine=None, params=None):
         }
     )
     assert response["ok"], response
+    if engines is not None:
+        engines.append(response["engine"])
     rows = list(response["rows"])
     cursor = response["cursor"]
     while cursor is not None and not response["done"]:
@@ -86,20 +84,21 @@ def test_bound_template_matches_fresh_literals(db, engine, workers):
     assert info["misses"] == 1 and info["hits"] == 3
 
 
-def test_literal_and_placeholder_spellings_share_one_entry(db):
+def test_literal_and_placeholder_spellings_stream_alike(db):
+    # Two texts, two analyses; one ranked stream.
     service = QueryService(db)
     a = drain(service, LITERAL_SQL.format(v=4, k=8))
     b = drain(service, PARAM_SQL, params=[4, 8])
     assert a == b
     info = service.plan_cache.info()
-    assert info["entries"] == 1 and info["hits"] == 1
+    assert info["entries"] == 2 and info["hits"] == 0
 
 
 def test_routed_stream_does_not_depend_on_cache_state(db):
-    # The warm template was routed at LIMIT 10; a deep LIMIT bound later
-    # reuses that routing, so it must stream what a cold plan of the
-    # deep LIMIT streams.  Engines that fold weights in different orders
-    # differ by an ulp off the 1/64 grid, which reorders near-ties.
+    # The statement was first served at LIMIT 10; a deep LIMIT bound
+    # later hits its cached analysis and must stream what a cold plan of
+    # the deep LIMIT streams.  Engines that fold weights in different
+    # orders differ by an ulp off the 1/64 grid, which reorders near-ties.
     warm = QueryService(db)
     drain(warm, PARAM_SQL, params=[2, 10])
     got = drain(warm, PARAM_SQL, params=[2, 2000])
@@ -107,6 +106,19 @@ def test_routed_stream_does_not_depend_on_cache_state(db):
     expected = drain(QueryService(db), LITERAL_SQL.format(v=2, k=2000))
     assert len(expected) == 2000
     assert got == expected
+    # A LIMIT past BATCH_FRACTION of the AGM bound routes to batch cold,
+    # and a statement first served at LIMIT 10 must route it the same way.
+    engines = []
+    crossing = QueryService(db)
+    drain(crossing, PARAM_SQL, params=[2, 10], engines=engines)
+    got = drain(crossing, PARAM_SQL, params=[2, 100000], engines=engines)
+    expected = drain(
+        QueryService(db), LITERAL_SQL.format(v=2, k=100000), engines=engines
+    )
+    assert crossing.plan_cache.info()["hits"] == 1
+    assert len(expected) == 4406
+    assert got == expected
+    assert engines == ["part:lazy", "batch", "batch"]
 
 
 # ----------------------------------------------------------------------
@@ -131,25 +143,18 @@ def test_distinct_shapes_never_collide(db):
     assert on_a1 != on_a2
 
 
-def test_operator_and_value_type_stay_out_of_the_template():
-    # The comparison operator is template structure (shapes with > and
-    # >= must not share); the value is not.
-    gt, _ = normalize_sql("SELECT * FROM E WHERE E.src > 3 LIMIT 5")
-    ge, _ = normalize_sql("SELECT * FROM E WHERE E.src >= 3 LIMIT 5")
-    assert gt != ge
-    five, _ = normalize_sql("SELECT * FROM E WHERE E.src > 5 LIMIT 5")
-    assert gt == five
-
-
-def test_engine_and_workers_separate_entries(db):
+def test_engine_override_shares_the_analysis_entry(db):
+    # The analysis does not depend on the engine; the routing, which
+    # runs per request, does.
     service = QueryService(db)
     sql = LITERAL_SQL.format(v=2, k=10)
-    drain(service, sql)
-    drain(service, sql, engine="rec")
-    assert service.plan_cache.info()["entries"] == 2
-    key_w1 = PlanCache.key("T", None, 1)
-    key_w4 = PlanCache.key("T", None, 4)
-    assert key_w1 != key_w4
+    engines = []
+    drain(service, sql, engines=engines)
+    forced = drain(service, sql, engine="rec", engines=engines)
+    assert engines == ["part:lazy", "rec"]
+    assert forced == drain(QueryService(db), sql, engine="rec")
+    info = service.plan_cache.info()
+    assert info["entries"] == 1 and info["hits"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -211,99 +216,106 @@ def test_unbound_template_cannot_execute():
 
 
 # ----------------------------------------------------------------------
-# parameterize / bind round trip
+# Binding
 # ----------------------------------------------------------------------
-def test_parameterize_orders_slots_by_appearance():
-    parameterized = parameterize_sql(
-        "SELECT * FROM E WHERE E.src > 2 AND E.dst < ? LIMIT 7"
-    )
-    assert parameterized.slots == (("lit", 2), ("arg", 0), ("lit", 7))
-    assert parameterized.placeholders == 1
-    values = parameterized.resolve([9])
-    assert values == (2, 9, 7)
+def test_placeholders_bind_in_appearance_order(db):
+    sql = "SELECT * FROM R1 WHERE R1.A1 > ? AND R1.A2 < ? LIMIT ?"
+    template = analyze_statement(db, sql, parse(sql))
+    assert [f.value.index for f in template.filters] == [0, 1]
+    bound = bind_compiled(template, [2, 9, 7])
+    assert [(f.op, f.value) for f in bound.filters] == [(">", 2), ("<", 9)]
+    assert bound.k == 7
+    # In-process callers get the checks the wire protocol makes.
+    for bad in ([2, 9], [True, 9, 7], [2, [9], 7], [2, 9, 0]):
+        with pytest.raises(SqlError):
+            bind_compiled(template, bad)
 
 
 def test_bind_compiled_renders_concrete_statement(db):
-    parameterized = parameterize_sql(PARAM_SQL)
-    from repro.sql.analyzer import analyze_statement
-
-    template = analyze_statement(db, PARAM_SQL, parameterized.statement)
-    bound = bind_compiled(template, parameterized.resolve([3, 12]), PARAM_SQL)
+    template = analyze_statement(db, PARAM_SQL, parse(PARAM_SQL))
+    bound = bind_compiled(template, [3, 12])
     assert not bound.is_template
     assert bound.k == 12
     assert "?" not in str(bound.statement)
     assert any(f.value == 3 for f in bound.filters)
-
-
-def test_fingerprint_drift_thresholds():
-    a = (("R", ("x",), 100, 1),)
-    assert fingerprint_drift(a, a) == 0.0
-    assert fingerprint_drift(a, (("R", ("x",), 110, 2),)) == pytest.approx(0.1)
-    # Empty flip and shape changes always recost.
-    assert fingerprint_drift(a, (("R", ("x",), 0, 2),)) == float("inf")
-    assert fingerprint_drift(a, (("S", ("x",), 100, 1),)) == float("inf")
-    assert fingerprint_drift(a, ()) == float("inf")
+    literal = LITERAL_SQL.format(v=5, k=4)
+    concrete = analyze_statement(db, literal, parse(literal))
+    assert bind_compiled(concrete) is concrete
 
 
 # ----------------------------------------------------------------------
 # Concurrency: the cache's hit total is atomic
 # ----------------------------------------------------------------------
-def test_plan_cache_hit_total_survives_threaded_lookups():
-    cache = PlanCache(maxsize=8)
-    key = PlanCache.key("T", None, 1)
-    entry = CachedPlan(None, None)
-    cache.store(key, entry)
+def test_plan_cache_hit_total_survives_threaded_lookups(db):
+    service = QueryService(db)
+    cache = service.plan_cache
+    assert isinstance(cache, LruCache)
+    drain(service, PARAM_SQL, params=[2, 10])
+    entry = cache.get(PARAM_SQL)
     lookups_per_thread = 500
     threads = 8
 
     def hammer():
         for _ in range(lookups_per_thread):
-            assert cache.lookup(key) is entry
+            assert cache.get(PARAM_SQL) is entry
 
     workers = [threading.Thread(target=hammer) for _ in range(threads)]
     for w in workers:
         w.start()
     for w in workers:
         w.join()
-    assert cache.info()["hits"] == lookups_per_thread * threads
+    assert cache.info()["hits"] == lookups_per_thread * threads + 1
 
 
 @pytest.mark.parametrize("landing", range(4))
-def test_recost_never_tears_a_warm_hit(db, landing):
-    """A concurrent recost landing before any of the warm path's reads
-    of a cache entry must not hand the request a plan costed on another
-    snapshot: a plan carrying a materialized working instance was
-    costed on the request's own generation."""
+def test_recost_never_tears_a_warm_hit(db, landing, monkeypatch):
+    """A request that re-costs the same statement on a newer snapshot,
+    landing at any step of a warm hit on the old one (after the cache
+    lookup, before binding, before routing, after routing), hands the
+    warm hit neither its plan nor its snapshot: each request's plan is
+    costed on the snapshot that request pinned."""
+    import repro.server.service as service_module
+
     service = QueryService(db)
     sql = LITERAL_SQL.format(v=2, k=10)
     old = service.db
-    warmed, _ = service.plan(sql, db=old)
-    assert warmed.plan.working_db is not None
-    # Shrink R1 far past the recost drift so the racing request re-routes.
+    service.plan(sql, db=old)  # warm the analysis
+    # Shrink R1 so the racing request's statistics differ.
     service.mutate("DELETE FROM R1 WHERE A1 > 4")
     new = service.db
-    entry = service.plan_cache.lookup(
-        PlanCache.key(parameterize_sql(sql).template, None, 1)
-    )
-    racing = {"reads": 0}
+    racing = {}
 
-    class RacedEntry(type(entry)):
-        # Another thread recosts the entry just before this request's
-        # ``landing``-th read of the entry's costed state.
-        def __getattribute__(self, name):
-            costed_state = ("costed", "plan", "fingerprint", "costed_values")
-            if name in costed_state and "plan" not in racing:
-                if racing["reads"] == landing:
-                    racing["plan"] = None  # the racing request reads freely
-                    racing["plan"] = service.plan(sql, db=new)[0].plan
-                racing["reads"] += 1
-            return object.__getattribute__(self, name)
+    def race(step):
+        if step == landing and "plan" not in racing:
+            racing["plan"] = None  # the racing request runs unhooked
+            racing["plan"] = service.plan(sql, db=new)[1]
 
-    entry.__class__ = RacedEntry
-    bound, _ = service.plan(sql, db=old)
-    if racing.get("plan") is not None:
-        assert racing["plan"].snapshot_version == new.version
-        assert bound.plan is not racing["plan"]
-    assert bound.plan.working_db is None or (
-        bound.plan.snapshot_version == old.version
-    )
+    lookup = service.plan_cache.get
+    bind = service_module.bind_compiled
+    route = service_module.plan_compiled
+
+    def hooked_lookup(key):
+        found = lookup(key)
+        race(0)
+        return found
+
+    def hooked_bind(*args, **kwargs):
+        race(1)
+        return bind(*args, **kwargs)
+
+    def hooked_route(*args, **kwargs):
+        race(2)
+        routed = route(*args, **kwargs)
+        race(3)
+        return routed
+
+    monkeypatch.setattr(service.plan_cache, "get", hooked_lookup)
+    monkeypatch.setattr(service_module, "bind_compiled", hooked_bind)
+    monkeypatch.setattr(service_module, "plan_compiled", hooked_route)
+    compiled, plan, was_cached = service.plan(sql, db=old)
+    assert was_cached
+    assert racing["plan"].snapshot_version == new.version
+    assert plan is not racing["plan"]
+    assert plan.snapshot_version == old.version
+    assert plan.stats.sizes == route(old, compiled).stats.sizes
+    assert plan.stats.sizes != racing["plan"].stats.sizes

@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 
 from repro.anyk.api import PausableStream
 from repro.data.generators import path_database, random_graph_database
-from repro.engine.catalog import database_fingerprint
-from repro.server import QueryService, normalize_sql
-from repro.server.plancache import PlanCache
+from repro.server import QueryService
 
 PATH_SQL = (
     "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 JOIN R3 ON R2.A3 = R3.A3 "
@@ -204,79 +202,52 @@ def test_fetch_rejects_nonpositive_page_sizes(path_db):
 # ----------------------------------------------------------------------
 # Plan cache
 # ----------------------------------------------------------------------
-def test_plan_cache_hits_across_formatting(path_db):
+def test_plan_cache_hits_on_repeated_text(path_db):
     service = QueryService(path_db)
     first = service.handle(
         {"id": 1, "op": "query", "sql": PATH_SQL.format(k=10), "fetch": 100}
     )
     assert first["ok"] and not first["plan_cached"]
+    second = service.handle(
+        {"id": 2, "op": "query", "sql": PATH_SQL.format(k=10), "fetch": 100}
+    )
+    assert second["ok"] and second["plan_cached"]
+    assert second["rows"] == first["rows"]
+    # The key is the text as sent: a reformatted statement is another
+    # entry, with the same answers.
     shouted = (
         "select  *  from R1 join R2 on R1.A2=R2.A2 "
         "join R3 on R2.A3 = R3.A3 order by weight limit 10"
     )
-    second = service.handle(
-        {"id": 2, "op": "query", "sql": shouted, "fetch": 100}
+    third = service.handle(
+        {"id": 3, "op": "query", "sql": shouted, "fetch": 100}
     )
-    assert second["ok"] and second["plan_cached"]
-    assert second["rows"] == first["rows"]
+    assert third["ok"] and not third["plan_cached"]
+    assert third["rows"] == first["rows"]
     info = service.plan_cache.info()
-    assert info == {
-        "entries": 1,
-        "hits": 1,
-        "misses": 1,
-        "maxsize": 128,
-        "recosts": 0,
-    }
+    assert info == {"entries": 2, "hits": 1, "misses": 2, "maxsize": 128}
+    assert service.stats()["plan_cache"]["recosts"] == 0
 
 
-def test_plan_cache_key_separates_engines_not_limits(path_db):
-    service = QueryService(path_db)
-    service.handle({"id": 1, "op": "explain", "sql": PATH_SQL.format(k=10)})
-    # A different LIMIT is a different *binding* of the same template,
-    # not a different template: it hits the k=10 entry.
-    service.handle({"id": 2, "op": "explain", "sql": PATH_SQL.format(k=9999)})
-    forced = service.handle(
-        {
-            "id": 3,
-            "op": "explain",
-            "sql": PATH_SQL.format(k=10),
-            "engine": "rec",
-        }
-    )
-    assert forced["ok"] and forced["engine"] == "rec"
-    assert service.plan_cache.info()["entries"] == 2
-    assert service.plan_cache.info()["hits"] == 1
-
-
-def test_catalog_drift_validates_on_hit(path_db):
+def test_plan_cache_routes_every_request(path_db):
     service = QueryService(path_db)
     sql = PATH_SQL.format(k=10)
-    service.handle({"id": 1, "op": "explain", "sql": sql})
-    before = database_fingerprint(service.db, only={"R1", "R2", "R3"})
-    mutated = service.handle(
-        {"id": 2, "op": "mutate", "sql": "INSERT INTO R1 VALUES (1, 2)"}
+    cold = service.handle({"id": 1, "op": "explain", "sql": sql})
+    # A LIMIT is part of the text: another LIMIT is another entry.
+    deep = service.handle(
+        {"id": 2, "op": "explain", "sql": PATH_SQL.format(k=999999)}
     )
-    assert mutated["ok"] and mutated["applied"] == "insert"
-    assert database_fingerprint(service.db, only={"R1", "R2", "R3"}) != before
-    # One row in 120 is far inside the recost threshold: the template
-    # stays hot (a soft hit — execution rebuilds its working instance
-    # from the new snapshot, so the insert is still visible to queries).
-    response = service.handle({"id": 3, "op": "explain", "sql": sql})
-    assert response["ok"] and response["plan_cached"]
-    info = service.plan_cache.info()
-    assert info["misses"] == 1 and info["recosts"] == 0
-    # Emptying a referenced relation is a 100% drift (and an empty flip):
-    # the same entry re-costs in place, reported as a non-cached plan
-    # and accounted as a miss.
-    emptied = service.handle(
-        {"id": 4, "op": "mutate", "sql": "DELETE FROM R1"}
+    assert (cold["engine"], deep["engine"]) == ("part:lazy", "batch")
+    # An engine override hits the text's entry and routes as it says.
+    forced = service.handle(
+        {"id": 3, "op": "explain", "sql": sql, "engine": "rec"}
     )
-    assert emptied["ok"]
-    response = service.handle({"id": 5, "op": "explain", "sql": sql})
-    assert response["ok"] and not response["plan_cached"]
-    info = service.plan_cache.info()
-    assert info["recosts"] == 1 and info["misses"] == 2
-    assert info["entries"] == 1
+    assert forced["ok"] and forced["engine"] == "rec"
+    assert forced["plan_cached"]
+    again = service.handle({"id": 4, "op": "explain", "sql": sql})
+    assert again["engine"] == "part:lazy"
+    assert service.plan_cache.info()["entries"] == 2
+    assert service.plan_cache.info()["hits"] == 2
 
 
 def test_equal_cardinality_generation_is_not_served_a_stale_plan(path_db):
@@ -300,25 +271,42 @@ def test_equal_cardinality_generation_is_not_served_a_stale_plan(path_db):
     ]
 
 
-def test_plan_cache_lru_bound():
-    from repro.server.plancache import CachedPlan
-
-    cache = PlanCache(maxsize=2)
-    for i in range(4):
-        cache.store(("q%d" % i, None, ()), CachedPlan(None, None))
-    assert len(cache) == 2
-    assert cache.lookup(("q0", None, ())) is None
-    assert cache.lookup(("q3", None, ())) is not None
-
-
-def test_normalize_sql_canonicalizes():
-    a, _ = normalize_sql(
-        "select * from E as e1 join E as e2 on e1.dst = e2.src limit 3"
+def test_catalog_drift_validates_on_hit(path_db):
+    """A hit reuses the analysis only: its sizes and its routing are read
+    from the request's snapshot, so a one-row insert shows on the next
+    hit, and emptying a relation flips the next hit to batch."""
+    service = QueryService(path_db)
+    sql = PATH_SQL.format(k=10)
+    first = service.handle({"id": 1, "op": "explain", "sql": sql})
+    assert not first["plan_cached"] and first["engine"] == "part:lazy"
+    size = len(service.db["R1"])
+    assert f"R1={size}," in first["explain"]
+    mutated = service.handle(
+        {"id": 2, "op": "mutate", "sql": "INSERT INTO R1 VALUES (1, 2)"}
     )
-    b, _ = normalize_sql(
-        "SELECT  *  FROM E AS e1, E AS e2 WHERE e1.dst=e2.src LIMIT 3"
+    assert mutated["ok"] and mutated["applied"] == "insert"
+    response = service.handle({"id": 3, "op": "explain", "sql": sql})
+    assert response["ok"] and response["plan_cached"]
+    assert f"R1={size + 1}," in response["explain"]
+    emptied = service.handle(
+        {"id": 4, "op": "mutate", "sql": "DELETE FROM R1"}
     )
-    assert a == b
+    assert emptied["ok"]
+    response = service.handle({"id": 5, "op": "explain", "sql": sql})
+    assert response["ok"] and response["plan_cached"]
+    assert response["engine"] == "batch" and "R1=0," in response["explain"]
+    assert service.plan_cache.info()["misses"] == 1
+    assert service.stats()["plan_cache"]["recosts"] == 0
+
+
+def test_plan_cache_lru_bound(path_db):
+    service = QueryService(path_db, plan_cache_size=2)
+    texts = [PATH_SQL.format(k=k) for k in range(1, 5)]
+    for sql in texts:
+        assert service.handle({"id": 1, "op": "explain", "sql": sql})["ok"]
+    assert len(service.plan_cache) == 2
+    assert service.plan_cache.get(texts[0]) is None
+    assert service.plan_cache.get(texts[3]) is not None
 
 
 # ----------------------------------------------------------------------
