@@ -114,14 +114,13 @@ def filtered_database(
 
 
 def execute(
-    db: Database,
     compiled: "CompiledQuery",
     plan: Plan,
     counters: Optional[Counters] = None,
     profile: Optional["DelayProfile"] = None,
     memory: Optional["MemoryProfile"] = None,
 ) -> Iterator[tuple[tuple, Any]]:
-    """Run ``plan`` for ``compiled`` over ``db``.
+    """Run ``plan`` for ``compiled`` over the plan's working instance.
 
     Yields ``(row, weight)`` with ``row`` following
     ``compiled.output_columns`` and ``weight`` in the carrier of the
@@ -148,12 +147,9 @@ def execute(
         with tracer.span(
             "execute.setup", engine=plan.engine, workers=plan.workers
         ):
-            if plan.working_db is not None and plan.working_cq is not None:
-                # plan_compiled already materialized the filtered instance (and
-                # costed the plan on it) — don't rebuild it.
-                working, cq = plan.working_db, plan.working_cq
-            else:
-                working, cq = filtered_database(db, compiled)
+            # plan_compiled materialized the filtered instance and costed
+            # the plan on it.
+            working, cq = plan.working_db, plan.working_cq
             k = compiled.k
 
             if profile is not None and not profile.engine:

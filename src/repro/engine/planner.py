@@ -100,9 +100,9 @@ class PlanEstimates:
 class Plan:
     """The routing decision for one query.
 
-    For SQL plans, ``working_db``/``working_cq`` carry the
-    filter-pushed-down instance the plan was costed on, so the executor
-    reuses it instead of re-materializing.
+    For SQL plans (:func:`plan_compiled`), ``working_db``/``working_cq``
+    carry the filter-pushed-down instance the plan was costed on, the
+    one :func:`repro.engine.executor.execute` runs.
     """
 
     engine: str  # a rank_enumerate method

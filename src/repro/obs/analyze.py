@@ -52,10 +52,6 @@ def _scan_operators(
     each one's selectivity turned out to be.
     """
     working_db, working_cq = plan.working_db, plan.working_cq
-    if working_db is None or working_cq is None:
-        from repro.engine.executor import filtered_database
-
-        working_db, working_cq = filtered_database(db, compiled)
     aliases = list(compiled.alias_to_relation)
     operators = []
     for index, (base_atom, work_atom) in enumerate(
@@ -110,7 +106,6 @@ def analyze_plan(
         start = time.perf_counter()
         rows = 0
         for _ in execute(
-            db,
             compiled,
             plan,
             counters=counters,

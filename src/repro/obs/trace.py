@@ -18,9 +18,9 @@ Design constraints, in order:
   is read.  The overhead guard in ``tests/test_obs.py`` holds the
   disabled-tracer tax on a seeded PART enumeration to a few percent.
 - **Correct parenting under concurrency.**  The current span lives in a
-  :mod:`contextvars` context variable, so socketserver handler threads
-  (and any future asyncio core) each see their own span stack without
-  locks on the hot path.
+  :mod:`contextvars` context variable, so the server's connection
+  threads each see their own span stack without locks on the hot
+  path.
 - **Bounded memory.**  Finished traces land in a ring buffer of the
   last ``capacity`` traces; an abandoned or chatty workload can never
   grow tracer state without bound.  The server's ``trace`` op reads

@@ -21,9 +21,10 @@ Layers (transport-agnostic core first, wire last):
   default, length-prefixed binary frames after a ``hello`` negotiation,
   ``params`` vectors, pipelined requests matched by id, and a frame
   size ceiling;
-- :mod:`repro.server.tcp` — an asyncio TCP server: pipelined requests
-  per connection, a bounded executor for engine work, and a graceful
-  drain that finishes in-flight responses whole;
+- :mod:`repro.server.tcp` — the TCP server: one thread per connection
+  reads, runs and answers its requests in arrival order, and a
+  graceful drain finishes each request in progress with its response
+  written whole;
 - :mod:`repro.server.client` — :class:`Client` (one request at a time,
   strict timeouts) and its subclass :class:`PipelinedClient` (the same
   query surface over many requests in flight on one socket, futures

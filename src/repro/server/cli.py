@@ -153,14 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"with a frame_too_large error; default {protocol.MAX_FRAME_BYTES})",
     )
     parser.add_argument(
-        "--executor-threads",
-        type=int,
-        default=8,
-        metavar="N",
-        help="bound on the thread pool executing requests behind the "
-        "event loop (pipelined requests beyond it queue; default 8)",
-    )
-    parser.add_argument(
         "--readonly",
         action="store_true",
         help="refuse 'mutate' requests (INSERT/DELETE) with a clean "
@@ -201,7 +193,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         host=args.host,
         port=args.port,
         max_frame_bytes=args.max_frame_bytes,
-        executor_threads=args.executor_threads,
         max_cursors=args.max_cursors,
         max_mem_mb=args.max_mem_mb,
         plan_cache_size=args.plan_cache,

@@ -13,9 +13,9 @@ one.  Either way a frame larger than the server's limit
 
 Requests may be **pipelined**: a client can write any number of requests
 without waiting for responses.  Pipelining is the one way to put several
-requests on a round trip.  Responses carry the request ``id`` precisely
-so pipelined clients can match them up; the async server may complete
-independent requests out of order.  All requests share the envelope::
+requests on a round trip.  Responses may complete out of order, so
+clients match them by the request ``id`` every response carries (the
+bundled server happens to answer each connection in arrival order).  All requests share the envelope::
 
     {"id": <any>, "op": "query" | "fetch" | "explain" | "mutate" | "close"
      | "hello" | "stats" | "metrics" | "trace",

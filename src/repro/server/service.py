@@ -286,7 +286,6 @@ class QueryService:
         memory = MemoryProfile()
         stream = PausableStream(
             execute(
-                snapshot,
                 compiled,
                 plan,
                 counters=session_counters,

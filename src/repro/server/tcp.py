@@ -1,39 +1,45 @@
-"""The asyncio TCP transport: pipelined frames over an event loop.
+"""The TCP transport: one thread per connection.
 
-One event loop (run by :meth:`AnykTCPServer.serve_forever`, usually on a
-daemon thread via :func:`serve_background`) owns every connection; each
-decoded frame is dispatched to the shared
-:class:`~repro.server.service.QueryService` on a bounded thread-pool
-executor, so the loop never blocks on engine work and a connection can
-have any number of requests **in flight at once** (pipelining).
-Responses are written under a per-connection lock — frames interleave
-between requests, never within one — and carry the request ``id`` so
-clients match them up even when independent requests complete out of
-order.
+:meth:`AnykTCPServer.serve_forever` (usually on a daemon thread via
+:func:`serve_background`) accepts connections and gives each its own
+thread.  That thread reads a frame, runs it — the ``hello`` op here,
+every other op through the shared
+:class:`~repro.server.service.QueryService` — and writes the whole
+response with one ``sendall`` before it reads the next frame, so a
+connection answers in the order its requests arrived and no request
+waits on a hand-off between threads.
+
+The rule: a slow request delays only the later requests on its own
+connection.  Other connections keep running, sharing the interpreter at
+its switch interval; a client that wants independent progress opens a
+second connection.  Clients may still pipeline (write many requests
+before reading; a pipelining client keeps reading while it writes) and
+match responses by the ``id`` they carry.
 
 Framing starts as JSON lines and may be switched per connection to
-length-prefixed binary frames by a ``hello`` op (handled here in the
-read loop, because framing is transport state; the hello *response*
-still travels in the old framing).  Both decoders enforce the server's
-frame limit: an oversized request is discarded and answered with a
-``frame_too_large`` error, and the connection stays usable.
+length-prefixed binary frames by a ``hello`` op (handled here, because
+framing is transport state; the hello *response* still travels in the
+old framing).  Both decoders enforce the server's frame limit: an
+oversized request is discarded and answered with a ``frame_too_large``
+error, and the connection stays usable.
 
 Cursors are server-global, not per-connection: a cursor opened on one
 connection can be resumed from another (or after a reconnect), which is
 the whole point of resumable enumeration state.
 
 Shutdown drains gracefully: the listener closes first (no new
-connections), read loops stop consuming frames, and every in-flight
-request runs to completion with its response flushed whole — a client
-mid-fetch sees a complete final frame, then EOF, never a torn frame.
+connections), each connection's read side is shut so a blocked read
+sees EOF, and the request in progress on each connection runs to
+completion with its response written whole before the thread is joined
+— a client mid-fetch sees a complete final frame, then EOF, never a torn
+frame.  ^C in :meth:`~AnykTCPServer.serve_forever` takes the same path.
 """
 
 from __future__ import annotations
 
-import asyncio
+import selectors
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from repro.data.database import Database
@@ -46,70 +52,44 @@ class _FrameTooLarge(Exception):
 
 
 class _Connection:
-    """One client connection: a pipelined read loop plus a framed writer."""
+    """One client connection, read, run and answered on its own thread."""
 
-    def __init__(
-        self,
-        server: "AnykTCPServer",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def __init__(self, server: "AnykTCPServer", sock: socket.socket) -> None:
         self.server = server
-        self.reader = reader
-        self.writer = writer
+        self.sock = sock
+        self.reader = sock.makefile("rb")
         self.framing = "json"
-        # Whole-frame writes: response bytes from concurrently completing
-        # requests must interleave only at frame boundaries.
-        self._write_lock = asyncio.Lock()
-        #: Response tasks for dispatched-but-unanswered requests.
-        self._inflight: set[asyncio.Task] = set()
+        self.thread = threading.Thread(
+            target=self.run, name="repro-serve-connection", daemon=True
+        )
 
-    # -- reading -------------------------------------------------------
-    async def _read_frame(self) -> Optional[bytes]:
-        """The next raw request payload, or None at EOF.
-
-        Raises :class:`_FrameTooLarge` after discarding an oversized
-        request (both framings), leaving the stream positioned at the
-        next frame.
-        """
-        if self.framing == "binary":
-            return await self._read_binary_frame()
-        return await self._read_line()
-
-    async def _read_line(self) -> Optional[bytes]:
+    # -- reading: the next raw request payload, or None at EOF ---------
+    # Both framings raise _FrameTooLarge after discarding an oversized
+    # request, leaving the stream positioned at the next frame.
+    def _read_line(self) -> Optional[bytes]:
         limit = self.server.max_frame_bytes
-        try:
-            return await self.reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as exc:
+        # Headroom past the limit: a maximum-size request plus its newline.
+        line = self.reader.readline(limit + 2)
+        if line.endswith(b"\n"):
+            return line
+        if len(line) < limit + 2:
             # EOF: a final unterminated line still counts as a request.
-            return exc.partial if exc.partial.strip() else None
-        except asyncio.LimitOverrunError as exc:
-            # Oversized line: discard through its terminating newline so
-            # the *next* pipelined request parses cleanly, then report.
-            consumed = exc.consumed
-            while True:
-                try:
-                    await self.reader.readexactly(consumed)
-                    await self.reader.readuntil(b"\n")
-                    break
-                except asyncio.LimitOverrunError as more:
-                    consumed = more.consumed
-                except asyncio.IncompleteReadError:
-                    break  # EOF inside the oversized request
-            raise _FrameTooLarge(
-                f"request exceeds the {limit}-byte frame limit"
-            ) from None
+            return line if line.strip() else None
+        # Oversized line: discard through its terminating newline so the
+        # *next* pipelined request parses cleanly, then report.
+        while line and not line.endswith(b"\n"):
+            line = self.reader.readline(65536)
+        raise _FrameTooLarge(f"request exceeds the {limit}-byte frame limit")
 
-    async def _read_binary_frame(self) -> Optional[bytes]:
-        try:
-            header = await self.reader.readexactly(protocol.FRAME_HEADER.size)
-        except asyncio.IncompleteReadError:
+    def _read_binary_frame(self) -> Optional[bytes]:
+        header = self.reader.read(protocol.FRAME_HEADER.size)
+        if len(header) < protocol.FRAME_HEADER.size:
             return None  # EOF (a torn header is unanswerable anyway)
         (length,) = protocol.FRAME_HEADER.unpack(header)
         if length > self.server.max_frame_bytes:
             remaining = length
             while remaining > 0:
-                chunk = await self.reader.read(min(65536, remaining))
+                chunk = self.reader.read(min(65536, remaining))
                 if not chunk:
                     break
                 remaining -= len(chunk)
@@ -117,150 +97,87 @@ class _Connection:
                 f"request of {length} bytes exceeds the "
                 f"{self.server.max_frame_bytes}-byte frame limit"
             )
-        try:
-            return await self.reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            return None
+        payload = self.reader.read(length)
+        return payload if len(payload) == length else None
 
     # -- writing -------------------------------------------------------
-    async def _send(self, message: dict) -> None:
+    def _send(self, message: dict) -> None:
         if self.framing == "binary":
-            data = protocol.encode_frame(message)
+            self.sock.sendall(protocol.encode_frame(message))
         else:
-            data = protocol.encode(message)
-        async with self._write_lock:
-            self.writer.write(data)
-            await self.writer.drain()
-
-    async def _respond(self, pending) -> None:
-        """Await one dispatched request's response and write it."""
-        try:
-            response = await pending  # service.handle never raises
-            await self._send(response)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-response; the read loop sees EOF
+            self.sock.sendall(protocol.encode(message))
 
     # -- the hello op (framing is transport state) ---------------------
-    async def _hello(self, request: dict) -> None:
+    def _hello(self, request: dict) -> None:
         request_id = request.get("id")
         try:
             protocol.validate_request(request)
         except protocol.ProtocolError as exc:
-            await self._send(
-                protocol.error_response(request_id, exc.code, str(exc))
-            )
+            self._send(protocol.error_response(request_id, exc.code, str(exc)))
             return
         frames = request.get("frames", "json")
-        # Settle earlier pipelined requests first: their responses must
-        # travel in the framing they were sent under, and so must the
-        # hello response itself — the switch takes effect strictly after.
-        await self.settle()
-        await self._send(
-            protocol.ok_response(
-                request_id,
-                {
-                    "frames": frames,
-                    "protocol": protocol.PROTOCOL_VERSION,
-                    "pipelining": True,
-                    "max_frame_bytes": self.server.max_frame_bytes,
-                },
-            )
-        )
+        # Earlier requests were answered in their framing before this
+        # one was read; the switch takes effect strictly after its reply.
+        info = {
+            "frames": frames,
+            "protocol": protocol.PROTOCOL_VERSION,
+            "pipelining": True,
+            "max_frame_bytes": self.server.max_frame_bytes,
+        }
+        self._send(protocol.ok_response(request_id, info))
         self.framing = frames
 
     # -- lifecycle -----------------------------------------------------
-    async def run(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            try:
-                raw = await self._read_frame()
-            except _FrameTooLarge as exc:
-                await self._send(
-                    protocol.error_response(
-                        None, protocol.FRAME_TOO_LARGE, str(exc)
-                    )
-                )
-                continue
-            except (ConnectionResetError, BrokenPipeError):
-                return
-            if raw is None:
-                return  # EOF
-            if self.framing == "json" and not raw.strip():
-                continue
-            try:
-                request = protocol.decode_line(raw)
-            except protocol.ProtocolError as exc:
-                await self._send(
-                    protocol.error_response(None, exc.code, str(exc))
-                )
-                continue
-            if request.get("op") == "hello":
-                await self._hello(request)
-                continue
-            # Pipelining: dispatch without waiting — the loop goes
-            # straight back to reading while the executor runs the
-            # request and a response task writes the answer whenever
-            # it completes.
-            pending = loop.run_in_executor(
-                self.server.executor, self.server.service.handle, request
-            )
-            task = loop.create_task(self._respond(pending))
-            self._inflight.add(task)
-            task.add_done_callback(self._retire)
-
-    def _retire(self, task: asyncio.Task) -> None:
-        self._inflight.discard(task)
-        # Retrieve the outcome: a response task torn down by a signal
-        # (^C lands *inside* whatever frame is running) finishes with
-        # that exception already set, and nothing ever gathers a task
-        # that completed before the drain — unretrieved, it would log
-        # "Task exception was never retrieved" at garbage collection.
-        if not task.cancelled():
-            task.exception()
-
-    async def settle(self) -> None:
-        """Wait until every dispatched request has been answered."""
-        while self._inflight:
-            await asyncio.gather(
-                *list(self._inflight), return_exceptions=True
-            )
-
-    async def drain(self) -> None:
-        """Graceful close: answer everything in flight, flush, stop.
-
-        Called when the read loop ends (EOF) or is cancelled (server
-        shutdown).  In-flight responses are *awaited*, not abandoned, so
-        the client's last frames arrive whole before the FIN.
-        """
-        await self.settle()
+    def run(self) -> None:
         try:
-            async with self._write_lock:
-                await self.writer.drain()
-        except Exception:
-            pass
+            while True:
+                try:
+                    if self.framing == "binary":
+                        raw = self._read_binary_frame()
+                    else:
+                        raw = self._read_line()
+                except _FrameTooLarge as exc:
+                    code = protocol.FRAME_TOO_LARGE
+                    self._send(protocol.error_response(None, code, str(exc)))
+                    continue
+                if raw is None or self.server._draining:
+                    return  # EOF, or a drain: answer nothing more
+                if self.framing == "json" and not raw.strip():
+                    continue
+                try:
+                    request = protocol.decode_line(raw)
+                except protocol.ProtocolError as exc:
+                    self._send(protocol.error_response(None, exc.code, str(exc)))
+                    continue
+                if request.get("op") == "hello":
+                    self._hello(request)
+                else:
+                    self._send(self.server.service.handle(request))
+        except OSError:
+            pass  # the client went away (reset, broken pipe)
+        finally:
+            self.server._forget(self)
+            self.reader.close()
+            self.sock.close()
 
 
 class AnykTCPServer:
     """The ranked-enumeration service bound to a TCP address.
 
-    An asyncio server behind the blocking ``socketserver``-style surface
-    the rest of the repo (CLI, tests, benchmarks) drives:
-    construct, ``serve_forever()`` (or :func:`serve_background`), then
-    ``shutdown()`` + ``server_close()``.  The listening socket binds in
-    the constructor — :attr:`bound_port` is readable immediately, and
-    early clients queue in the accept backlog until the loop starts.
+    A blocking ``socketserver``-style surface the rest of the repo (CLI,
+    tests, benchmarks) drives: construct, ``serve_forever()`` (or
+    :func:`serve_background`), then ``shutdown()`` + ``server_close()``.
+    The listening socket binds in the constructor — :attr:`bound_port`
+    is readable immediately, and early clients queue in the accept
+    backlog until the accept loop starts.
 
     ``port=0`` binds an ephemeral port; read it back from
     :attr:`bound_port`.  The server owns its :class:`QueryService` (pass
     one in to share it with in-process callers, e.g. benchmarks comparing
-    wire vs direct dispatch).
-
-    ``executor_threads`` bounds the thread pool that runs
-    :meth:`QueryService.handle` calls — the service layer is
-    thread-safe, and the bound is what keeps a pipelining client from
-    turning into an unbounded thread spawn.  ``max_frame_bytes`` caps
-    request frames in both framings (oversized requests are answered
-    with ``frame_too_large``, never a hangup).
+    wire vs direct dispatch).  The service layer is thread-safe; every
+    connection's thread calls :meth:`QueryService.handle` directly.
+    ``max_frame_bytes`` caps request frames in both framings (oversized
+    requests are answered with ``frame_too_large``, never a hangup).
     """
 
     def __init__(
@@ -270,139 +187,100 @@ class AnykTCPServer:
         port: int = protocol.DEFAULT_PORT,
         service: Optional[QueryService] = None,
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
-        executor_threads: int = 8,
         **service_options,
     ) -> None:
         if max_frame_bytes < 1024:
             raise ValueError("max_frame_bytes must be at least 1024")
         self.service = service or QueryService(db, **service_options)
         self.max_frame_bytes = max_frame_bytes
-        self.executor = ThreadPoolExecutor(
-            max_workers=executor_threads,
-            thread_name_prefix="repro-serve-worker",
-        )
-        self._sock = socket.create_server(
-            (host, port), backlog=128, reuse_port=False
-        )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event = asyncio.Event()
-        self._stopped = threading.Event()
+        self._sock = socket.create_server((host, port), backlog=128)
+        # Non-blocking: a client gone before accept() must not park the loop.
+        self._sock.setblocking(False)
+        # shutdown() wakes the accept loop by writing one byte here.
+        self._wake_read, self._wake_write = socket.socketpair()
+        self._lock = threading.Lock()  # guards _connections
+        self._connections: set[_Connection] = set()
+        # Set once the drain starts: connection threads read no more.
+        self._draining = False
         self._serving = False
-        self._connections: set[asyncio.Task] = set()
+        self._stopped = threading.Event()
         self._closed = False
 
     @property
     def bound_port(self) -> int:
         return self._sock.getsockname()[1]
 
-    # -- the event loop ------------------------------------------------
+    # -- the accept loop -----------------------------------------------
     def serve_forever(self) -> None:
-        """Run the event loop in the calling thread until shutdown."""
-        loop = asyncio.new_event_loop()
-        # ^C is delivered into whatever frame the loop happens to be
-        # running — often a connection or response task.  The task dies
-        # with the KeyboardInterrupt *and* the loop re-raises it out of
-        # run_until_complete (BaseExceptions propagate through Task
-        # step), so the shutdown below already handles it; the default
-        # handler would additionally log the dead task as an unhandled
-        # exception, which reads like a crash on every clean ^C.
-        def _quiet_interrupt(loop, context) -> None:
-            if isinstance(context.get("exception"), KeyboardInterrupt):
-                return
-            loop.default_exception_handler(context)
-
-        loop.set_exception_handler(_quiet_interrupt)
-        self._loop = loop
+        """Accept connections in the calling thread until shutdown or ^C."""
         self._serving = True
         try:
-            server = loop.run_until_complete(
-                asyncio.start_server(
-                    self._on_connection,
-                    sock=self._sock,
-                    # readuntil() needs headroom past the frame limit to
-                    # find the newline of a maximum-size line.
-                    limit=self.max_frame_bytes + 2,
-                )
-            )
-            try:
-                loop.run_until_complete(self._stop_event.wait())
-            except KeyboardInterrupt:
-                pass  # ^C drains exactly like shutdown()
-            loop.run_until_complete(self._graceful_drain(server))
+            with selectors.DefaultSelector() as selector:
+                selector.register(self._sock, selectors.EVENT_READ)
+                selector.register(self._wake_read, selectors.EVENT_READ)
+                try:
+                    while not any(
+                        key.fileobj is self._wake_read
+                        for key, _ in selector.select()
+                    ):
+                        self._accept()
+                except KeyboardInterrupt:
+                    pass  # ^C drains exactly like shutdown()
+            self._drain()
         finally:
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.close()
-            self._loop = None
             self._serving = False
             self._stopped.set()
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(self, reader, writer)
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
+    def _accept(self) -> None:
         try:
-            await connection.run()
-            await connection.drain()
-        except asyncio.CancelledError:
-            # Server shutdown: stop reading, but finish what's in flight
-            # and flush it whole before the socket closes.
-            await connection.drain()
-        except Exception:
-            pass  # a broken connection must not take the loop down
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+            sock, _ = self._sock.accept()
+        except OSError:
+            return  # the client gave up before we got to it
+        sock.setblocking(True)  # not inherited from the listener everywhere
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        connection = _Connection(self, sock)
+        with self._lock:
+            self._connections.add(connection)
+        connection.thread.start()
 
-    async def _graceful_drain(self, server: asyncio.base_events.Server) -> None:
-        # Stop accepting first, then unwind connections: cancelling a
-        # read loop triggers its drain path (finish in-flight, flush).
-        server.close()
-        await server.wait_closed()
-        tasks = list(self._connections)
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+    def _forget(self, connection: _Connection) -> None:
+        # Before the socket closes: _drain shuts down only sockets it
+        # finds here, under the same lock, so it never touches a closed one.
+        with self._lock:
+            self._connections.discard(connection)
+
+    def _drain(self) -> None:
+        self._draining = True
+        self._sock.close()
+        with self._lock:
+            connections = list(self._connections)
+            for connection in connections:
+                try:
+                    connection.sock.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # already reset by the peer
+        for connection in connections:
+            connection.thread.join()
 
     # -- the blocking control surface ----------------------------------
     def shutdown(self) -> None:
-        """Stop the loop (threadsafe) and wait for the graceful drain."""
-        if not self._serving:
-            return
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
+        """Stop accepting and wait for the graceful drain (threadsafe);
+        called before :meth:`serve_forever`, it makes that return at once."""
         try:
-            loop.call_soon_threadsafe(self._stop_event.set)
-        except RuntimeError:
-            return  # the loop just closed under us: already stopped
-        self._stopped.wait(timeout=30.0)
+            self._wake_write.send(b"\0")
+        except OSError:
+            return  # server_close() already ran
+        if self._serving:
+            self._stopped.wait(timeout=30.0)
 
     def server_close(self) -> None:
-        """Free every cursor's enumeration state along with the socket."""
+        """Free every cursor's enumeration state along with the sockets."""
         if self._closed:
             return
         self._closed = True
         self.service.shutdown()
-        self.executor.shutdown(wait=False)
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        for sock in (self._sock, self._wake_read, self._wake_write):
+            sock.close()
 
 
 def serve_background(
@@ -417,15 +295,12 @@ def serve_background(
     The convenience entry for tests, examples, and benchmarks.  Stop it
     with ``server.shutdown(); server.server_close()``.  The port is
     bound (and connectable — the backlog queues clients) before this
-    returns, even if the loop thread hasn't scheduled yet.
+    returns, even if the accept thread hasn't scheduled yet.
     """
     server = AnykTCPServer(
         db, host=host, port=port, service=service, **service_options
     )
-    thread = threading.Thread(
-        target=server.serve_forever,
-        name="repro-serve",
-        daemon=True,
-    )
-    thread.start()
+    threading.Thread(
+        target=server.serve_forever, name="repro-serve", daemon=True
+    ).start()
     return server, server.bound_port

@@ -109,7 +109,7 @@ def query(
     _check_engine(engine)
     compiled = analyze(db, sql)
     plan = plan_compiled(db, compiled, engine=engine)
-    stream = execute(db, compiled, plan, counters=counters)
+    stream = execute(compiled, plan, counters=counters)
     return SqlResult(compiled, plan, stream)
 
 

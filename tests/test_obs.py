@@ -24,7 +24,7 @@ import pytest
 import repro.sql
 from repro.anyk.api import rank_enumerate
 from repro.data.generators import path_database, random_graph_database
-from repro.engine.executor import execute, filtered_database
+from repro.engine.executor import execute
 from repro.engine.planner import plan_compiled
 from repro.obs import (
     DELAY_BOUNDS,
@@ -422,7 +422,7 @@ def test_execute_with_profile_counts_every_emitted_row(path_db, engine):
     compiled = repro.sql.analyze(path_db, sql)
     plan = plan_compiled(path_db, compiled, engine=engine)
     rows = 0
-    for _ in execute(path_db, compiled, plan, profile=profile):
+    for _ in execute(compiled, plan, profile=profile):
         if rows == 0:
             ttfr_ms = (time.perf_counter() - started) * 1000.0
         rows += 1
@@ -458,8 +458,6 @@ def test_tracing_disabled_overhead_on_part_enumeration(
     def baseline() -> int:
         # Exactly the executor's serial path, minus the obs seams.
         working, cq = plan.working_db, plan.working_cq
-        if working is None or cq is None:
-            working, cq = filtered_database(path_db, compiled)
         stream = rank_enumerate(
             working,
             cq,
@@ -476,7 +474,7 @@ def test_tracing_disabled_overhead_on_part_enumeration(
         return n
 
     def instrumented() -> int:
-        return sum(1 for _ in execute(path_db, compiled, plan))
+        return sum(1 for _ in execute(compiled, plan))
 
     assert baseline() == instrumented() > 0  # same work, then time it
 

@@ -265,7 +265,7 @@ def test_live_entries_return_to_zero_when_a_stream_ends(path_db, method, ending)
     compiled = repro.sql.analyze(path_db, PATH_SQL.format(k=200))
     plan = plan_compiled(path_db, compiled, engine=method)
     memory = MemoryProfile()
-    stream = PausableStream(execute(path_db, compiled, plan, memory=memory))
+    stream = PausableStream(execute(compiled, plan, memory=memory))
     rows, done = stream.take(10)
     assert len(rows) == 10 and not done
     assert memory.live_entries > 0
@@ -279,14 +279,12 @@ def test_live_entries_return_to_zero_when_a_stream_ends(path_db, method, ending)
     assert memory.peak_entries > 0
 
 
-def test_executor_threads_memory_through(path_db):
+def test_execute_releases_memory_when_drained(path_db):
     sql = PATH_SQL.format(k=40)
     compiled = repro.sql.analyze(path_db, sql)
     plan = plan_compiled(path_db, compiled)
     memory = MemoryProfile()
-    rows = list(
-        execute(path_db, compiled, plan, memory=memory)
-    )
+    rows = list(execute(compiled, plan, memory=memory))
     assert len(rows) == 40
     assert memory.engine == plan.engine
     assert memory.streams == 1

@@ -8,8 +8,10 @@ foreign-language client would see.
 from __future__ import annotations
 
 import json
+import select
 import socket
 import threading
+import time
 
 import pytest
 
@@ -158,6 +160,55 @@ def test_concurrent_clients_get_correct_streams(graph_db):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_a_slow_request_holds_back_only_its_own_connection():
+    """A slow request delays only the later requests on its connection:
+    while connection A waits on a ~1 s batch query, connection B's
+    ``stats`` is answered first."""
+    db = path_database(3, 1500, 100)
+    server, port = serve_background(db)
+    slow = {
+        "id": "slow", "op": "query", "engine": "batch", "fetch": 10,
+        "sql": "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 "
+        "JOIN R3 ON R2.A3 = R3.A3 ORDER BY weight LIMIT 100000000",
+    }
+    try:
+        with socket.create_connection(("127.0.0.1", port)) as a, \
+                socket.create_connection(("127.0.0.1", port)) as b:
+            a.settimeout(60.0)
+            b.settimeout(30.0)
+            a.sendall(json.dumps(slow).encode() + b"\n")
+            time.sleep(0.1)
+            b_file = b.makefile("rwb")
+            b_file.write(b'{"id": "fast", "op": "stats"}\n')
+            b_file.flush()
+            fast = json.loads(b_file.readline())
+            a_answered = select.select([a], [], [], 0)[0]
+            assert fast["ok"] and fast["id"] == "fast"
+            assert not a_answered, "stats waited for the other connection"
+            answer = json.loads(a.makefile("rb").readline())
+            assert answer["ok"] and len(answer["rows"]) == 10
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_shutdown_with_an_idle_connection_is_prompt(graph_db):
+    """An idle connected client does not hold up shutdown(), and it
+    reads EOF afterwards."""
+    server, port = serve_background(graph_db)
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as idle:
+        idle_file = idle.makefile("rwb")
+        idle_file.write(b'{"id": 1, "op": "stats"}\n')
+        idle_file.flush()
+        assert json.loads(idle_file.readline())["ok"]  # accepted, served
+        started = time.perf_counter()
+        server.shutdown()
+        elapsed = time.perf_counter() - started
+        server.server_close()
+        assert idle_file.read() == b""
+    assert elapsed < 2.0
 
 
 def test_admission_limit_over_the_wire(graph_db):
