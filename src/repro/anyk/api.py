@@ -396,7 +396,8 @@ class PausableStream:
     suspended exactly where it stopped, so a later :meth:`take` continues
     the ranked order with no recomputation.  That is what turns anytime
     enumeration into server-side pagination (:mod:`repro.server` keeps
-    one of these per open cursor).
+    a memoized, multi-reader form of it per statement and snapshot,
+    :class:`repro.server.cursors.SharedStream`).
 
     Thread-safe: a lock serializes pulls, so two concurrent fetches on the
     same cursor cannot interleave inside the generator frame (generators

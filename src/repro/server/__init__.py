@@ -3,14 +3,17 @@
 The anytime property of any-k algorithms — answers stream out in rank
 order, the caller stops whenever satisfied — becomes *pagination* the
 moment enumeration state survives between requests.  This package keeps a
-paused :class:`~repro.anyk.api.PausableStream` per open cursor, so a
-client's second ``fetch`` resumes the ranked stream exactly where the
-first left off instead of recomputing a larger top-k from scratch.
+paused, memoized :class:`~repro.server.cursors.SharedStream` per
+statement and snapshot, read by every open cursor on it at its own
+offset, so a client's second ``fetch`` resumes the ranked stream exactly
+where the first left off instead of recomputing a larger top-k from
+scratch, and a second client asking the same question reads the rows
+already produced.
 
 Layers (transport-agnostic core first, wire last):
 
-- :mod:`repro.server.cursors` — the session/cursor manager with an
-  admission limit and idle eviction;
+- :mod:`repro.server.cursors` — the session/cursor manager with its
+  shared streams, an admission limit and idle eviction;
 - :mod:`repro.server.service` — :class:`QueryService`, the dict-in /
   dict-out request handler (usable in-process, no sockets), with the
   plan cache: an LRU of analyzed statements keyed on the SQL text, so a

@@ -1,11 +1,19 @@
-"""Session/cursor manager: paused enumerations that survive requests.
+"""Session/cursor manager: shared ranked streams that survive requests.
 
-A cursor is one query's :class:`~repro.anyk.api.PausableStream` plus the
-metadata a later ``fetch`` needs (output columns, the chosen engine, the
-per-session operation counters).  The manager enforces an admission limit
-— every open cursor pins T-DP state and generator frames, so a server
-must bound them — and evicts *idle* cursors first when the limit is hit,
-rejecting only when every slot is genuinely live.
+A ranked stream is a pure function of the statement and the snapshot, so
+the server keeps one :class:`SharedStream` per (SQL text, typed params,
+engine override, snapshot version): the paused engine enumeration plus a
+memo of the rows it has produced.  A cursor is one
+:class:`StreamReader` on such a stream — its own offset into the memo —
+and only a read past the memo's end pulls the engine, the way ANYK-REC
+lets every parent read a subtree's one memoized prefix.  The stream owns
+the execution's operation counters and delay/space profiles; it lives
+while it has a reader, and its last reader's retirement closes it.
+
+The manager enforces an admission limit — every open cursor pins engine
+state and a memo, so a server must bound them — and evicts *idle*
+cursors first when the limit is hit, rejecting only when every slot is
+genuinely live.
 """
 
 from __future__ import annotations
@@ -13,11 +21,11 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable, Hashable, Iterator, Optional
 
 from typing import TYPE_CHECKING
 
-from repro.anyk.api import PausableStream
+from repro.anyk.api import StreamClosed
 from repro.obs.memory import admission_bytes
 from repro.util.counters import Counters
 
@@ -34,7 +42,7 @@ class MemoryPressureError(Exception):
     """Admission control: the server is over its memory watermark.
 
     Raised *before* planning/stream construction when the live bytes of
-    all open cursors (:func:`repro.obs.memory.admission_bytes`) exceed
+    all open streams (:func:`repro.obs.memory.admission_bytes`) exceed
     ``--max-mem-mb`` and evicting idle cursors could not free enough —
     the clean refusal that replaces an eventual OOM.  Maps to the ``mem_pressure`` wire error code, never
     ``internal``.
@@ -45,41 +53,204 @@ class UnknownCursorError(Exception):
     """The cursor id is not open (never existed, closed, or evicted)."""
 
 
-class Cursor:
-    """One open enumeration session."""
+#: Space-profile category of the rows a shared stream has memoized.
+MEMO_CATEGORY = "server.memo"
+
+
+class SharedStream:
+    """One statement's ranked stream on one snapshot, memoized for every
+    cursor that reads it.
+
+    ``source`` is the engine stream (``execute(...)``).  :meth:`extend`
+    pulls it into :attr:`rows` one page at a time under one lock hold;
+    readers slice the memo without the lock.  An exception the source
+    raises is kept with the offset it was raised at, so every reader that
+    reaches that offset gets it again — a failed stream never reads as
+    exhausted.  (This is why the stream pulls its source itself instead
+    of through a :class:`~repro.anyk.api.PausableStream`, which drops the
+    page in progress when the source raises.)  Memo rows are charged to
+    ``memory`` as entries of :data:`MEMO_CATEGORY`.  :attr:`readers` is
+    kept by the :class:`CursorManager`, under its lock.
+    """
 
     def __init__(
         self,
-        cursor_id: str,
-        sql: str,
-        engine: str,
-        columns: tuple[str, ...],
-        stream: PausableStream,
-        counters: Counters,
+        source: Iterator[tuple[tuple, object]],
+        key: Optional[Hashable] = None,
+        sql: str = "",
+        engine: str = "",
+        columns: tuple[str, ...] = (),
+        version: Optional[int] = None,
+        counters: Optional[Counters] = None,
         profile: Optional["DelayProfile"] = None,
         memory: Optional["MemoryProfile"] = None,
     ) -> None:
-        self.id = cursor_id
+        self.key = key
         self.sql = sql
         self.engine = engine
         self.columns = columns
-        self.stream = stream
-        self.counters = counters
-        #: The session's anytime-delay profile (wrapped around the engine
-        #: stream by the service); folded into the per-engine registry
-        #: histograms when the cursor retires.
+        self.version = version
+        self.counters = counters if counters is not None else Counters()
+        #: The execution's anytime-delay profile (wrapped around the
+        #: engine stream by the service); folded into the per-engine
+        #: registry histograms when the last reader retires.
         self.profile = profile
-        #: The session's space profile — live/peak entries of the engine
-        #: structures this cursor pins; read by the admission watermark
-        #: and folded like ``profile`` at retirement.
+        #: The execution's space profile — live/peak entries of the engine
+        #: structures and the memo; read by the admission watermark and
+        #: folded like ``profile``.
         self.memory = memory
+        self.rows: list[tuple[tuple, object]] = []
+        self.exhausted = False
+        self.error: Optional[BaseException] = None
+        self.closed = False
+        self.readers = 0
+        self._source = iter(source)
+        self._lock = threading.Lock()
+
+    def extend(self, end: int, deadline: Optional[float] = None) -> None:
+        """Pull the source until the memo holds ``end`` rows, the source
+        ends or fails, or ``deadline`` (a :func:`time.monotonic`
+        timestamp) passes."""
+        with self._lock:
+            rows = self.rows
+            start = len(rows)
+            if start >= end or self.exhausted or self.error is not None:
+                return
+            if self.closed:
+                raise StreamClosed(
+                    "the stream was closed with results still pending"
+                )
+            source = self._source
+            try:
+                if deadline is None:
+                    # list.extend keeps the rows pulled before a raise.
+                    rows.extend(itertools.islice(source, end - start))
+                    self.exhausted = len(rows) < end
+                else:
+                    while len(rows) < end and time.monotonic() < deadline:
+                        rows.append(next(source))
+            except StopIteration:
+                self.exhausted = True
+            except Exception as exc:
+                self.error = exc
+            if self.memory is not None:
+                if self.exhausted or self.error is not None:
+                    # The source's structures were just released with its
+                    # frame; the memo is all that stays live.
+                    self.memory.release()
+                    start = 0
+                if len(rows) > start:
+                    self.memory.gauge(MEMO_CATEGORY).add(len(rows) - start)
+
+    def close(self) -> None:
+        """Dispose of the source (frees its frames) and zero the live
+        entries; called once, when the last reader retires."""
+        with self._lock:
+            self.closed = True
+            close = getattr(self._source, "close", None)
+            if close is not None:
+                close()
+            if self.memory is not None:
+                self.memory.release()
+
+
+class StreamReader:
+    """One cursor's position in a :class:`SharedStream`, with
+    :class:`~repro.anyk.api.PausableStream`'s surface.
+
+    A per-reader lock serializes this reader's takes, so concurrent
+    fetches on one cursor hand out contiguous, dup-free pages.  Pages,
+    ``done`` and the emitted count are what a stream of its own would
+    give: ``done`` comes with the first take that reads past the end.
+    """
+
+    def __init__(self, shared: SharedStream) -> None:
+        self.shared = shared
+        self._lock = threading.Lock()
+        self._emitted = 0
+        self._exhausted = False
+        self._closed = False
+
+    @property
+    def exhausted(self) -> bool:
+        """True once this reader has read past the stream's end."""
+        return self._exhausted
+
+    @property
+    def closed(self) -> bool:
+        """True after :meth:`close` (whether or not results remained)."""
+        return self._closed
+
+    @property
+    def emitted(self) -> int:
+        """How many results this reader has handed out so far."""
+        return self._emitted
+
+    def take(
+        self, n: int, deadline: Optional[float] = None
+    ) -> tuple[list[tuple[tuple, object]], bool]:
+        """Up to ``n`` more results from this reader's offset; returns
+        ``(results, done)``.
+
+        Memoized rows cost nothing; a read past the memo's end pulls the
+        engine, stopping at ``deadline`` like
+        :meth:`~repro.anyk.api.PausableStream.take`.  A source failure is
+        raised once this reader reaches the offset it happened at.
+        """
+        with self._lock:
+            if self._exhausted:
+                return [], True
+            if self._closed:
+                raise StreamClosed(
+                    "the stream was closed with results still pending"
+                )
+            if n <= 0 or (deadline is not None and time.monotonic() >= deadline):
+                return [], False
+            shared = self.shared
+            start = self._emitted
+            end = start + n
+            if len(shared.rows) < end:
+                shared.extend(end, deadline)
+            # The flags before the slice: another reader's extend may
+            # append and then end the stream between the two reads, and a
+            # flag is only ever set after its rows are in the memo.
+            error, exhausted = shared.error, shared.exhausted
+            out = shared.rows[start:end]
+            if len(out) < n:
+                if error is not None:
+                    if not out:
+                        raise error
+                elif exhausted:
+                    self._exhausted = True
+            self._emitted = start + len(out)
+            return out, self._exhausted
+
+    def close(self) -> None:
+        """Stop reading; waits for this reader's take in flight.  The
+        stream itself is closed by its last reader's retirement."""
+        with self._lock:
+            self._closed = True
+
+
+class Cursor:
+    """One open enumeration session: a reader on a shared stream."""
+
+    def __init__(self, cursor_id: str, shared: SharedStream) -> None:
+        self.id = cursor_id
+        self.shared = shared
+        self.stream = StreamReader(shared)
+        self.engine = shared.engine
+        self.memory = shared.memory
+        #: Set when this cursor was its stream's last reader: its
+        #: retirement folds the stream's work into the aggregates.
+        self.last_reader = False
         self.created = time.monotonic()
         self.last_used = self.created
 
     def fetch(
         self, n: int, deadline: Optional[float] = None
     ) -> tuple[list, bool]:
-        """Resume the paused stream for up to ``n`` more results."""
+        """Resume the reader for up to ``n`` more results."""
         self.last_used = time.monotonic()
         return self.stream.take(n, deadline=deadline)
 
@@ -92,7 +263,7 @@ class Cursor:
         now = time.monotonic()
         out = {
             "cursor": self.id,
-            "sql": self.sql,
+            "sql": self.shared.sql,
             "engine": self.engine,
             "emitted": self.emitted,
             "age_s": round(now - self.created, 3),
@@ -105,7 +276,8 @@ class Cursor:
 
 
 class CursorManager:
-    """Thread-safe registry of open cursors with admission control."""
+    """Thread-safe registry of open cursors and their shared streams,
+    with admission control."""
 
     def __init__(
         self,
@@ -127,7 +299,11 @@ class CursorManager:
         self.closed = 0
         self.evicted = 0
         self.rejected = 0
+        #: Cursors opened on a stream another cursor already had open.
+        self.shared = 0
         self._cursors: dict[str, Cursor] = {}
+        #: Stream key -> the open stream a new cursor on that key joins.
+        self._streams: dict[Hashable, SharedStream] = {}
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
 
@@ -155,51 +331,77 @@ class CursorManager:
             "cursor first"
         )
 
-    def open(
-        self,
-        sql: str,
-        engine: str,
-        columns: tuple[str, ...],
-        stream: PausableStream,
-        counters: Counters,
-        profile: Optional["DelayProfile"] = None,
-        memory: Optional["MemoryProfile"] = None,
-    ) -> Cursor:
-        """Register a new cursor; raises :class:`CursorLimitError` when
-        full and nothing is idle enough to evict."""
+    def join(self, key: Optional[Hashable]) -> Optional[Cursor]:
+        """A new cursor on the open stream for ``key``, or None when no
+        stream is open on it (or ``key`` is None); raises
+        :class:`CursorLimitError` when full and nothing is idle enough to
+        evict."""
+        if key is None:
+            return None
+        return self._admit(key, None)
+
+    def open(self, shared: SharedStream) -> Cursor:
+        """Register a new cursor on a new stream (which later cursors on
+        its key join while it has a reader); raises
+        :class:`CursorLimitError` when full and nothing is idle enough to
+        evict."""
+        return self._admit(shared.key, shared)
+
+    def _admit(
+        self, key: Hashable, shared: Optional[SharedStream]
+    ) -> Optional[Cursor]:
         victims: list[Cursor] = []
         try:
             with self._lock:
                 if len(self._cursors) >= self.limit:
                     victims = self._collect_idle_victims_locked()
+                joining = shared is None
+                if joining:
+                    # Looked up after evicting: a victim may have been
+                    # the stream's last reader.
+                    shared = self._streams.get(key)
+                    if shared is None:
+                        return None
                 if len(self._cursors) >= self.limit:
                     self.rejected += 1
                     raise CursorLimitError(
                         f"open-cursor limit reached ({self.limit}); close "
                         "or drain a cursor first"
                     )
-                cursor_id = f"c{next(self._ids)}"
-                cursor = Cursor(
-                    cursor_id,
-                    sql,
-                    engine,
-                    columns,
-                    stream,
-                    counters,
-                    profile,
-                    memory=memory,
-                )
-                self._cursors[cursor_id] = cursor
+                if joining:
+                    self.shared += 1
+                elif key is not None:
+                    self._streams.setdefault(key, shared)
+                shared.readers += 1
+                cursor = Cursor(f"c{next(self._ids)}", shared)
+                self._cursors[cursor.id] = cursor
                 self.opened += 1
         finally:
             # Dispose of evicted streams *outside* the manager lock: a
             # close() blocking on a victim's in-flight take() must not
             # stall every other cursor operation on the server.
             for victim in victims:
-                victim.stream.close()
+                self._dispose(victim)
                 if self.on_evict is not None:
                     self.on_evict(victim)
         return cursor
+
+    def _unregister_locked(self, cursor: Cursor) -> None:
+        """Drop ``cursor`` from the registry; the last reader of a stream
+        also takes the stream out of the join table."""
+        del self._cursors[cursor.id]
+        shared = cursor.shared
+        shared.readers -= 1
+        if shared.readers == 0:
+            cursor.last_reader = True
+            if self._streams.get(shared.key) is shared:
+                del self._streams[shared.key]
+
+    @staticmethod
+    def _dispose(cursor: Cursor) -> None:
+        cursor.stream.close()
+        if cursor.last_reader:
+            cursor.shared.close()
 
     def _collect_idle_victims_locked(self) -> list[Cursor]:
         """Unregister (but do not dispose) enough idle cursors to admit
@@ -216,35 +418,37 @@ class CursorManager:
         stale.sort(key=lambda c: c.last_used)
         victims = stale[: len(self._cursors) - self.limit + 1]
         for cursor in victims:
-            del self._cursors[cursor.id]
+            self._unregister_locked(cursor)
             self.evicted += 1
         return victims
 
     def live_mem_bytes(self) -> int:
-        """Live bytes across every open cursor's engine structures, each
-        cursor's live entries priced by its engine family's factor (0
-        for cursors opened without a memory profile)."""
+        """Live bytes across every open stream's engine structures and
+        memo, each stream counted once and priced by its engine family's
+        factor (0 for streams opened without a memory profile)."""
         with self._lock:
             return self._live_mem_bytes_locked()
 
     def _live_mem_bytes_locked(self) -> int:
         return sum(
-            admission_bytes(c.memory)
-            for c in self._cursors.values()
-            if c.memory is not None
+            admission_bytes(shared.memory)
+            for shared in {c.shared for c in self._cursors.values()}
+            if shared.memory is not None
         )
 
     def evict_for_memory(
         self, watermark_bytes: int, min_idle_s: float = 1.0
     ) -> int:
-        """Evict oldest-idle cursors until live bytes
+        """Evict the readers of oldest-idle streams until live bytes
         (:meth:`live_mem_bytes`) drop below ``watermark_bytes``; returns
-        how many were evicted.
+        how many cursors were evicted.
 
-        Cursors idle for less than ``min_idle_s`` are protected: memory
-        pressure sheds abandoned sessions, it must not cancel a cursor a
-        client is actively paging through.  Disposal happens outside the
-        manager lock, exactly like limit-driven idle eviction.
+        A stream's bytes are freed only with its last reader, so a stream
+        is evicted whole, and only when every reader has been idle for at
+        least ``min_idle_s``: memory pressure sheds abandoned sessions, it
+        must not cancel a cursor a client is actively paging through.
+        Disposal happens outside the manager lock, exactly like
+        limit-driven idle eviction.
         """
         victims: list[Cursor] = []
         try:
@@ -252,24 +456,28 @@ class CursorManager:
                 live = self._live_mem_bytes_locked()
                 if live < watermark_bytes:
                     return 0
+                streams: dict[SharedStream, list[Cursor]] = {}
+                for cursor in self._cursors.values():
+                    streams.setdefault(cursor.shared, []).append(cursor)
                 now = time.monotonic()
                 idle = [
-                    c
-                    for c in self._cursors.values()
-                    if now - c.last_used >= min_idle_s
+                    (max(c.last_used for c in readers), shared, readers)
+                    for shared, readers in streams.items()
+                    if all(now - c.last_used >= min_idle_s for c in readers)
                 ]
-                idle.sort(key=lambda c: c.last_used)
-                for cursor in idle:
+                idle.sort(key=lambda entry: entry[0])
+                for _, shared, readers in idle:
                     if live < watermark_bytes:
                         break
-                    del self._cursors[cursor.id]
-                    self.evicted += 1
-                    victims.append(cursor)
-                    if cursor.memory is not None:
-                        live -= admission_bytes(cursor.memory)
+                    for cursor in readers:
+                        self._unregister_locked(cursor)
+                        self.evicted += 1
+                        victims.append(cursor)
+                    if shared.memory is not None:
+                        live -= admission_bytes(shared.memory)
         finally:
             for victim in victims:
-                victim.stream.close()
+                self._dispose(victim)
                 if self.on_evict is not None:
                     self.on_evict(victim)
         return len(victims)
@@ -285,23 +493,26 @@ class CursorManager:
         return cursor
 
     def close(self, cursor_id: str) -> Cursor:
-        """Remove and return the cursor; its stream is disposed."""
+        """Remove and return the cursor; its reader (and, for the last
+        reader, its stream) is disposed."""
         with self._lock:
-            cursor = self._cursors.pop(cursor_id, None)
+            cursor = self._cursors.get(cursor_id)
             if cursor is not None:
+                self._unregister_locked(cursor)
                 self.closed += 1
         if cursor is None:
             raise UnknownCursorError(f"no open cursor {cursor_id!r}")
-        cursor.stream.close()
+        self._dispose(cursor)
         return cursor
 
     def close_all(self) -> list[Cursor]:
         with self._lock:
             cursors = list(self._cursors.values())
-            self._cursors.clear()
+            for cursor in cursors:
+                self._unregister_locked(cursor)
             self.closed += len(cursors)
         for cursor in cursors:
-            cursor.stream.close()
+            self._dispose(cursor)
         return cursors
 
     def __len__(self) -> int:
@@ -313,6 +524,7 @@ class CursorManager:
                 "open": len(self._cursors),
                 "limit": self.limit,
                 "opened": self.opened,
+                "shared": self.shared,
                 "closed": self.closed,
                 "evicted": self.evicted,
                 "rejected": self.rejected,

@@ -36,7 +36,12 @@ Op fields (see :class:`repro.server.service.QueryService` for semantics):
     statement's ``?`` placeholders).  The response carries ``version``,
     the snapshot generation the cursor is pinned to for its whole
     lifetime (validation harnesses replay pages against a recompute of
-    exactly that generation).
+    exactly that generation).  Queries with the same SQL text, typed
+    ``params``, ``engine`` and snapshot version read one shared ranked
+    stream while any cursor on it is open: each cursor gets its own
+    offset into the stream's memoized rows, so its pages, ``done`` and
+    ``results_emitted`` are those of a stream of its own, while the
+    response's ``mem`` figures are the shared stream's.
 ``fetch``
     ``cursor`` (required), ``n`` (optional int, default server batch).
     The response carries ``rows``, ``done`` and ``results_emitted``, the
@@ -84,11 +89,13 @@ latency SLO).  Rows travel as ``[row_values..., weight]``-shaped pairs in
 
 ``query``/``fetch`` responses additionally carry a ``mem`` object
 (``{"live_entries": ..., "peak_entries": ...}``): the entries the
-cursor's engine structures (priority queues, memoized solutions, T-DP
-state, materialized rows) hold now and have held at most.  Live entries
-read 0 once the stream is drained.  A server started with
-``--max-mem-mb`` prices each open cursor's live entries in bytes, one
-factor per engine family, and refuses new queries with a
+cursor's shared stream holds now and has held at most — its engine
+structures (priority queues, memoized solutions, T-DP state,
+materialized rows) and the rows it has memoized for its cursors.  Live
+entries read 0 once the stream's last cursor is drained or closed.  A
+server started with ``--max-mem-mb`` prices each open stream's live
+entries in bytes, once however many cursors read it, one factor per
+engine family, and refuses new queries with a
 ``mem_pressure`` error once the sum exceeds the watermark and evicting
 idle cursors cannot free enough; the refusal is deliberate admission
 control, never an ``internal`` failure.
@@ -198,17 +205,19 @@ def validate_request(request: dict) -> str:
         raise ProtocolError("'cursor' must be a string (a cursor id)")
     # 'n' asks for rows (>= 1: an empty page would read as a timeout);
     # 'fetch' may be 0, the explicit "open the cursor, inline nothing".
+    # Booleans are ``int`` subclasses, so each check refuses them by name,
+    # as validate_params does: a ``true`` here is a client bug, not a 1.
     if "n" in request and (
-        not isinstance(request["n"], int) or request["n"] < 1
+        not _is_number(request["n"], int) or request["n"] < 1
     ):
         raise ProtocolError("'n' must be a positive integer")
     if "fetch" in request and (
-        not isinstance(request["fetch"], int) or request["fetch"] < 0
+        not _is_number(request["fetch"], int) or request["fetch"] < 0
     ):
         raise ProtocolError("'fetch' must be a non-negative integer")
     deadline = request.get("deadline_ms")
     if deadline is not None and (
-        not isinstance(deadline, (int, float)) or deadline <= 0
+        not _is_number(deadline, (int, float)) or deadline <= 0
     ):
         raise ProtocolError("'deadline_ms' must be a positive number")
     engine = request.get("engine")
@@ -236,6 +245,11 @@ def validate_request(request: dict) -> str:
             known = " or ".join(repr(f) for f in FRAMES)
             raise ProtocolError(f"'frames' must be {known}")
     return op
+
+
+def _is_number(value: Any, types: Any) -> bool:
+    """``isinstance(value, types)`` with booleans refused."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def validate_params(params: Any) -> None:

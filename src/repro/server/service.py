@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from typing import Any, Optional, Sequence
 
-from repro.anyk.api import PausableStream, StreamClosed
+from repro.anyk.api import StreamClosed
 from repro.data.database import Database
 from repro.dynamic import MutationError, VersionedDatabase
 from repro.engine.executor import apply_mutation, execute
@@ -33,6 +33,7 @@ from repro.server.cursors import (
     CursorLimitError,
     CursorManager,
     MemoryPressureError,
+    SharedStream,
     UnknownCursorError,
 )
 from repro.sql import _check_engine
@@ -46,6 +47,24 @@ from repro.sql.errors import SqlError
 from repro.sql.parser import parse
 from repro.util.counters import Counters
 from repro.util.lru import LruCache
+
+
+def _stream_key(
+    sql: str,
+    params: Optional[Sequence[Any]],
+    engine: Optional[str],
+    version: Optional[int],
+) -> Optional[tuple]:
+    """The key of one query's shared stream; None when a value is
+    unhashable (binding refuses such a value anyway).  Params are keyed
+    with their types: ``LIMIT ?`` bound to ``2.0`` is an error, not the
+    stream of ``2``."""
+    key = (sql, tuple((type(v), v) for v in params or ()), engine, version)
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
 
 
 class QueryService:
@@ -65,16 +84,18 @@ class QueryService:
         Admission limit on concurrently open cursors.
     max_mem_mb:
         Server-wide memory watermark in MB (``repro-serve
-        --max-mem-mb``): once the live bytes of all open cursors'
-        engine structures (live entries times the engine family's
-        :data:`~repro.obs.memory.BYTES_PER_ENTRY` factor) reach it, new
-        queries first trigger idle-cursor eviction and are then refused
-        with a clean ``mem_pressure`` error while still over — admission
-        control replacing an eventual OOM.  None (the default) disables the
-        watermark; per-cursor accounting still runs.
+        --max-mem-mb``): once the live bytes of all open streams' engine
+        structures and memos (live entries times the engine family's
+        :data:`~repro.obs.memory.BYTES_PER_ENTRY` factor, each stream
+        counted once) reach it, new queries first trigger idle-stream
+        eviction and are then refused with a clean ``mem_pressure`` error
+        while still over — admission control replacing an eventual OOM.
+        None (the default) disables the watermark; per-stream accounting
+        still runs.
     mem_evict_idle_s:
-        Minimum idle age before memory pressure may evict a cursor
-        (protects sessions a client is actively paging through).
+        Minimum idle age of every cursor on a stream before memory
+        pressure may evict it (protects sessions a client is actively
+        paging through).
     plan_cache_size:
         LRU capacity of the plan cache (analyzed statements, one per
         distinct SQL text).
@@ -228,22 +249,41 @@ class QueryService:
         """
         _check_engine(engine)
         snapshot = db if db is not None else self.versioned.snapshot()
+        analyzed, was_cached = self._analyzed(sql, snapshot)
+        compiled, plan = self._bind(analyzed, engine, snapshot, params)
+        return compiled, plan, was_cached
+
+    def _analyzed(
+        self, sql: str, snapshot: Database
+    ) -> tuple[CompiledQuery, bool]:
+        """The analyzed statement for ``sql`` and whether it came from
+        the plan cache (parsed and analyzed on ``snapshot`` on a miss)."""
         with tracer.span("cache_lookup") as lookup_span:
             analyzed = self.plan_cache.get(sql)
             lookup_span.set(hit=analyzed is not None)
-        was_cached = analyzed is not None
-        if analyzed is None:
-            with tracer.span("parse"):
-                statement = parse(sql)
-            with tracer.span("analyze"):
-                analyzed = analyze_statement(snapshot, sql, statement)
-            self.plan_cache.put(sql, analyzed)
+        if analyzed is not None:
+            return analyzed, True
+        with tracer.span("parse"):
+            statement = parse(sql)
+        with tracer.span("analyze"):
+            analyzed = analyze_statement(snapshot, sql, statement)
+        self.plan_cache.put(sql, analyzed)
+        return analyzed, False
+
+    def _bind(
+        self,
+        analyzed: CompiledQuery,
+        engine: Optional[str],
+        snapshot: Database,
+        params: Optional[Sequence[Any]],
+    ) -> tuple[CompiledQuery, Plan]:
+        """Bind ``params`` and route the statement on ``snapshot``."""
         with tracer.span("plan"):
             compiled = bind_compiled(analyzed, params)
             plan = plan_compiled(
                 snapshot, compiled, engine=engine, workers=self.workers
             )
-        return compiled, plan, was_cached
+        return compiled, plan
 
     # ------------------------------------------------------------------
     # Ops
@@ -258,59 +298,72 @@ class QueryService:
     ) -> dict:
         """Open a cursor for ``sql``; optionally inline the first rows.
 
-        The cursor holds the *paused* enumeration: nothing beyond the
+        The cursor reads the *paused* enumeration: nothing beyond the
         inlined prefix is computed until the next ``fetch``.  ``params``
-        binds the statement's ``?`` placeholders positionally.
+        binds the statement's ``?`` placeholders positionally.  A ranked
+        stream is a pure function of the statement and the snapshot, so
+        a query whose (SQL text, typed params, engine override, snapshot
+        version) matches an open cursor's joins that cursor's
+        :class:`~repro.server.cursors.SharedStream`: it reads the memoized
+        rows from offset 0, and no bind, route or engine setup runs.
         """
         # Refuse before planning: under overload (the admission limit's
         # regime), a doomed request must not pay parse+analyze+route or
         # pollute the plan cache.  cursors.open() re-checks at the end.
         self.cursors.ensure_capacity()
         self._ensure_memory_headroom()
+        _check_engine(engine)
         # One snapshot per request: plan and execute read the same data
         # generation even if a mutation commits mid-request, and the
         # cursor stays pinned to it for its whole lifetime.
         snapshot = self.versioned.snapshot()
-        compiled, plan, was_cached = self.plan(
-            sql, engine=engine, db=snapshot, params=params
-        )
-        session_counters = Counters()
-        # Every cursor carries its own delay profile; the engine-side wrap
-        # records TTF/TT(k)/inter-result delay as pages drain, and
-        # _retire folds it into the per-engine histograms on close/evict.
-        profile = DelayProfile()
-        # ... and its own space profile: the engines' structures report
-        # entry counts into it at O(1) cost, the admission watermark prices
-        # its live entries in bytes, and _retire observes its peak in the
-        # per-engine peak histogram.
-        memory = MemoryProfile()
-        stream = PausableStream(
-            execute(
-                compiled,
-                plan,
-                counters=session_counters,
-                profile=profile,
-                memory=memory,
+        # The analysis lookup runs on every query, joined or not, so the
+        # plan cache's hit rate keeps counting statements.
+        analyzed, was_cached = self._analyzed(sql, snapshot)
+        key = _stream_key(sql, params, engine, snapshot.version)
+        cursor = self.cursors.join(key)
+        if cursor is None:
+            compiled, plan = self._bind(analyzed, engine, snapshot, params)
+            counters = Counters()
+            # Every stream carries its own delay profile; the engine-side
+            # wrap records TTF/TT(k)/inter-result delay as pages drain, and
+            # _retire folds it into the per-engine histograms when the
+            # stream's last reader closes or is evicted ...
+            profile = DelayProfile()
+            # ... and its own space profile: the engines' structures and
+            # the memo report entry counts into it at O(1) cost, the
+            # admission watermark prices its live entries in bytes, and
+            # _retire observes its peak in the per-engine peak histogram.
+            memory = MemoryProfile()
+            cursor = self.cursors.open(
+                SharedStream(
+                    execute(
+                        compiled,
+                        plan,
+                        counters=counters,
+                        profile=profile,
+                        memory=memory,
+                    ),
+                    key=key,
+                    sql=sql,
+                    engine=plan.engine,
+                    columns=compiled.output_columns,
+                    version=snapshot.version,
+                    counters=counters,
+                    profile=profile,
+                    memory=memory,
+                )
             )
-        )
-        cursor = self.cursors.open(
-            sql=sql,
-            engine=plan.engine,
-            columns=compiled.output_columns,
-            stream=stream,
-            counters=session_counters,
-            profile=profile,
-            memory=memory,
-        )
+        shared = cursor.shared
         payload: dict[str, Any] = {
             "cursor": cursor.id,
-            "columns": list(compiled.output_columns),
-            "engine": plan.engine,
+            "columns": list(shared.columns),
+            "engine": shared.engine,
             "plan_cached": was_cached,
             # The snapshot generation the cursor is pinned to — every
             # page it ever serves drains exactly this version, so a client
             # can check a page against a serial recompute of it.
-            "version": snapshot.version,
+            "version": shared.version,
             "rows": [],
             "done": False,
         }
@@ -326,10 +379,11 @@ class QueryService:
             if payload["done"]:
                 self._finish(cursor.id)
                 payload["cursor"] = None
-        # After any inline prefetch, so the peak covers it.
+        # After any inline prefetch, so the peak covers it.  The figures
+        # are the shared stream's: its engine structures and its memo.
         payload["mem"] = {
-            "live_entries": memory.live_entries,
-            "peak_entries": memory.peak_entries,
+            "live_entries": shared.memory.live_entries,
+            "peak_entries": shared.memory.peak_entries,
         }
         payload["results_emitted"] = cursor.emitted
         return payload
@@ -347,14 +401,15 @@ class QueryService:
         payload.update(
             self._fetch_into(cursor, n or self.default_batch, deadline)
         )
+        payload["results_emitted"] = cursor.emitted
+        if payload["done"]:
+            self._finish(cursor_id)
+        # After the finish: a drained stream's last reader frees the memo.
         if cursor.memory is not None:
             payload["mem"] = {
                 "live_entries": cursor.memory.live_entries,
                 "peak_entries": cursor.memory.peak_entries,
             }
-        payload["results_emitted"] = cursor.emitted
-        if payload["done"]:
-            self._finish(cursor_id)
         return payload
 
     def _fetch_into(
@@ -422,9 +477,12 @@ class QueryService:
         )
 
     def _retire(self, cursor) -> None:
-        """Fold a closing/evicted cursor's work into server aggregates."""
-        self.counters.merge(cursor.counters)
-        self._fold_profiles(cursor.profile, cursor.memory, cursor.engine)
+        """Fold a closing/evicted cursor's stream into server aggregates,
+        once: when the cursor was the stream's last reader."""
+        if cursor.last_reader:
+            shared = cursor.shared
+            self.counters.merge(shared.counters)
+            self._fold_profiles(shared.profile, shared.memory, shared.engine)
 
     def _fold_profiles(
         self,
@@ -569,7 +627,7 @@ class QueryService:
             "workers": self.workers,
             "readonly": self.readonly,
             "database": self.versioned.info(),
-            # ``query`` is the only caller of cursors.open.
+            # ``query`` is the only caller of cursors.open and .join.
             "queries": self.cursors.opened,
             "fetches": self._fetches_metric.total(),
             "rows_served": self._rows_metric.total(),
@@ -695,7 +753,7 @@ class QueryService:
             )
         )
         samples.append(("repro_cursors_open", {}, len(self.cursors)))
-        for state in ("opened", "closed", "evicted", "rejected"):
+        for state in ("opened", "shared", "closed", "evicted", "rejected"):
             samples.append(
                 (
                     f"repro_cursors_{state}_total",

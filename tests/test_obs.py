@@ -479,13 +479,22 @@ def test_tracing_disabled_overhead_on_part_enumeration(
     assert baseline() == instrumented() > 0  # same work, then time it
 
     # Best of five per side, the repeats interleaved (and the order
-    # alternated), so a slow phase of the machine hits both sides.
+    # alternated), so a slow phase of the machine hits both sides.  Each
+    # repeat starts on a collected heap with the collector off: otherwise
+    # a full collection (a few ms here, more on a test run's large heap)
+    # lands in whichever side's repeat crossed the allocation threshold.
     best = {baseline: float("inf"), instrumented: float("inf")}
     for repeat in range(5):
         for fn in (baseline, instrumented)[:: 1 if repeat % 2 else -1]:
-            start = time.perf_counter()
-            fn()
-            best[fn] = min(best[fn], time.perf_counter() - start)
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                fn()
+                elapsed = time.perf_counter() - start
+            finally:
+                gc.enable()
+            best[fn] = min(best[fn], elapsed)
     base_s, instr_s = best[baseline], best[instrumented]
     # <= 5% relative, with a 2 ms absolute floor so a sub-millisecond
     # scheduler hiccup cannot fail the build on a fast machine.

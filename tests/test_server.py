@@ -168,12 +168,19 @@ def test_admission_limit_rejects_cleanly(path_db):
 
 def test_idle_eviction_under_admission_pressure(path_db):
     service = QueryService(path_db, max_cursors=2, idle_evict_s=0.0)
-    sql = PATH_SQL.format(k=50)
-    first = service.handle({"id": 1, "op": "query", "sql": sql, "fetch": 5})
-    second = service.handle({"id": 2, "op": "query", "sql": sql})
+    # Three statements, so each session is its stream's only reader (the
+    # readers of one shared stream fold its work once, with the last).
+    first = service.handle(
+        {"id": 1, "op": "query", "sql": PATH_SQL.format(k=50), "fetch": 5}
+    )
+    second = service.handle(
+        {"id": 2, "op": "query", "sql": PATH_SQL.format(k=51)}
+    )
     assert first["ok"] and second["ok"]
     time.sleep(0.01)  # both cursors are now "idle" beyond the 0s horizon
-    third = service.handle({"id": 3, "op": "query", "sql": sql})
+    third = service.handle(
+        {"id": 3, "op": "query", "sql": PATH_SQL.format(k=52)}
+    )
     assert third["ok"]
     assert service.cursors.evicted >= 1
     # The evicted session's enumeration work was folded into the
@@ -197,6 +204,34 @@ def test_fetch_rejects_nonpositive_page_sizes(path_db):
     )
     assert not bad_inline["ok"]
     assert bad_inline["error"]["code"] == "bad_request"
+
+
+@pytest.mark.parametrize(
+    "field, envelope",
+    [
+        ("n", {"op": "fetch", "cursor": "c1", "n": True}),
+        ("fetch", {"op": "query", "sql": PATH_SQL.format(k=5), "fetch": True}),
+        (
+            "deadline_ms",
+            {"op": "query", "sql": PATH_SQL.format(k=5), "deadline_ms": True},
+        ),
+    ],
+    ids=["n", "fetch", "deadline_ms"],
+)
+def test_a_boolean_count_is_a_bad_request(path_db, field, envelope):
+    # Booleans are ints in Python; a ``true`` row count or deadline is a
+    # client bug, refused at the envelope like a boolean in ``params``.
+    service = QueryService(path_db)
+    if envelope["op"] == "fetch":
+        opened = service.handle(
+            {"id": 0, "op": "query", "sql": PATH_SQL.format(k=5)}
+        )
+        envelope = {**envelope, "cursor": opened["cursor"]}
+    response = service.handle({"id": 1, **envelope})
+    assert not response["ok"]
+    assert response["error"]["code"] == "bad_request"
+    assert repr(field) in response["error"]["message"]
+    assert service.stats()["queries"] == (envelope["op"] == "fetch")
 
 
 # ----------------------------------------------------------------------
