@@ -18,9 +18,11 @@ outlives it: the server observes each retiring profile's peak entries
 once in the ``repro_mem_peak_entries`` registry histogram, whose count
 and exact maximum are the per-engine view ``stats`` reports.
 
-Bytes appear in one place: :func:`admission_bytes`, the figure the
-server's ``--max-mem-mb`` watermark compares, multiplies a profile's live
-entries by its engine family's :data:`BYTES_PER_ENTRY` factor.
+Bytes appear in one place: :func:`entry_bytes` multiplies entries by
+their engine family's :data:`BYTES_PER_ENTRY` factor.  The server's
+``--max-mem-mb`` watermark compares the sum of :func:`admission_bytes`
+(a profile's live entries, priced) over its open streams and the priced
+memo rows of the completed results it keeps.
 """
 
 from __future__ import annotations
@@ -149,9 +151,15 @@ class MemoryProfile:
 def admission_bytes(profile: MemoryProfile) -> int:
     """``profile``'s live entries priced in bytes by its engine family's
     :data:`BYTES_PER_ENTRY` factor (the watermark's unit)."""
-    family = profile.engine.split(":", 1)[0]
+    return entry_bytes(profile.engine, profile.live_entries)
+
+
+def entry_bytes(engine: str, entries: int) -> int:
+    """``entries`` of an ``engine`` execution priced in bytes by its
+    family's :data:`BYTES_PER_ENTRY` factor."""
+    family = engine.split(":", 1)[0]
     factor = BYTES_PER_ENTRY.get(family) or max(BYTES_PER_ENTRY.values())
-    return profile.live_entries * factor
+    return entries * factor
 
 
 def attach_tracker(counters: Any, profile: Optional[MemoryProfile]) -> None:

@@ -8,12 +8,14 @@ statement and snapshot, read by every open cursor on it at its own
 offset, so a client's second ``fetch`` resumes the ranked stream exactly
 where the first left off instead of recomputing a larger top-k from
 scratch, and a second client asking the same question reads the rows
-already produced.
+already produced — also after the first has finished, while the result
+ended cleanly on the newest snapshot.
 
 Layers (transport-agnostic core first, wire last):
 
 - :mod:`repro.server.cursors` — the session/cursor manager with its
-  shared streams, an admission limit and idle eviction;
+  shared streams, the completed results it keeps joinable, an admission
+  limit and idle eviction;
 - :mod:`repro.server.service` — :class:`QueryService`, the dict-in /
   dict-out request handler (usable in-process, no sockets), with the
   plan cache: an LRU of analyzed statements keyed on the SQL text, so a

@@ -127,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan-cache",
         type=int,
         default=128,
-        help="LRU capacity of the plan cache",
+        help="LRU capacity of the plan cache (and of the completed "
+        "results kept joinable)",
     )
     parser.add_argument(
         "--batch",

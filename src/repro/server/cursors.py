@@ -7,8 +7,19 @@ memo of the rows it has produced.  A cursor is one
 :class:`StreamReader` on such a stream — its own offset into the memo —
 and only a read past the memo's end pulls the engine, the way ANYK-REC
 lets every parent read a subtree's one memoized prefix.  The stream owns
-the execution's operation counters and delay/space profiles; it lives
-while it has a reader, and its last reader's retirement closes it.
+the execution's operation counters and delay/space profiles, which fold
+into the server's aggregates once, when the stream first loses its last
+reader.
+
+A stream that loses its last reader is closed unless it ended cleanly
+(exhausted, no source error).  A completed stream stays joinable: a
+later cursor on its key reads the finished memo from offset 0 and pulls
+no engine.  Completed results are kept for the newest snapshot version
+only — the first completed or looked-up key of a newer version drops
+every reader-less result of an older one — and at most
+:attr:`CursorManager.retain_limit` of them (LRU) holding at most
+:attr:`CursorManager.retain_rows` rows together; a longer result is never
+kept.
 
 The manager enforces an admission limit — every open cursor pins engine
 state and a memo, so a server must bound them — and evicts *idle*
@@ -21,12 +32,13 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import OrderedDict
 from typing import Callable, Hashable, Iterator, Optional
 
 from typing import TYPE_CHECKING
 
 from repro.anyk.api import StreamClosed
-from repro.obs.memory import admission_bytes
+from repro.obs.memory import admission_bytes, entry_bytes
 from repro.util.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -69,8 +81,9 @@ class SharedStream:
     exhausted.  (This is why the stream pulls its source itself instead
     of through a :class:`~repro.anyk.api.PausableStream`, which drops the
     page in progress when the source raises.)  Memo rows are charged to
-    ``memory`` as entries of :data:`MEMO_CATEGORY`.  :attr:`readers` is
-    kept by the :class:`CursorManager`, under its lock.
+    ``memory`` as entries of :data:`MEMO_CATEGORY`.  :attr:`readers` and
+    :attr:`folded` are kept by the :class:`CursorManager`, under its
+    lock.
     """
 
     def __init__(
@@ -104,6 +117,10 @@ class SharedStream:
         self.error: Optional[BaseException] = None
         self.closed = False
         self.readers = 0
+        #: Set when the stream first loses its last reader, whose
+        #: retirement folds its counters and profiles; a completed stream
+        #: read again later folds nothing more.
+        self.folded = False
         self._source = iter(source)
         self._lock = threading.Lock()
 
@@ -144,7 +161,8 @@ class SharedStream:
 
     def close(self) -> None:
         """Dispose of the source (frees its frames) and zero the live
-        entries; called once, when the last reader retires."""
+        entries; called once, when the last reader of a stream that is not
+        kept as a completed result retires."""
         with self._lock:
             self.closed = True
             close = getattr(self._source, "close", None)
@@ -241,9 +259,14 @@ class Cursor:
         self.stream = StreamReader(shared)
         self.engine = shared.engine
         self.memory = shared.memory
-        #: Set when this cursor was its stream's last reader: its
-        #: retirement folds the stream's work into the aggregates.
-        self.last_reader = False
+        #: Set when this cursor's retirement folds the stream's work into
+        #: the aggregates: it was the last reader when the stream first
+        #: lost its readers.
+        self.folds = False
+        #: Set when this cursor was its stream's last reader and the
+        #: stream is not kept as a completed result: disposing of the
+        #: cursor closes the stream.
+        self.closes_stream = False
         self.created = time.monotonic()
         self.last_used = self.created
 
@@ -276,8 +299,8 @@ class Cursor:
 
 
 class CursorManager:
-    """Thread-safe registry of open cursors and their shared streams,
-    with admission control."""
+    """Thread-safe registry of open cursors, their shared streams and the
+    completed results kept joinable, with admission control."""
 
     def __init__(
         self,
@@ -299,11 +322,24 @@ class CursorManager:
         self.closed = 0
         self.evicted = 0
         self.rejected = 0
-        #: Cursors opened on a stream another cursor already had open.
+        #: Cursors opened on a stream another cursor already had open, or
+        #: on a kept completed result.
         self.shared = 0
+        #: Completed results kept joinable (LRU), and the rows they hold
+        #: together; the service sets both from its plan cache size and
+        #: default batch.
+        self.retain_limit = 128
+        self.retain_rows = 128 * 100
         self._cursors: dict[str, Cursor] = {}
-        #: Stream key -> the open stream a new cursor on that key joins.
+        #: Stream key -> the stream a new cursor on that key joins: an
+        #: open one, or a kept completed result.
         self._streams: dict[Hashable, SharedStream] = {}
+        #: The kept completed results (no reader), oldest use first.
+        self._retained: OrderedDict[Hashable, SharedStream] = OrderedDict()
+        self._retained_rows = 0
+        #: The newest snapshot version a key was completed or looked up
+        #: at; completed results of older versions are not kept.
+        self._newest: Optional[int] = None
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
 
@@ -331,14 +367,17 @@ class CursorManager:
             "cursor first"
         )
 
-    def join(self, key: Optional[Hashable]) -> Optional[Cursor]:
-        """A new cursor on the open stream for ``key``, or None when no
-        stream is open on it (or ``key`` is None); raises
+    def join(
+        self, key: Optional[Hashable], version: Optional[int] = None
+    ) -> Optional[Cursor]:
+        """A new cursor on the open stream or kept completed result for
+        ``key``, or None when there is none (or ``key`` is None); raises
         :class:`CursorLimitError` when full and nothing is idle enough to
-        evict."""
+        evict.  ``version``, the key's snapshot version, drops every kept
+        result of an older one when it is the newest seen."""
         if key is None:
             return None
-        return self._admit(key, None)
+        return self._admit(key, None, version)
 
     def open(self, shared: SharedStream) -> Cursor:
         """Register a new cursor on a new stream (which later cursors on
@@ -348,7 +387,10 @@ class CursorManager:
         return self._admit(shared.key, shared)
 
     def _admit(
-        self, key: Hashable, shared: Optional[SharedStream]
+        self,
+        key: Hashable,
+        shared: Optional[SharedStream],
+        version: Optional[int] = None,
     ) -> Optional[Cursor]:
         victims: list[Cursor] = []
         try:
@@ -357,6 +399,7 @@ class CursorManager:
                     victims = self._collect_idle_victims_locked()
                 joining = shared is None
                 if joining:
+                    self._note_version_locked(version)
                     # Looked up after evicting: a victim may have been
                     # the stream's last reader.
                     shared = self._streams.get(key)
@@ -370,6 +413,8 @@ class CursorManager:
                     )
                 if joining:
                     self.shared += 1
+                    if shared.readers == 0:
+                        self._unretain_locked(shared)
                 elif key is not None:
                     self._streams.setdefault(key, shared)
                 shared.readers += 1
@@ -387,21 +432,97 @@ class CursorManager:
         return cursor
 
     def _unregister_locked(self, cursor: Cursor) -> None:
-        """Drop ``cursor`` from the registry; the last reader of a stream
-        also takes the stream out of the join table."""
+        """Drop ``cursor`` from the registry.  The last reader of a stream
+        folds it the first time, and keeps it as a completed result or
+        takes it out of the join table."""
         del self._cursors[cursor.id]
         shared = cursor.shared
         shared.readers -= 1
-        if shared.readers == 0:
-            cursor.last_reader = True
+        if shared.readers:
+            return
+        cursor.folds = not shared.folded
+        shared.folded = True
+        if not self._retain_locked(shared):
+            cursor.closes_stream = True
             if self._streams.get(shared.key) is shared:
                 del self._streams[shared.key]
 
     @staticmethod
     def _dispose(cursor: Cursor) -> None:
         cursor.stream.close()
-        if cursor.last_reader:
+        if cursor.closes_stream:
             cursor.shared.close()
+
+    # ------------------------------------------------------------------
+    # Completed results
+    # ------------------------------------------------------------------
+    def _note_version_locked(self, version: Optional[int]) -> None:
+        """A key of snapshot ``version`` was completed or looked up: if
+        it is the newest, drop every kept result of an older one."""
+        if version is None or (
+            self._newest is not None and version <= self._newest
+        ):
+            return
+        self._newest = version
+        stale = [
+            key
+            for key, shared in self._retained.items()
+            if shared.version is not None and shared.version < version
+        ]
+        for key in stale:
+            self._drop_locked(key)
+
+    def _retain_locked(self, shared: SharedStream) -> bool:
+        """Keep ``shared``, which just lost its last reader, joinable if
+        it ended cleanly, is the join table's stream for its key, is of
+        the newest version and fits the row budget; evicts the least
+        recently used kept results past the bounds."""
+        # A stream whose source raised never reads as exhausted.
+        if (
+            not shared.exhausted
+            or len(shared.rows) > self.retain_rows
+            or self._streams.get(shared.key) is not shared
+        ):
+            return False
+        if shared.version is not None:
+            if self._newest is not None and shared.version < self._newest:
+                return False
+            self._note_version_locked(shared.version)
+        if shared.memory is not None:
+            # The engine structures went with the source; the memo is
+            # priced as a kept result, not as a live stream.
+            shared.memory.release()
+        self._retained[shared.key] = shared
+        self._retained_rows += len(shared.rows)
+        while (
+            len(self._retained) > self.retain_limit
+            or self._retained_rows > self.retain_rows
+        ):
+            self._drop_locked(next(iter(self._retained)))
+        return True
+
+    def _unretain_locked(self, shared: SharedStream) -> None:
+        """A cursor joins the kept result ``shared``: it is a live stream
+        again until its last reader retires."""
+        del self._retained[shared.key]
+        self._retained_rows -= len(shared.rows)
+        if shared.memory is not None:
+            shared.memory.gauge(MEMO_CATEGORY).add(len(shared.rows))
+
+    def _drop_locked(self, key: Hashable) -> None:
+        """Forget the kept result for ``key`` (freed by refcounting: its
+        source ended, so the memo is all it holds)."""
+        shared = self._retained.pop(key)
+        self._retained_rows -= len(shared.rows)
+        del self._streams[key]
+
+    @staticmethod
+    def _retained_bytes(shared: SharedStream) -> int:
+        """A kept result's memo rows priced like its stream's entries (0
+        for a stream opened without a memory profile)."""
+        if shared.memory is None:
+            return 0
+        return entry_bytes(shared.memory.engine, len(shared.rows))
 
     def _collect_idle_victims_locked(self) -> list[Cursor]:
         """Unregister (but do not dispose) enough idle cursors to admit
@@ -424,22 +545,25 @@ class CursorManager:
 
     def live_mem_bytes(self) -> int:
         """Live bytes across every open stream's engine structures and
-        memo, each stream counted once and priced by its engine family's
-        factor (0 for streams opened without a memory profile)."""
+        memo and every kept completed result's memo, each stream counted
+        once and priced by its engine family's factor (0 for streams
+        opened without a memory profile)."""
         with self._lock:
             return self._live_mem_bytes_locked()
 
     def _live_mem_bytes_locked(self) -> int:
-        return sum(
+        live = sum(
             admission_bytes(shared.memory)
             for shared in {c.shared for c in self._cursors.values()}
             if shared.memory is not None
         )
+        return live + sum(map(self._retained_bytes, self._retained.values()))
 
     def evict_for_memory(
         self, watermark_bytes: int, min_idle_s: float = 1.0
     ) -> int:
-        """Evict the readers of oldest-idle streams until live bytes
+        """Drop kept completed results (least recently used first), then
+        evict the readers of oldest-idle streams, until live bytes
         (:meth:`live_mem_bytes`) drop below ``watermark_bytes``; returns
         how many cursors were evicted.
 
@@ -454,6 +578,10 @@ class CursorManager:
         try:
             with self._lock:
                 live = self._live_mem_bytes_locked()
+                while self._retained and live >= watermark_bytes:
+                    key, shared = next(iter(self._retained.items()))
+                    live -= self._retained_bytes(shared)
+                    self._drop_locked(key)
                 if live < watermark_bytes:
                     return 0
                 streams: dict[SharedStream, list[Cursor]] = {}
@@ -469,12 +597,16 @@ class CursorManager:
                 for _, shared, readers in idle:
                     if live < watermark_bytes:
                         break
+                    if shared.memory is not None:
+                        live -= admission_bytes(shared.memory)
                     for cursor in readers:
                         self._unregister_locked(cursor)
                         self.evicted += 1
                         victims.append(cursor)
-                    if shared.memory is not None:
-                        live -= admission_bytes(shared.memory)
+                    if self._retained.get(shared.key) is shared:
+                        # A completed stream goes whole too, not into
+                        # the kept results.
+                        self._drop_locked(shared.key)
         finally:
             for victim in victims:
                 self._dispose(victim)
@@ -528,5 +660,9 @@ class CursorManager:
                 "closed": self.closed,
                 "evicted": self.evicted,
                 "rejected": self.rejected,
+                "retained": {
+                    "results": len(self._retained),
+                    "rows": self._retained_rows,
+                },
                 "cursors": [c.describe() for c in self._cursors.values()],
             }

@@ -38,7 +38,9 @@ Op fields (see :class:`repro.server.service.QueryService` for semantics):
     lifetime (validation harnesses replay pages against a recompute of
     exactly that generation).  Queries with the same SQL text, typed
     ``params``, ``engine`` and snapshot version read one shared ranked
-    stream while any cursor on it is open: each cursor gets its own
+    stream while any cursor on it is open, and once it has ended cleanly
+    while its version is the newest (the server keeps such completed
+    results within its plan cache's bounds): each cursor gets its own
     offset into the stream's memoized rows, so its pages, ``done`` and
     ``results_emitted`` are those of a stream of its own, while the
     response's ``mem`` figures are the shared stream's.
@@ -92,13 +94,15 @@ latency SLO).  Rows travel as ``[row_values..., weight]``-shaped pairs in
 cursor's shared stream holds now and has held at most — its engine
 structures (priority queues, memoized solutions, T-DP state,
 materialized rows) and the rows it has memoized for its cursors.  Live
-entries read 0 once the stream's last cursor is drained or closed.  A
-server started with ``--max-mem-mb`` prices each open stream's live
-entries in bytes, once however many cursors read it, one factor per
-engine family, and refuses new queries with a
-``mem_pressure`` error once the sum exceeds the watermark and evicting
-idle cursors cannot free enough; the refusal is deliberate admission
-control, never an ``internal`` failure.
+entries read 0 once the stream's last cursor is drained or closed; a
+completed result the server keeps joinable is priced once, as its memo
+rows, in the server's live bytes instead.  A server started with
+``--max-mem-mb`` prices each open stream's live entries and each kept
+memo in bytes, once however many cursors read it, one factor per engine
+family, drops kept results first when the sum exceeds the watermark,
+then evicts idle cursors, and refuses new queries with a
+``mem_pressure`` error when that cannot free enough; the refusal is
+deliberate admission control, never an ``internal`` failure.
 """
 
 from __future__ import annotations

@@ -85,22 +85,25 @@ class QueryService:
     max_mem_mb:
         Server-wide memory watermark in MB (``repro-serve
         --max-mem-mb``): once the live bytes of all open streams' engine
-        structures and memos (live entries times the engine family's
+        structures and memos plus the memos of the completed results kept
+        joinable (entries times the engine family's
         :data:`~repro.obs.memory.BYTES_PER_ENTRY` factor, each stream
-        counted once) reach it, new queries first trigger idle-stream
-        eviction and are then refused with a clean ``mem_pressure`` error
-        while still over — admission control replacing an eventual OOM.
-        None (the default) disables the watermark; per-stream accounting
-        still runs.
+        counted once) reach it, new queries first drop kept results and
+        evict idle streams, and are then refused with a clean
+        ``mem_pressure`` error while still over — admission control
+        replacing an eventual OOM.  None (the default) disables the
+        watermark; per-stream accounting still runs.
     mem_evict_idle_s:
         Minimum idle age of every cursor on a stream before memory
         pressure may evict it (protects sessions a client is actively
         paging through).
     plan_cache_size:
         LRU capacity of the plan cache (analyzed statements, one per
-        distinct SQL text).
+        distinct SQL text), and of the completed results kept joinable.
     default_batch:
-        Rows per ``fetch`` when the request does not say.
+        Rows per ``fetch`` when the request does not say.  Times
+        ``plan_cache_size``, the rows the kept completed results may hold
+        together.
     idle_evict_s:
         Idle age beyond which a cursor may be evicted under admission
         pressure (None: never evict, reject instead).
@@ -146,6 +149,8 @@ class QueryService:
             # explicitly closed ones.
             on_evict=self._retire,
         )
+        self.cursors.retain_limit = plan_cache_size
+        self.cursors.retain_rows = plan_cache_size * default_batch
         self.default_batch = default_batch
         #: Memory watermark in bytes (None: no admission watermark).
         self.max_mem_bytes = (
@@ -304,8 +309,12 @@ class QueryService:
         stream is a pure function of the statement and the snapshot, so
         a query whose (SQL text, typed params, engine override, snapshot
         version) matches an open cursor's joins that cursor's
-        :class:`~repro.server.cursors.SharedStream`: it reads the memoized
-        rows from offset 0, and no bind, route or engine setup runs.
+        :class:`~repro.server.cursors.SharedStream`, and one that matches
+        a stream that ended cleanly reads its finished memo, kept while
+        its version is the newest (at most ``plan_cache_size`` results
+        holding ``plan_cache_size * default_batch`` rows, LRU).  Either
+        way it reads the memoized rows from offset 0, and no bind, route
+        or engine setup runs.
         """
         # Refuse before planning: under overload (the admission limit's
         # regime), a doomed request must not pay parse+analyze+route or
@@ -321,14 +330,14 @@ class QueryService:
         # plan cache's hit rate keeps counting statements.
         analyzed, was_cached = self._analyzed(sql, snapshot)
         key = _stream_key(sql, params, engine, snapshot.version)
-        cursor = self.cursors.join(key)
+        cursor = self.cursors.join(key, snapshot.version)
         if cursor is None:
             compiled, plan = self._bind(analyzed, engine, snapshot, params)
             counters = Counters()
             # Every stream carries its own delay profile; the engine-side
             # wrap records TTF/TT(k)/inter-result delay as pages drain, and
-            # _retire folds it into the per-engine histograms when the
-            # stream's last reader closes or is evicted ...
+            # _retire folds it into the per-engine histograms once, when the
+            # stream first loses its last reader ...
             profile = DelayProfile()
             # ... and its own space profile: the engines' structures and
             # the memo report entry counts into it at O(1) cost, the
@@ -404,7 +413,8 @@ class QueryService:
         payload["results_emitted"] = cursor.emitted
         if payload["done"]:
             self._finish(cursor_id)
-        # After the finish: a drained stream's last reader frees the memo.
+        # After the finish: a drained stream's last reader zeroes its live
+        # entries (a kept completed memo is priced by the manager).
         if cursor.memory is not None:
             payload["mem"] = {
                 "live_entries": cursor.memory.live_entries,
@@ -478,8 +488,8 @@ class QueryService:
 
     def _retire(self, cursor) -> None:
         """Fold a closing/evicted cursor's stream into server aggregates,
-        once: when the cursor was the stream's last reader."""
-        if cursor.last_reader:
+        once: when the stream first lost its last reader with it."""
+        if cursor.folds:
             shared = cursor.shared
             self.counters.merge(shared.counters)
             self._fold_profiles(shared.profile, shared.memory, shared.engine)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import json
+import statistics
 import threading
 import time
 
@@ -478,29 +479,31 @@ def test_tracing_disabled_overhead_on_part_enumeration(
 
     assert baseline() == instrumented() > 0  # same work, then time it
 
-    # Best of five per side, the repeats interleaved (and the order
-    # alternated), so a slow phase of the machine hits both sides.  Each
-    # repeat starts on a collected heap with the collector off: otherwise
-    # a full collection (a few ms here, more on a test run's large heap)
-    # lands in whichever side's repeat crossed the allocation threshold.
-    best = {baseline: float("inf"), instrumented: float("inf")}
-    for repeat in range(5):
-        for fn in (baseline, instrumented)[:: 1 if repeat % 2 else -1]:
+    # Alternating pairs (the order flips every pair), each run on a
+    # collected heap with the collector off: a slow phase of the machine
+    # or a full collection lands on both sides of a pair alike, and the
+    # median of the per-pair ratios ignores the odd pair a hiccup spoils.
+    ratios, bases = [], []
+    for pair in range(41):
+        elapsed = {}
+        for fn in (baseline, instrumented)[:: 1 if pair % 2 else -1]:
             gc.collect()
             gc.disable()
             try:
                 start = time.perf_counter()
                 fn()
-                elapsed = time.perf_counter() - start
+                elapsed[fn] = time.perf_counter() - start
             finally:
                 gc.enable()
-            best[fn] = min(best[fn], elapsed)
-    base_s, instr_s = best[baseline], best[instrumented]
-    # <= 5% relative, with a 2 ms absolute floor so a sub-millisecond
-    # scheduler hiccup cannot fail the build on a fast machine.
-    assert instr_s <= base_s * 1.05 + 2e-3, (
-        f"disabled-tracing overhead too high: baseline {base_s * 1e3:.2f} ms, "
-        f"instrumented {instr_s * 1e3:.2f} ms"
+        bases.append(elapsed[baseline])
+        ratios.append(elapsed[instrumented] / elapsed[baseline])
+    ratio, base_s = statistics.median(ratios), statistics.median(bases)
+    # <= 5% relative, with a 0.5 ms absolute floor (about 5 % of a 10 ms
+    # run) for the executor's one extra generator layer on a slow phase;
+    # an always-on per-result timer (about +15 %) still fails.
+    assert ratio <= 1.05 + 5e-4 / base_s, (
+        f"disabled-tracing overhead too high: median ratio {ratio:.3f} "
+        f"over {len(ratios)} pairs, median baseline {base_s * 1e3:.2f} ms"
     )
 
 
@@ -751,16 +754,19 @@ def test_results_emitted_is_cumulative(path_db):
 
 def test_stats_percentiles_and_delay_profiles(path_db):
     service = QueryService(path_db)
-    for i in range(3):
+    # Three statements, each owning its stream; the fourth query repeats
+    # the first, reads its kept completed result and adds no stream.
+    for i, k in enumerate((20, 21, 22, 20)):
         response = service.handle(
-            {"id": i, "op": "query", "sql": PATH_SQL.format(k=20), "fetch": 100}
+            {"id": i, "op": "query", "sql": PATH_SQL.format(k=k), "fetch": 100}
         )
         assert response["ok"] and response["done"]  # drained → retired
 
     stats = service.handle({"id": 99, "op": "stats"})
+    assert stats["cursors"]["shared"] == 1
     latency = stats["op_latency_ms"]["query"]
     # Back-compat keys plus the promoted histogram percentiles.
-    assert latency["count"] == 3
+    assert latency["count"] == 4
     for key in ("mean", "max", "p50_ms", "p95_ms", "p99_ms"):
         assert latency[key] >= 0.0
     assert latency["p50_ms"] <= latency["p99_ms"] <= latency["max"] * 1.001
@@ -769,7 +775,7 @@ def test_stats_percentiles_and_delay_profiles(path_db):
     assert len(profiles) == 1
     (engine, profile), = profiles.items()
     assert profile["streams"] == 3
-    assert profile["results"] == 60
+    assert profile["results"] == 63
     assert profile["ttf_ms"]["count"] == 3
     assert stats["tracer"]["enabled"] is True
 

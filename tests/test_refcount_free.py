@@ -32,6 +32,7 @@ from repro.data.generators import (
 from repro.engine.planner import route
 from repro.query.cq import cycle_query, path_query
 from repro.server import QueryService
+from repro.server.cursors import SharedStream
 
 PATH_SQL = (
     "SELECT * FROM R1 JOIN R2 ON R1.A2 = R2.A2 JOIN R3 ON R2.A3 = R3.A3 "
@@ -232,6 +233,64 @@ def test_wire_sessions_leave_no_cyclic_garbage(built):
     try:
         with refcount_only():
             _churn_sessions(service, 50, seed=1)
+            assert_freed(built)
+    finally:
+        service.shutdown()
+
+
+@pytest.fixture
+def streams(monkeypatch) -> list[weakref.ref]:
+    """Weak references to every shared stream opened while the test runs."""
+    refs: list[weakref.ref] = []
+    init = SharedStream.__init__
+
+    def recording_init(self, *args, **kwargs) -> None:
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(SharedStream, "__init__", recording_init)
+    return refs
+
+
+def _drained(service: QueryService, sql: str) -> None:
+    response = service.handle({"id": 0, "op": "query", "sql": sql, "fetch": 10})
+    while response["ok"] and not response["done"]:
+        response = service.handle(
+            {"id": 0, "op": "fetch", "cursor": response["cursor"], "n": 25}
+        )
+    assert response["ok"], response
+
+
+@pytest.mark.parametrize("dropped_by", ["lru", "version"])
+def test_a_dropped_completed_result_is_freed_without_gc(
+    built, streams, dropped_by
+):
+    """A completed result kept joinable is released the moment the LRU
+    bound or a newer snapshot version drops it: its source ended with its
+    program, and what stays is acyclic."""
+    db = path_database(length=3, size=120, domain=15, seed=1)
+    service = QueryService(db, plan_cache_size=1)
+    try:
+        with refcount_only():
+            _drained(service, CHURN_TEMPLATES[0])
+            assert service.stats()["cursors"]["retained"]["results"] == 1
+            assert_freed(built)  # kept: the memo, not the program
+            (kept,) = streams
+            assert kept() is not None
+            if dropped_by == "lru":
+                _drained(service, CHURN_TEMPLATES[1])
+            else:
+                assert service.handle(
+                    {
+                        "id": 0,
+                        "op": "mutate",
+                        "sql": "INSERT INTO R1 (A1, A2, weight) "
+                        "VALUES (1000, 3, 0.5)",
+                    }
+                )["ok"]
+                _drained(service, CHURN_TEMPLATES[0])
+            assert service.stats()["cursors"]["retained"]["results"] == 1
+            assert kept() is None
             assert_freed(built)
     finally:
         service.shutdown()
